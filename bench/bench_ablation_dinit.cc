@@ -26,10 +26,11 @@ int main() {
     sp.algo = SearchAlgo::kSingleCta;
     auto r = Search(*index, wb.data.queries, sp);
     if (!r.ok()) continue;
+    const auto snap = index->snapshot();
     std::printf(
         "  d_init=%3zu (%zux)  build=%6.1fs  2hop=%6.1f  recall@10=%.3f\n",
         ratio * d, ratio, stats.total_seconds,
-        Average2HopCount(index->graph(), 1000),
+        Average2HopCount(snap->GraphRef(), 1000),
         ComputeRecall(r->neighbors, bench::GtAtK(wb, 10)));
   }
   std::printf(

@@ -24,11 +24,12 @@ int main() {
     sp.algo = SearchAlgo::kSingleCta;
     auto r = Search(*index, wb.data.queries, sp);
     if (!r.ok()) continue;
+    const auto snap = index->snapshot();
     std::printf(
         "  forward=%.2f  2hop=%6.1f  strongCC=%4zu  recall@10=%.3f  "
         "QPS=%.2e\n",
-        frac, Average2HopCount(index->graph(), 1000),
-        CountStrongComponents(index->graph()),
+        frac, Average2HopCount(snap->GraphRef(), 1000),
+        CountStrongComponents(snap->GraphRef()),
         ComputeRecall(r->neighbors, bench::GtAtK(wb, 10)),
         bench::ModeledQpsAtBatch(*r, 10000));
   }

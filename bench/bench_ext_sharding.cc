@@ -1,11 +1,11 @@
 // Extension: multi-GPU sharding (§IV-C2 discussion / §V-E / §V-F).
 // Sweeps the shard count, modeling each shard on its own device, and
-// compares the barrier merge (every shard finishes the whole batch,
-// then one serial merge tail) against the streaming pipeline (chunked
-// per-shard searches with the merge overlapped) on both the host
-// wall-clock and the modeled device axis. Emits one JSON object on
-// stdout — the machine-readable bench-trajectory contract CI uploads
-// as an artifact.
+// compares the barrier schedule (one chunk: every shard finishes the
+// whole batch, then one serial merge tail) against the streaming
+// pipeline (chunked per-shard searches with the merge overlapped) on
+// both the host wall-clock and the modeled device axis. Emits one JSON
+// object on stdout — the machine-readable bench-trajectory contract CI
+// uploads as an artifact.
 #include <algorithm>
 #include <cstdio>
 
@@ -82,9 +82,12 @@ int main() {
     sp.itopk = 64;
     sp.algo = SearchAlgo::kSingleCta;
 
-    // Barrier reference: full-batch per shard, serial merge tail.
+    // Barrier schedule: one chunk, so every shard scans the full batch
+    // and the whole merge runs as a serial tail.
+    SearchParams one_chunk = sp;
+    one_chunk.shard_chunk_queries = wb.data.queries.rows();
     const PathSample barrier = MeasurePath(
-        wb, [&] { return index->SearchBarrier(wb.data.queries, sp); });
+        wb, [&] { return index->Search(wb.data.queries, one_chunk); });
 
     // Streaming pipeline at the auto chunk size.
     const PathSample streaming =

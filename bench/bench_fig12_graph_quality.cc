@@ -67,7 +67,8 @@ void RunDataset(const char* name) {
       BuildKnnGraphNnDescent(wb.data.base, nnd, metric);
 
   Curve("kNN", wb.data.base, metric, ToAdjacency(knn), wb);
-  Curve("CAGRA", wb.data.base, metric, ToAdjacency(cagra_index->graph()), wb);
+  const auto snap = cagra_index->snapshot();
+  Curve("CAGRA", wb.data.base, metric, ToAdjacency(snap->GraphRef()), wb);
   Curve("NSSG", wb.data.base, metric, nssg.graph(), wb);
 }
 

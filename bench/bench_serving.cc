@@ -328,7 +328,8 @@ int main(int argc, char** argv) {
   // delta in isolation: BuildAdcTable into a fresh PqAdcTable per call
   // vs into one reused buffer, over the same query stream.
   index->EnablePq();
-  const PqDataset& pq = index->pq_dataset();
+  const auto snap = index->snapshot();
+  const PqDataset& pq = snap->PqRef();
   const size_t adc_iters = smoke ? 2000 : 10000;
   const Matrix<float>& qs = wb.data.queries;
   double fresh_seconds = 0;

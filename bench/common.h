@@ -1,7 +1,6 @@
 #ifndef CAGRA_BENCH_COMMON_H_
 #define CAGRA_BENCH_COMMON_H_
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -50,21 +49,7 @@ inline double ModeledQpsAtBatch(const SearchResult& result,
                                 const DeviceSpec& device = DeviceSpec{}) {
   const double factor = static_cast<double>(target_batch) /
                         static_cast<double>(result.counters.queries);
-  KernelCounters scaled = result.counters;
-  auto scale = [&](size_t v) {
-    return static_cast<size_t>(std::llround(static_cast<double>(v) * factor));
-  };
-  scaled.distance_computations = scale(scaled.distance_computations);
-  scaled.distance_elements = scale(scaled.distance_elements);
-  scaled.device_vector_bytes = scale(scaled.device_vector_bytes);
-  scaled.device_graph_bytes = scale(scaled.device_graph_bytes);
-  scaled.hash_probes_shared = scale(scaled.hash_probes_shared);
-  scaled.hash_probes_device = scale(scaled.hash_probes_device);
-  scaled.hash_table_device_bytes = scale(scaled.hash_table_device_bytes);
-  scaled.sort_exchanges = scale(scaled.sort_exchanges);
-  scaled.radix_scatters = scale(scaled.radix_scatters);
-  scaled.iterations = scale(scaled.iterations);
-  scaled.queries = target_batch;
+  const KernelCounters scaled = result.counters.Scaled(factor);
   KernelLaunchConfig launch = result.launch;
   launch.batch = target_batch;
   return EstimateQps(device, launch, scaled);

@@ -130,36 +130,36 @@ Result<CagraIndex> CagraIndex::FromGraph(const Matrix<float>& dataset,
 
 void CagraIndex::EnableHalfPrecision() {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.HasHalf() || cur.dataset == nullptr || cur.dataset->empty()) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->HasHalf() || cur->dataset == nullptr || cur->dataset->empty()) {
     return;
   }
-  auto next = std::make_shared<IndexSnapshot>(cur);
-  next->half = std::make_shared<const Matrix<Half>>(ToHalf(*cur.dataset));
+  auto next = std::make_shared<IndexSnapshot>(*cur);
+  next->half = std::make_shared<const Matrix<Half>>(ToHalf(*cur->dataset));
   StoreSnapshot(std::move(next));
 }
 
 void CagraIndex::EnableInt8Quantization() {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.HasInt8() || cur.dataset == nullptr || cur.dataset->empty()) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->HasInt8() || cur->dataset == nullptr || cur->dataset->empty()) {
     return;
   }
-  auto next = std::make_shared<IndexSnapshot>(cur);
+  auto next = std::make_shared<IndexSnapshot>(*cur);
   next->int8 =
-      std::make_shared<const QuantizedDataset>(QuantizeInt8(*cur.dataset));
+      std::make_shared<const QuantizedDataset>(QuantizeInt8(*cur->dataset));
   StoreSnapshot(std::move(next));
 }
 
 void CagraIndex::EnablePq(const PqTrainParams& params) {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.HasPq() || cur.dataset == nullptr || cur.dataset->empty()) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->HasPq() || cur->dataset == nullptr || cur->dataset->empty()) {
     return;
   }
-  auto next = std::make_shared<IndexSnapshot>(cur);
+  auto next = std::make_shared<IndexSnapshot>(*cur);
   next->pq =
-      std::make_shared<const PqDataset>(TrainPq(*cur.dataset, params));
+      std::make_shared<const PqDataset>(TrainPq(*cur->dataset, params));
   StoreSnapshot(std::move(next));
 }
 
@@ -197,14 +197,14 @@ Status CagraIndex::Add(const Matrix<float>& rows,
   using internal_search::kInvalidEntry;
 
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.out_of_core()) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->out_of_core()) {
     return Status::FailedPrecondition(
         "Add on an out-of-core index: the mapped fp32 tier cannot grow in "
         "place — Load() the index RAM-resident (or rebuild) before "
         "inserting");
   }
-  if (cur.graph == nullptr || cur.num_rows == 0) {
+  if (cur->graph == nullptr || cur->num_rows == 0) {
     return Status::FailedPrecondition(
         "Add requires a built index (Build/FromGraph/Load first)");
   }
@@ -212,29 +212,38 @@ Status CagraIndex::Add(const Matrix<float>& rows,
     if (external_ids != nullptr) external_ids->clear();
     return Status::Ok();
   }
-  if (rows.dim() != cur.num_dims) {
+  if (rows.dim() != cur->num_dims) {
     return Status::InvalidArgument("row dim does not match index dim");
   }
-  if (rows.rows() > kMaxDatasetSize - cur.num_rows) {
+  if (rows.rows() > kMaxDatasetSize - cur->num_rows) {
     return Status::CapacityExceeded(
         "insert exceeds 2^31-1 vectors (MSB parent-flag limit, §IV-B4)");
   }
 
-  const size_t n0 = cur.num_rows;
+  const size_t n0 = cur->num_rows;
   const size_t n_new = rows.rows();
   const size_t n1 = n0 + n_new;
-  const size_t dim = cur.num_dims;
-  const size_t deg = cur.graph->degree();
+  const size_t dim = cur->num_dims;
+  const size_t deg = cur->graph->degree();
 
   // Copy-on-write working copies of the two structures the insert
   // rewires; every other tier extends after the loop.
   auto data = std::make_shared<Matrix<float>>(n1, dim);
-  std::copy(cur.dataset->data().begin(), cur.dataset->data().end(),
+  std::copy(cur->dataset->data().begin(), cur->dataset->data().end(),
             data->mutable_data()->begin());
   auto graph = std::make_shared<FixedDegreeGraph>(n1, deg);
   if (deg != 0) {
-    const std::vector<uint32_t>& src = cur.graph->edges();
+    const std::vector<uint32_t>& src = cur->graph->edges();
     std::copy(src.begin(), src.end(), graph->MutableNeighbors(0));
+  }
+
+  // The tombstone bitmap grows to the new row count before the loop: its
+  // greedy searches reach new ids past the old bitmap, and the published
+  // successor carries the same copy.
+  std::shared_ptr<std::vector<uint64_t>> tombstones;
+  if (cur->tombstones != nullptr) {
+    tombstones = std::make_shared<std::vector<uint64_t>>(*cur->tombstones);
+    tombstones->resize((n1 + 63) / 64, 0);
   }
 
   // The working state the greedy searches run against. num_rows
@@ -243,10 +252,10 @@ Status CagraIndex::Add(const Matrix<float>& rows,
   IndexSnapshot work;
   work.dataset = data;
   work.graph = graph;
-  work.tombstones = cur.tombstones;
+  work.tombstones = tombstones;
   work.num_dims = dim;
-  work.num_dead = cur.num_dead;
-  work.metric = cur.metric;
+  work.num_dead = cur->num_dead;
+  work.metric = cur->metric;
 
   SearchParams sp;
   sp.k = deg;
@@ -297,12 +306,12 @@ Status CagraIndex::Add(const Matrix<float>& rows,
         continue;
       }
       const float* vrow = data->Row(v);
-      const float d_new = ComputeDistance(cur.metric, vrow, data->Row(u), dim);
+      const float d_new = ComputeDistance(cur->metric, vrow, data->Row(u), dim);
       size_t worst_s = 0;
-      float worst_d = ComputeDistance(cur.metric, vrow, data->Row(vn[0]), dim);
+      float worst_d = ComputeDistance(cur->metric, vrow, data->Row(vn[0]), dim);
       for (size_t s = 1; s < deg; s++) {
         const float d =
-            ComputeDistance(cur.metric, vrow, data->Row(vn[s]), dim);
+            ComputeDistance(cur->metric, vrow, data->Row(vn[s]), dim);
         if (d > worst_d) {
           worst_d = d;
           worst_s = s;
@@ -315,17 +324,18 @@ Status CagraIndex::Add(const Matrix<float>& rows,
   auto next = std::make_shared<IndexSnapshot>();
   next->dataset = data;
   next->graph = graph;
+  next->tombstones = std::move(tombstones);
   next->num_rows = n1;
   next->num_dims = dim;
-  next->num_dead = cur.num_dead;
-  next->metric = cur.metric;
+  next->num_dead = cur->num_dead;
+  next->metric = cur->metric;
   next->mmap = nullptr;
 
   // Extend the enabled compressed tiers with the same deterministic
   // encodes the originals used; existing rows' bytes are untouched.
-  if (cur.HasHalf()) {
+  if (cur->HasHalf()) {
     auto half = std::make_shared<Matrix<Half>>(n1, dim);
-    std::copy(cur.half->data().begin(), cur.half->data().end(),
+    std::copy(cur->half->data().begin(), cur->half->data().end(),
               half->mutable_data()->begin());
     const Matrix<Half> tail = ToHalf(rows);
     std::copy(tail.data().begin(), tail.data().end(),
@@ -333,12 +343,12 @@ Status CagraIndex::Add(const Matrix<float>& rows,
                   static_cast<std::ptrdiff_t>(n0 * dim));
     next->half = std::move(half);
   }
-  if (cur.HasInt8()) {
+  if (cur->HasInt8()) {
     auto int8 = std::make_shared<QuantizedDataset>();
-    int8->scale = cur.int8->scale;
-    int8->offset = cur.int8->offset;
+    int8->scale = cur->int8->scale;
+    int8->offset = cur->int8->offset;
     int8->codes = Matrix<int8_t>(n1, dim);
-    std::copy(cur.int8->codes.data().begin(), cur.int8->codes.data().end(),
+    std::copy(cur->int8->codes.data().begin(), cur->int8->codes.data().end(),
               int8->codes.mutable_data()->begin());
     for (size_t i = 0; i < n_new; i++) {
       EncodeInt8Row(*int8, rows.Row(i), dim,
@@ -346,23 +356,18 @@ Status CagraIndex::Add(const Matrix<float>& rows,
     }
     next->int8 = std::move(int8);
   }
-  if (cur.HasPq()) {
+  if (cur->HasPq()) {
     next->pq =
-        std::make_shared<const PqDataset>(PqEncodeAppend(*cur.pq, rows));
-  }
-  if (cur.tombstones != nullptr) {
-    auto tomb = std::make_shared<std::vector<uint64_t>>(*cur.tombstones);
-    tomb->resize((n1 + 63) / 64, 0);
-    next->tombstones = std::move(tomb);
+        std::make_shared<const PqDataset>(PqEncodeAppend(*cur->pq, rows));
   }
 
   const uint32_t base =
       core_->next_external_id.load(std::memory_order_relaxed);
-  if (cur.id_map != nullptr || base != n0) {
+  if (cur->id_map != nullptr || base != n0) {
     auto map = std::make_shared<std::vector<uint32_t>>();
     map->reserve(n1);
-    if (cur.id_map != nullptr) {
-      map->assign(cur.id_map->begin(), cur.id_map->end());
+    if (cur->id_map != nullptr) {
+      map->assign(cur->id_map->begin(), cur->id_map->end());
     } else {
       for (uint32_t i = 0; i < n0; i++) map->push_back(i);
     }
@@ -384,8 +389,8 @@ Status CagraIndex::Add(const Matrix<float>& rows,
 
 Status CagraIndex::Remove(const uint32_t* external_ids, size_t n) {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.graph == nullptr || cur.num_rows == 0) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->graph == nullptr || cur->num_rows == 0) {
     return Status::FailedPrecondition(
         "Remove requires a built index (Build/FromGraph/Load first)");
   }
@@ -395,8 +400,8 @@ Status CagraIndex::Remove(const uint32_t* external_ids, size_t n) {
   // whole call with kNotFound and publishes nothing.
   std::vector<uint32_t> internal(n);
   for (size_t i = 0; i < n; i++) {
-    const uint32_t row = cur.InternalId(external_ids[i]);
-    if (row == IndexSnapshot::kNoInternal || cur.Deleted(row)) {
+    const uint32_t row = cur->InternalId(external_ids[i]);
+    if (row == IndexSnapshot::kNoInternal || cur->Deleted(row)) {
       return Status::NotFound("external id " +
                               std::to_string(external_ids[i]) +
                               " is not a live row");
@@ -404,10 +409,10 @@ Status CagraIndex::Remove(const uint32_t* external_ids, size_t n) {
     internal[i] = row;
   }
 
-  auto tomb = cur.tombstones != nullptr
-                  ? std::make_shared<std::vector<uint64_t>>(*cur.tombstones)
+  auto tomb = cur->tombstones != nullptr
+                  ? std::make_shared<std::vector<uint64_t>>(*cur->tombstones)
                   : std::make_shared<std::vector<uint64_t>>(
-                        (cur.num_rows + 63) / 64, 0);
+                        (cur->num_rows + 63) / 64, 0);
   size_t newly = 0;
   for (const uint32_t row : internal) {
     uint64_t& word = (*tomb)[row >> 6];
@@ -417,9 +422,9 @@ Status CagraIndex::Remove(const uint32_t* external_ids, size_t n) {
       newly++;
     }
   }
-  auto next = std::make_shared<IndexSnapshot>(cur);
+  auto next = std::make_shared<IndexSnapshot>(*cur);
   next->tombstones = std::move(tomb);
-  next->num_dead = cur.num_dead + newly;
+  next->num_dead = cur->num_dead + newly;
 
   const size_t dead = next->num_dead;
   const size_t total = next->num_rows;
@@ -599,14 +604,14 @@ std::shared_ptr<const IndexSnapshot> CagraIndex::CompactSnapshot(
 
 Status CagraIndex::Compact() {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.out_of_core()) {
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->out_of_core()) {
     return Status::FailedPrecondition(
         "Compact on an out-of-core index: the mapped fp32 tier cannot be "
         "rewritten in place — Save() compacts to a new file instead");
   }
-  if (cur.num_dead == 0) return Status::Ok();
-  std::shared_ptr<const IndexSnapshot> next = CompactSnapshot(cur);
+  if (cur->num_dead == 0) return Status::Ok();
+  std::shared_ptr<const IndexSnapshot> next = CompactSnapshot(*cur);
   CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("graph_swap"));
   StoreSnapshot(std::move(next));
   return Status::Ok();
@@ -977,17 +982,17 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
 
 Status CagraIndex::EnableOutOfCore(const std::string& path) {
   MutexLock lock(core_->writer_mu);
-  const IndexSnapshot& cur = Current();
-  if (cur.out_of_core()) {
-    if (path == cur.mmap->path()) return Status::Ok();  // idempotent
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  if (cur->out_of_core()) {
+    if (path == cur->mmap->path()) return Status::Ok();  // idempotent
     return Status::InvalidArgument(
-        "index is already out-of-core over " + cur.mmap->path());
+        "index is already out-of-core over " + cur->mmap->path());
   }
-  if (cur.dataset == nullptr || cur.dataset->empty()) {
+  if (cur->dataset == nullptr || cur->dataset->empty()) {
     return Status::InvalidArgument(
         "index has no resident fp32 dataset to replace");
   }
-  if (cur.num_dead != 0) {
+  if (cur->num_dead != 0) {
     // Save() writes the compacted form, so the file's rows cannot line
     // up with this index's internal ids while tombstones are pending.
     return Status::FailedPrecondition(
@@ -1007,15 +1012,15 @@ Status CagraIndex::EnableOutOfCore(const std::string& path) {
   if (header[0] != kIndexMagic) {
     return Status::IoError(path + ": not a CAGRA index file");
   }
-  if (header[1] != cur.num_rows || header[2] != cur.num_dims ||
-      header[4] != static_cast<uint64_t>(cur.metric)) {
+  if (header[1] != cur->num_rows || header[2] != cur->num_dims ||
+      header[4] != static_cast<uint64_t>(cur->metric)) {
     return Status::InvalidArgument(
         path + ": saved index does not match this index's shape/metric");
   }
   CAGRA_ASSIGN_OR_RETURN(
       MmapMatrix mapped,
-      MmapMatrix::Open(path, cur.num_rows, cur.num_dims, sizeof(header)));
-  auto next = std::make_shared<IndexSnapshot>(cur);
+      MmapMatrix::Open(path, cur->num_rows, cur->num_dims, sizeof(header)));
+  auto next = std::make_shared<IndexSnapshot>(*cur);
   next->mmap = std::make_shared<const MmapMatrix>(std::move(mapped));
   // Release the resident fp32 copy — the whole point of the tier. The
   // graph and any fp16/int8/PQ copies stay hot.

@@ -12,9 +12,7 @@
 #include "core/params.h"
 #include "core/snapshot.h"
 #include "dataset/matrix.h"
-#include "dataset/mmap_matrix.h"
 #include "dataset/pq.h"
-#include "dataset/quantize.h"
 #include "graph/fixed_degree_graph.h"
 #include "knn/nn_descent.h"
 #include "util/mutex.h"
@@ -56,10 +54,10 @@ struct CompactionOptions {
 /// Enable* / EnableOutOfCore) serialize behind an internal writer mutex,
 /// build a successor snapshot copy-on-write, and publish it — readers
 /// holding an older version keep it alive by refcount and finish
-/// undisturbed. The by-reference legacy accessors (dataset(), graph(),
-/// ...) read through the *current* snapshot without pinning it; they are
-/// conveniences for quiescent (single-threaded) use — code that races
-/// with writers must hold a snapshot() instead.
+/// undisturbed. snapshot() is the only way to reach index storage: hold
+/// the returned pointer for as long as you read through it. The scalar
+/// getters (size(), dim(), HasPq(), ...) each pin a snapshot for one
+/// read.
 ///
 /// Copying an index is cheap: the copy shares the current snapshot and
 /// gets its own writer state, so mutating one never affects the other.
@@ -85,7 +83,8 @@ class CagraIndex {
   /// The current published version. Wait-free; the returned pointer
   /// pins that version (graph, tiers, tombstones, id map — all
   /// consistent) for as long as the caller holds it. This is the only
-  /// read API that is safe against concurrent mutators.
+  /// way to reach index storage, and it is safe against concurrent
+  /// mutators.
   std::shared_ptr<const IndexSnapshot> snapshot() const {
     return std::atomic_load_explicit(&core_->snapshot,
                                      std::memory_order_acquire);
@@ -142,8 +141,8 @@ class CagraIndex {
   /// helper; new Removes may schedule another pass afterwards.
   void WaitForCompaction() const;
 
-  size_t live_size() const { return Current().live_rows(); }
-  size_t tombstone_count() const { return Current().num_dead; }
+  size_t live_size() const { return snapshot()->live_rows(); }
+  size_t tombstone_count() const { return snapshot()->num_dead; }
 
   // ------------------------------------------------------------------
   // Storage tiers.
@@ -151,30 +150,23 @@ class CagraIndex {
   /// Materializes the fp16 copy of the dataset so searches can run in
   /// half precision.
   void EnableHalfPrecision();
-  bool HasHalfPrecision() const { return Current().HasHalf(); }
+  bool HasHalfPrecision() const { return snapshot()->HasHalf(); }
 
   /// Materializes the int8 scalar-quantized copy (quarter the fp32
   /// bytes; §V-E compression direction).
   void EnableInt8Quantization();
-  bool HasInt8() const { return Current().HasInt8(); }
-  const QuantizedDataset& int8_dataset() const { return Current().Int8Ref(); }
+  bool HasInt8() const { return snapshot()->HasInt8(); }
 
   /// Materializes the product-quantized copy (M bytes/row, default
   /// M = dim/4 — 1/16 of fp32; the §V-E PQ compression mode). Searches
   /// with Precision::kPq go through per-query ADC lookup tables.
   void EnablePq(const PqTrainParams& params = PqTrainParams{});
-  bool HasPq() const { return Current().HasPq(); }
-  const PqDataset& pq_dataset() const { return Current().PqRef(); }
+  bool HasPq() const { return snapshot()->HasPq(); }
 
-  /// RAM-resident fp32 rows; empty when the index is out-of-core (use
-  /// Fp32Row/Fp32Data, which read through whichever tier is active).
-  const Matrix<float>& dataset() const { return Current().DatasetRef(); }
-  const Matrix<Half>& half_dataset() const { return Current().HalfRef(); }
-  const FixedDegreeGraph& graph() const { return Current().GraphRef(); }
-  Metric metric() const { return Current().metric; }
-  size_t size() const { return Current().size(); }
-  size_t dim() const { return Current().dim(); }
-  size_t degree() const { return Current().degree(); }
+  Metric metric() const { return snapshot()->metric; }
+  size_t size() const { return snapshot()->size(); }
+  size_t dim() const { return snapshot()->dim(); }
+  size_t degree() const { return snapshot()->degree(); }
 
   /// The out-of-core storage tier (DiskANN-shaped split, the ROADMAP's
   /// "single biggest scale unlock"): the graph and every compressed
@@ -201,15 +193,7 @@ class CagraIndex {
   [[nodiscard]] static Result<CagraIndex> LoadOutOfCore(
       const std::string& path);
 
-  bool out_of_core() const { return Current().out_of_core(); }
-  /// The mapped fp32 tier, or nullptr when RAM-resident.
-  const MmapMatrix* out_of_core_dataset() const {
-    return Current().mmap.get();
-  }
-
-  /// fp32 row access through the active storage tier.
-  const float* Fp32Row(size_t i) const { return Current().Fp32Row(i); }
-  const float* Fp32Data() const { return Current().Fp32Data(); }
+  bool out_of_core() const { return snapshot()->out_of_core(); }
 
   /// Serializes graph + dataset + metric — plus, when EnablePq has run,
   /// the PQ copy (codebooks, OPQ rotation, row norms, codes), and, when
@@ -261,14 +245,6 @@ class CagraIndex {
 
   [[nodiscard]] static Result<CagraIndex> LoadImpl(const std::string& path,
                                                    bool out_of_core);
-
-  /// Current-version reference WITHOUT pinning it: valid only while no
-  /// writer publishes (the snapshot a quiescent index holds stays alive
-  /// through core_->snapshot). The legacy accessors ride on this.
-  const IndexSnapshot& Current() const {
-    return *std::atomic_load_explicit(&core_->snapshot,
-                                      std::memory_order_acquire);
-  }
 
   /// Builds the compacted successor of `snap` (shared by Compact, the
   /// background pass, and compact-on-save).

@@ -56,11 +56,10 @@ enum class SearchAlgo {
 /// CAGRA search parameters.
 struct SearchParams {
   size_t k = 10;                 ///< neighbors to return
-  /// Dataset storage mode the search runs against. Folded into the
-  /// params (it was a positional argument of Search()) so every caller
-  /// — and the Searcher interface the serving layer is written against
-  /// — carries one self-contained request description. Reduced
-  /// precisions require the matching Enable*() call on the index.
+  /// Dataset storage mode the search runs against. Part of the params so
+  /// every caller — and the Searcher interface the serving layer is
+  /// written against — carries one self-contained request description.
+  /// Reduced precisions require the matching Enable*() call on the index.
   Precision precision = Precision::kFp32;
   /// M: internal top-M list length. Must be >= k when set explicitly;
   /// 0 = auto (max(64, k), the historical default widened for large k).

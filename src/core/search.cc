@@ -123,15 +123,6 @@ Status ValidateSearchParams(const SearchParams& params) {
 
 Result<SearchResult> Search(const CagraIndex& index,
                             const Matrix<float>& queries,
-                            const SearchParams& params, Precision precision,
-                            const DeviceSpec& device) {
-  SearchParams p = params;
-  p.precision = precision;
-  return Search(index, queries, p, device);
-}
-
-Result<SearchResult> Search(const CagraIndex& index,
-                            const Matrix<float>& queries,
                             const SearchParams& params,
                             const DeviceSpec& device) {
   const Precision precision = params.precision;

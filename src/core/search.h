@@ -61,14 +61,6 @@ struct SearchResult {
     const CagraIndex& index, const Matrix<float>& queries,
     const SearchParams& params, const DeviceSpec& device = DeviceSpec{});
 
-/// Delegating overload of the historical positional-Precision form:
-/// `precision` overrides params.precision. Prefer setting
-/// SearchParams::precision directly.
-[[nodiscard]] Result<SearchResult> Search(
-    const CagraIndex& index, const Matrix<float>& queries,
-    const SearchParams& params, Precision precision,
-    const DeviceSpec& device = DeviceSpec{});
-
 /// Picks the team size (2..32) maximizing modeled load efficiency x
 /// occupancy for a given vector layout — the automatic version of the
 /// Fig. 8 sweep.

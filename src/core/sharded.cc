@@ -475,111 +475,6 @@ void ShardedCagraIndex::MergeRows(
   }
 }
 
-Result<SearchResult> ShardedCagraIndex::SearchBarrier(
-    const Matrix<float>& queries, const SearchParams& params,
-    Precision precision, const DeviceSpec& device) const {
-  SearchParams p = params;
-  p.precision = precision;
-  return SearchBarrier(queries, p, device);
-}
-
-Result<SearchResult> ShardedCagraIndex::SearchBarrier(
-    const Matrix<float>& queries, const SearchParams& params,
-    const DeviceSpec& device) const {
-  CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
-
-  const size_t k = params.k;
-  const size_t batch = queries.rows();
-  const size_t num_shards = shards_.size();
-  // Pin the id translation alongside the shard snapshots the per-shard
-  // searches will pin: concurrent Adds publish grown maps, never move
-  // these.
-  const std::vector<IdMapPtr> maps = PinIdMaps();
-
-  // Pin the batch-shape auto choices exactly as the streaming path does,
-  // so both paths hand every shard identical effective params. The
-  // caller's token rides along: per-shard searches observe it at
-  // iteration boundaries, and ParallelFor joins before returning, so no
-  // task outlives the caller's stack here (no detachment to guard).
-  const SearchParams shard_params = ResolveBatchShape(params, device, batch);
-
-  SearchResult out;
-  out.neighbors.k = k;
-  out.neighbors.ids.assign(batch * k, kInvalidShardEntry);
-  out.neighbors.distances.assign(batch * k, kInf);
-  out.rows_examined.assign(batch, 0);
-
-  // Shards search the whole batch in parallel on the host pool; nothing
-  // merges until every shard has finished (the global barrier).
-  std::vector<std::optional<Result<SearchResult>>> shard_results(num_shards);
-  Timer host;
-  auto search_shard = [&](size_t s) {
-    shard_results[s].emplace(
-        cagra::Search(shards_[s], queries, shard_params, device));
-  };
-  if (params.num_threads != 0) {
-    // An explicit width is a total budget: run shards sequentially and
-    // let each per-shard Search use the full width (num_threads == 1
-    // is then fully serial). Fanning shards out here too would
-    // multiply the budget by num_shards.
-    for (size_t s = 0; s < num_shards; s++) search_shard(s);
-  } else {
-    GlobalThreadPool().ParallelFor(0, num_shards, search_shard);
-  }
-
-  // Result metadata aggregates over *all* shards, not shard 0: counters
-  // sum (additive work), host_threads takes the widest shard, and the
-  // modeled cost/launch come from the slowest shard — the one the
-  // parallel execution actually waits for.
-  double slowest_shard = 0.0;
-  size_t slowest_index = 0;
-  out.host_threads = 0;
-  std::vector<std::pair<size_t, const SearchResult*>> merged;
-  merged.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; s++) {
-    Result<SearchResult>& r = *shard_results[s];
-    if (!r.ok()) return r.status();
-    if (s == 0 || r->modeled_seconds > slowest_shard) {
-      slowest_shard = r->modeled_seconds;
-      slowest_index = s;
-    }
-    out.counters.Add(r->counters);
-    out.host_threads = std::max(out.host_threads, r->host_threads);
-    // Partial-result bookkeeping: a shard truncated by the token makes
-    // the merged batch incomplete; rows-examined sums over shards (each
-    // scanned its own sub-dataset for the query).
-    if (!r->complete) out.complete = false;
-    for (size_t q = 0; q < batch && q < r->rows_examined.size(); q++) {
-      out.rows_examined[q] += r->rows_examined[q];
-    }
-    merged.emplace_back(s, &r.value());
-  }
-  MergeRows(merged, maps, 0, batch, k, &out.neighbors);
-  out.host_seconds = host.Seconds();
-  out.host_qps = out.host_seconds > 0
-                     ? static_cast<double>(batch) / out.host_seconds
-                     : 0.0;
-
-  {
-    const SearchResult& slowest = **shard_results[slowest_index];
-    out.cost = slowest.cost;
-    out.launch = slowest.launch;
-    out.algo_used = slowest.algo_used;
-    out.team_size_used = slowest.team_size_used;
-  }
-
-  // Shards execute on independent devices in parallel; the query pays
-  // the slowest shard plus the host merge of the *whole* batch — the
-  // serial tail the streaming pipeline exists to hide.
-  out.modeled_seconds =
-      slowest_shard + kMergeOverheadPerQueryShard *
-                          static_cast<double>(batch * num_shards);
-  out.modeled_qps = out.modeled_seconds > 0
-                        ? static_cast<double>(batch) / out.modeled_seconds
-                        : 0.0;
-  return out;
-}
-
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
                                                const SearchParams& params) const {
   return Search(queries, params, DeviceSpec{});
@@ -587,24 +482,18 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
 
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
                                                const SearchParams& params,
-                                               Precision precision,
-                                               const DeviceSpec& device) const {
-  SearchParams p = params;
-  p.precision = precision;
-  return Search(queries, p, device);
-}
-
-Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
-                                               const SearchParams& params,
                                                const DeviceSpec& device) const {
   CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
 
   const size_t batch = queries.rows();
-  // Nothing to stream over; the barrier path handles the empty batch
-  // (and is trivially identical to it).
-  if (batch == 0) return SearchBarrier(queries, params, device);
-
   const size_t k = params.k;
+  // Nothing to stream over (and no chunk size to divide by).
+  if (batch == 0) {
+    SearchResult empty;
+    empty.neighbors.k = k;
+    return empty;
+  }
+
   const size_t num_shards = shards_.size();
   const CancelToken* caller_token = params.cancel;
   const bool cancelable = caller_token != nullptr;
@@ -786,8 +675,8 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
 
   // Overlap model: per-chunk merges hide under still-running scans, so
   // a batch pays the slowest shard's summed chunk time plus only the
-  // merge tail of the final chunk — not the full-batch merge the
-  // barrier path serializes after its global wait.
+  // merge tail of the final chunk. A single chunk (the barrier schedule)
+  // pays the whole batch's merge after its global wait.
   const size_t last_rows = batch - (num_chunks - 1) * chunk_rows;
   out.modeled_seconds =
       slowest_seconds + kMergeOverheadPerQueryShard *

@@ -126,10 +126,12 @@ class ShardedCagraIndex : public Searcher {
   /// queue to the calling thread, which merges them into the output
   /// while later chunks are still searching — the chunk-wise overlap of
   /// per-shard execution with the host-side gather/merge from the
-  /// paper's multi-GPU evaluation (§V-F). Results are byte-identical to
-  /// SearchBarrier at every thread count and chunk size; the modeled
-  /// time charges the slowest shard plus only the merge tail of the
-  /// final chunk (the rest of the merge hides under the scans).
+  /// paper's multi-GPU evaluation (§V-F). Results are byte-identical at
+  /// every thread count and chunk size; the modeled time charges the
+  /// slowest shard plus only the merge tail of the final chunk (the rest
+  /// of the merge hides under the scans). One chunk
+  /// (shard_chunk_queries >= batch) is the barrier schedule: every shard
+  /// scans the whole batch, then the full merge runs as a serial tail.
   ///
   /// params.num_threads != 0 is a total host budget, so the pipeline
   /// runs its tasks inline in (chunk, shard) order and each per-chunk
@@ -154,25 +156,6 @@ class ShardedCagraIndex : public Searcher {
   [[nodiscard]] Result<SearchResult> Search(const Matrix<float>& queries,
                                             const SearchParams& params,
                                             const DeviceSpec& device) const;
-
-  /// Delegating overload of the historical positional-Precision form:
-  /// `precision` overrides params.precision.
-  [[nodiscard]] Result<SearchResult> Search(
-      const Matrix<float>& queries, const SearchParams& params,
-      Precision precision, const DeviceSpec& device = DeviceSpec{}) const;
-
-  /// Scheduling-free reference: every shard searches the whole batch to
-  /// completion (in parallel across shards), then the per-shard lists
-  /// merge behind the global barrier. Kept as the determinism oracle
-  /// for the streaming path and the baseline of the barrier-vs-
-  /// streaming bench; the modeled time pays the full merge as a serial
-  /// tail after the slowest shard.
-  [[nodiscard]] Result<SearchResult> SearchBarrier(
-      const Matrix<float>& queries, const SearchParams& params,
-      const DeviceSpec& device = DeviceSpec{}) const;
-  [[nodiscard]] Result<SearchResult> SearchBarrier(
-      const Matrix<float>& queries, const SearchParams& params,
-      Precision precision, const DeviceSpec& device = DeviceSpec{}) const;
 
  private:
   /// One shard's local-external-id -> global-id translation table,

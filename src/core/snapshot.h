@@ -71,8 +71,11 @@ struct IndexSnapshot {
   bool HasInt8() const { return int8 != nullptr && !int8->empty(); }
   bool HasPq() const { return pq != nullptr && !pq->empty(); }
 
-  /// Reference accessors with empty-object fallbacks, so legacy callers
-  /// (tests, benches) keep their by-reference reads on an empty index.
+  /// Reference accessors with empty-object fallbacks (an empty index
+  /// reads as empty tiers, not null). They borrow from this snapshot, so
+  /// bind CagraIndex::snapshot() to a local first — the only read path
+  /// to index storage — and never take a reference through the
+  /// temporary it returns.
   const Matrix<float>& DatasetRef() const {
     static const Matrix<float> kEmpty;
     return dataset ? *dataset : kEmpty;

@@ -1,6 +1,7 @@
 #ifndef CAGRA_GPUSIM_COUNTERS_H_
 #define CAGRA_GPUSIM_COUNTERS_H_
 
+#include <cmath>
 #include <cstddef>
 
 namespace cagra {
@@ -17,7 +18,7 @@ struct KernelCounters {
   size_t hash_probes_shared = 0;     ///< visited-set probes, shared-mem table
   size_t hash_probes_device = 0;     ///< visited-set probes, device-mem table
   size_t hash_table_device_bytes = 0;  ///< device tables zeroed per query
-  size_t hash_resets = 0;            ///< forgettable-table wipes
+  size_t hash_resets = 0;            ///< forgettable-table wipes (unpriced)
   size_t sort_exchanges = 0;         ///< bitonic compare-exchange ops
   size_t radix_scatters = 0;         ///< radix-sort scatter ops
   size_t iterations = 0;             ///< summed search iterations
@@ -41,6 +42,31 @@ struct KernelCounters {
                                                        : o.max_iterations;
     kernel_launches += o.kernel_launches;
     queries += o.queries;
+  }
+
+  /// These counts extrapolated by `factor` (e.g. to a larger batch of the
+  /// same queries): every additive count scales, rounded to the nearest
+  /// integer. max_iterations (the longest per-query chain) and
+  /// kernel_launches (one fused launch, whatever the batch) are not
+  /// additive over queries and stay as they are.
+  KernelCounters Scaled(double factor) const {
+    auto scale = [factor](size_t v) {
+      return static_cast<size_t>(std::llround(static_cast<double>(v) * factor));
+    };
+    KernelCounters s = *this;
+    s.distance_computations = scale(distance_computations);
+    s.distance_elements = scale(distance_elements);
+    s.device_vector_bytes = scale(device_vector_bytes);
+    s.device_graph_bytes = scale(device_graph_bytes);
+    s.hash_probes_shared = scale(hash_probes_shared);
+    s.hash_probes_device = scale(hash_probes_device);
+    s.hash_table_device_bytes = scale(hash_table_device_bytes);
+    s.hash_resets = scale(hash_resets);
+    s.sort_exchanges = scale(sort_exchanges);
+    s.radix_scatters = scale(radix_scatters);
+    s.iterations = scale(iterations);
+    s.queries = scale(queries);
+    return s;
   }
 };
 

@@ -47,7 +47,8 @@ TEST(CagraIndexTest, BuiltGraphIsWellFormed) {
   params.graph_degree = 16;
   auto index = CagraIndex::Build(data.base, params);
   ASSERT_TRUE(index.ok());
-  const auto& g = index->graph();
+  const auto snap = index->snapshot();
+  const auto& g = snap->GraphRef();
   for (size_t v = 0; v < g.num_nodes(); v++) {
     for (size_t j = 0; j < g.degree(); j++) {
       const uint32_t u = g.Neighbors(v)[j];
@@ -65,7 +66,8 @@ TEST(CagraIndexTest, BuiltGraphIsNearlyStronglyConnected) {
   auto index = CagraIndex::Build(data.base, params);
   ASSERT_TRUE(index.ok());
   // Fig. 3: full optimization drives strong CC to ~1.
-  EXPECT_LE(CountStrongComponents(index->graph()), 3u);
+  const auto snap = index->snapshot();
+  EXPECT_LE(CountStrongComponents(snap->GraphRef()), 3u);
 }
 
 TEST(CagraIndexTest, RejectsEmptyDataset) {
@@ -98,7 +100,9 @@ TEST(CagraIndexTest, FromGraphSearchable) {
   params.graph_degree = 12;
   auto built = CagraIndex::Build(data.base, params);
   ASSERT_TRUE(built.ok());
-  auto wrapped = CagraIndex::FromGraph(data.base, built->graph(), Metric::kL2);
+  const auto snap = built->snapshot();
+  auto wrapped =
+      CagraIndex::FromGraph(data.base, snap->GraphRef(), Metric::kL2);
   ASSERT_TRUE(wrapped.ok());
   SearchParams sp;
   sp.k = 5;
@@ -116,7 +120,7 @@ TEST(CagraIndexTest, HalfPrecisionLifecycle) {
   EXPECT_FALSE(index->HasHalfPrecision());
   index->EnableHalfPrecision();
   EXPECT_TRUE(index->HasHalfPrecision());
-  EXPECT_EQ(index->half_dataset().rows(), 200u);
+  EXPECT_EQ(index->snapshot()->HalfRef().rows(), 200u);
   index->EnableHalfPrecision();  // idempotent
   EXPECT_TRUE(index->HasHalfPrecision());
 }
@@ -135,7 +139,8 @@ TEST(CagraIndexTest, SaveLoadRoundTripPreservesSearch) {
   EXPECT_EQ(loaded->size(), index->size());
   EXPECT_EQ(loaded->degree(), index->degree());
   EXPECT_EQ(loaded->metric(), index->metric());
-  EXPECT_EQ(loaded->graph().edges(), index->graph().edges());
+  EXPECT_EQ(loaded->snapshot()->GraphRef().edges(),
+            index->snapshot()->GraphRef().edges());
 
   SearchParams sp;
   sp.k = 5;
@@ -164,15 +169,17 @@ TEST(CagraIndexTest, SaveLoadCarriesPqCodebookAndRotation) {
   pq_params.sample_size = 512;
   index->EnablePq(pq_params);
   ASSERT_TRUE(index->HasPq());
-  ASSERT_TRUE(index->pq_dataset().HasRotation());
+  ASSERT_TRUE(index->snapshot()->PqRef().HasRotation());
 
   const std::string path = ::testing::TempDir() + "/index_pq.cagra";
   ASSERT_TRUE(index->Save(path).ok());
   auto loaded = CagraIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->HasPq());
-  const PqDataset& a = index->pq_dataset();
-  const PqDataset& b = loaded->pq_dataset();
+  const auto snap_a = index->snapshot();
+  const auto snap_b = loaded->snapshot();
+  const PqDataset& a = snap_a->PqRef();
+  const PqDataset& b = snap_b->PqRef();
   EXPECT_EQ(b.dim, a.dim);
   EXPECT_EQ(b.dsub, a.dsub);
   EXPECT_EQ(b.rotation, a.rotation);
@@ -184,8 +191,9 @@ TEST(CagraIndexTest, SaveLoadCarriesPqCodebookAndRotation) {
   SearchParams sp;
   sp.k = 5;
   sp.itopk = 32;
-  auto r1 = Search(*index, data.queries, sp, Precision::kPq);
-  auto r2 = Search(*loaded, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto r1 = Search(*index, data.queries, sp);
+  auto r2 = Search(*loaded, data.queries, sp);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->neighbors.ids, r2->neighbors.ids);

@@ -133,8 +133,9 @@ TEST_F(CagraSearchTest, Fp16RecallMatchesFp32) {
   params.k = 10;
   params.itopk = 64;
   params.algo = SearchAlgo::kSingleCta;
-  auto fp32 = Search(*index_, data_->queries, params, Precision::kFp32);
-  auto fp16 = Search(*index_, data_->queries, params, Precision::kFp16);
+  auto fp32 = Search(*index_, data_->queries, params);
+  params.precision = Precision::kFp16;
+  auto fp16 = Search(*index_, data_->queries, params);
   ASSERT_TRUE(fp32.ok());
   ASSERT_TRUE(fp16.ok());
   const double r32 = ComputeRecall(fp32->neighbors, *gt_);
@@ -278,7 +279,8 @@ TEST_F(CagraSearchTest, RejectsFp16WithoutEnable) {
   ASSERT_TRUE(plain.ok());
   SearchParams params;
   params.k = 5;
-  auto r = Search(*plain, data_->queries, params, Precision::kFp16);
+  params.precision = Precision::kFp16;
+  auto r = Search(*plain, data_->queries, params);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }

@@ -419,17 +419,6 @@ TEST_F(ShardedCancelTest, InlineModeHonorsExpiredToken) {
   auto r = index_->Search(data_->queries, sp);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->complete);
-  ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
-}
-
-TEST_F(ShardedCancelTest, BarrierPathPropagatesCompletionAndRows) {
-  CancelToken expired;
-  expired.Cancel();
-  SearchParams sp = BaseParams();
-  sp.cancel = &expired;
-  auto r = index_->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r->complete);
   ASSERT_EQ(r->rows_examined.size(), data_->queries.rows());
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
 }

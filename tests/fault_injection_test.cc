@@ -23,6 +23,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "serving/serving.h"
+#include "sharded_reference.h"
 #include "util/cancel.h"
 #include "util/fault_injection.h"
 
@@ -196,18 +197,19 @@ ShardedCagraIndex* FaultMatrixTest::sharded_ = nullptr;
 
 TEST_F(FaultMatrixTest, DisarmedPointsChangeNothing) {
   // Fault points compiled in but nothing armed: streaming must still be
-  // EXPECT_EQ-identical to the barrier reference (the acceptance bit-
-  // identity bound holds in the fault-injection build too).
+  // EXPECT_EQ-identical to the serial per-shard reference (the
+  // acceptance bit-identity bound holds in the fault-injection build
+  // too).
   SearchParams sp = BaseParams();
   sp.shard_chunk_queries = 7;
-  auto barrier = sharded_->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  auto ref = ShardedReferenceSearch(*sharded_, data_->queries, sp);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   for (int rep = 0; rep < 5; rep++) {
     auto streamed = sharded_->Search(data_->queries, sp);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_TRUE(streamed->complete);
-    EXPECT_EQ(streamed->neighbors.ids, barrier->neighbors.ids) << rep;
-    EXPECT_EQ(streamed->neighbors.distances, barrier->neighbors.distances);
+    EXPECT_EQ(streamed->neighbors.ids, ref->ids) << rep;
+    EXPECT_EQ(streamed->neighbors.distances, ref->distances);
   }
 }
 

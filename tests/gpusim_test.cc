@@ -58,6 +58,46 @@ TEST(CountersTest, AddAccumulatesAndMaxes) {
   EXPECT_EQ(a.max_iterations, 9u);
 }
 
+TEST(CountersTest, ScaledScalesAdditiveCountsOnly) {
+  KernelCounters c;
+  c.distance_computations = 100;
+  c.distance_elements = 200;
+  c.device_vector_bytes = 300;
+  c.device_graph_bytes = 400;
+  c.hash_probes_shared = 500;
+  c.hash_probes_device = 600;
+  c.hash_table_device_bytes = 700;
+  c.hash_resets = 800;
+  c.sort_exchanges = 900;
+  c.radix_scatters = 1000;
+  c.iterations = 1100;
+  c.max_iterations = 12;
+  c.kernel_launches = 13;
+  c.queries = 14;
+  const KernelCounters s = c.Scaled(2.5);
+  EXPECT_EQ(s.distance_computations, 250u);
+  EXPECT_EQ(s.distance_elements, 500u);
+  EXPECT_EQ(s.device_vector_bytes, 750u);
+  EXPECT_EQ(s.device_graph_bytes, 1000u);
+  EXPECT_EQ(s.hash_probes_shared, 1250u);
+  EXPECT_EQ(s.hash_probes_device, 1500u);
+  EXPECT_EQ(s.hash_table_device_bytes, 1750u);
+  EXPECT_EQ(s.hash_resets, 2000u);
+  EXPECT_EQ(s.sort_exchanges, 2250u);
+  EXPECT_EQ(s.radix_scatters, 2500u);
+  EXPECT_EQ(s.iterations, 2750u);
+  EXPECT_EQ(s.queries, 35u);
+  // Not additive over queries: the longest chain and the launch count.
+  EXPECT_EQ(s.max_iterations, 12u);
+  EXPECT_EQ(s.kernel_launches, 13u);
+  // Rounds to the nearest count, both ways.
+  EXPECT_EQ(c.Scaled(0.0125).queries, 0u);   // 0.175
+  EXPECT_EQ(c.Scaled(0.05).queries, 1u);     // 0.7
+  EXPECT_EQ(c.Scaled(1.0 / 3).distance_computations, 33u);
+  // Extrapolating a batch to a target size lands on the target exactly.
+  EXPECT_EQ(c.Scaled(10000.0 / 14).queries, 10000u);
+}
+
 // -------------------------------------------------------- Occupancy model
 
 TEST(OccupancyTest, FullBatchFillsDevice) {
@@ -160,15 +200,8 @@ TEST(CostModelTest, LargeBatchHasHigherQpsThanSingle) {
   // Same per-query work at batch 1.
   auto one_cfg = cfg;
   one_cfg.batch = 1;
-  KernelCounters one = counters;
-  one.queries = 1;
-  one.distance_computations /= 10000;
-  one.distance_elements /= 10000;
-  one.device_vector_bytes /= 10000;
-  one.device_graph_bytes /= 10000;
-  one.hash_probes_shared /= 10000;
-  one.sort_exchanges /= 10000;
-  one.iterations /= 10000;
+  const KernelCounters one = counters.Scaled(1.0 / 10000);
+  ASSERT_EQ(one.queries, 1u);
   const double single_qps = EstimateQps(dev, one_cfg, one);
   EXPECT_GT(batch_qps, 50 * single_qps);
 }

@@ -77,10 +77,11 @@ class IndexLoadFuzzTest : public ::testing::Test {
   /// Byte offsets of every section boundary in the serialized layout
   /// (each value = first byte past the section).
   static std::vector<size_t> SectionBoundaries() {
-    const size_t rows = index_->size();
-    const size_t dim = index_->dim();
-    const size_t degree = index_->degree();
-    const PqDataset& pq = index_->pq_dataset();
+    const auto snap = index_->snapshot();
+    const size_t rows = snap->size();
+    const size_t dim = snap->dim();
+    const size_t degree = snap->degree();
+    const PqDataset& pq = snap->PqRef();
     const size_t m = pq.num_subspaces();
     std::vector<size_t> b;
     size_t off = 5 * sizeof(uint64_t);               // header
@@ -186,7 +187,8 @@ TEST_F(IndexLoadFuzzTest, LegacyPrefixStillSearches) {
   auto loaded = CagraIndex::Load(cut);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), index_->size());
-  EXPECT_EQ(loaded->graph().edges(), index_->graph().edges());
+  EXPECT_EQ(loaded->snapshot()->GraphRef().edges(),
+            index_->snapshot()->GraphRef().edges());
   auto data = GenerateDataset(*FindProfile("DEEP-1M"), 300, 4, 913);
   SearchParams sp;
   sp.k = 5;

@@ -110,7 +110,8 @@ TEST_F(IntegrationTest, CagraGraphBeatsRawKnnGraphUnderSameSearch) {
            static_cast<double>(10 * data_->queries.rows());
   };
 
-  const double cagra_recall = recall_with(ToAdjacency(cagra_index->graph()));
+  const auto snap = cagra_index->snapshot();
+  const double cagra_recall = recall_with(ToAdjacency(snap->GraphRef()));
   const double knn_recall = recall_with(ToAdjacency(knn));
   EXPECT_GT(cagra_recall, knn_recall)
       << "optimized graph must beat raw kNN graph (Fig. 12)";
@@ -150,7 +151,8 @@ TEST_F(IntegrationTest, StrongConnectivityOrdering) {
   auto cagra_index = CagraIndex::Build(data_->base, bp);
   ASSERT_TRUE(cagra_index.ok());
   const FixedDegreeGraph knn = ExactKnnGraph(data_->base, 16, Metric::kL2);
-  EXPECT_LE(CountStrongComponents(cagra_index->graph()),
+  const auto snap = cagra_index->snapshot();
+  EXPECT_LE(CountStrongComponents(snap->GraphRef()),
             CountStrongComponents(knn));
 }
 

@@ -177,6 +177,47 @@ TEST(MutableIndexTest, RemoveValidatesAllOrNothing) {
   EXPECT_EQ(index.tombstone_count(), 2u);
 }
 
+TEST(MutableIndexTest, AddAfterRemoveLinksRowsPastTheOldBitmap) {
+  // Add's greedy searches reach new ids past the pre-insert tombstone
+  // bitmap (1000 rows: 16 words, ids < 1024), so the bitmap must grow
+  // before the insert loop. Near-identical new rows make the later ones
+  // link to each other, past id 1024.
+  auto data = DeepData(1000);
+  CagraIndex index = BuildIndex(data.base);
+  ASSERT_TRUE(index.Remove(std::vector<uint32_t>{3, 500, 999}).ok());
+
+  Matrix<float> rows(200, index.dim());
+  for (size_t i = 0; i < rows.rows(); i++) {
+    for (size_t d = 0; d < index.dim(); d++) {
+      rows.MutableRow(i)[d] =
+          data.base.Row(0)[d] + 1e-4f * static_cast<float>(i);
+    }
+  }
+  ASSERT_TRUE(index.Add(rows).ok());
+  EXPECT_EQ(index.size(), 1200u);
+  EXPECT_EQ(index.live_size(), 1197u);
+  EXPECT_EQ(index.tombstone_count(), 3u);
+
+  const auto snap = index.snapshot();
+  const FixedDegreeGraph& g = snap->GraphRef();
+  bool linked_past_bitmap = false;
+  for (size_t j = 0; j < g.degree(); j++) {
+    const uint32_t v = g.Neighbors(1199)[j];
+    linked_past_bitmap |= v != FixedDegreeGraph::kInvalid && v >= 1024;
+  }
+  EXPECT_TRUE(linked_past_bitmap);
+  for (uint32_t dead : {3u, 500u, 999u}) EXPECT_TRUE(snap->Deleted(dead));
+  for (uint32_t u = 1000; u < 1200; u++) EXPECT_FALSE(snap->Deleted(u));
+
+  auto r = Search(index, rows, Params(10));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  for (size_t q = 0; q < rows.rows(); q++) {
+    for (uint32_t dead : {3u, 500u, 999u}) {
+      EXPECT_FALSE(Contains(r->neighbors, q, dead)) << "query " << q;
+    }
+  }
+}
+
 TEST(MutableIndexTest, CompactPreservesExternalIds) {
   auto data = DeepData(400);
   CagraIndex index = BuildIndex(data.base);

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/index.h"
@@ -29,6 +31,13 @@
 
 namespace cagra {
 namespace {
+
+/// A scratch file private to this process: the suite also runs as
+/// out_of_core_test_scalar, possibly at the same time, and the two runs
+/// must not overwrite or delete each other's index files.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
+}
 
 class OutOfCoreTest : public ::testing::Test {
  protected:
@@ -48,7 +57,7 @@ class OutOfCoreTest : public ::testing::Test {
     pq.sample_size = 256;
     index_->EnablePq(pq);
     ASSERT_TRUE(index_->HasPq());
-    path_ = new std::string(::testing::TempDir() + "/ooc_index.cagra");
+    path_ = new std::string(TempPath("ooc_index.cagra"));
     ASSERT_TRUE(index_->Save(*path_).ok());
   }
   static void TearDownTestSuite() {
@@ -82,7 +91,7 @@ TEST_F(OutOfCoreTest, LoadOutOfCoreMatchesResidentLoadExactly) {
   auto mapped = CagraIndex::LoadOutOfCore(*path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped->out_of_core());
-  EXPECT_TRUE(mapped->dataset().empty());  // fp32 rows are NOT resident
+  EXPECT_EQ(mapped->snapshot()->dataset, nullptr);  // fp32 rows not resident
   EXPECT_EQ(mapped->size(), resident->size());
   EXPECT_EQ(mapped->dim(), resident->dim());
   EXPECT_TRUE(mapped->HasPq());
@@ -112,8 +121,9 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreMatchesResidentAcrossPqVariants) {
     std::string save_path = *path_;
     if (!opq) {
       // Re-derive a rotation-free PQ copy from the resident rows.
-      auto rebuilt = CagraIndex::FromGraph(data_->base, index_->graph(),
-                                           index_->metric());
+      const auto snap = index_->snapshot();
+      auto rebuilt =
+          CagraIndex::FromGraph(data_->base, snap->GraphRef(), snap->metric);
       ASSERT_TRUE(rebuilt.ok());
       resident = std::move(rebuilt.value());
       PqTrainParams pq;
@@ -121,7 +131,7 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreMatchesResidentAcrossPqVariants) {
       pq.kmeans_iterations = 3;
       pq.sample_size = 256;
       resident.EnablePq(pq);
-      save_path = ::testing::TempDir() + "/ooc_plainpq.cagra";
+      save_path = TempPath("ooc_plainpq.cagra");
       ASSERT_TRUE(resident.Save(save_path).ok());
     }
     CagraIndex mapped = resident;
@@ -160,15 +170,16 @@ TEST_F(OutOfCoreTest, RerankReturnsExactFp32Distances) {
   // Every returned distance must be the exact fp32 distance to the
   // returned row — the rerank's whole reason to exist — and each
   // query's list must be sorted and duplicate-free.
+  const auto snap = mapped->snapshot();
   for (size_t q = 0; q < data_->queries.rows(); q++) {
     float prev = -1.0f;
     for (size_t i = 0; i < sp.k; i++) {
       const uint32_t id = r->neighbors.ids[q * sp.k + i];
       const float dist = r->neighbors.distances[q * sp.k + i];
-      ASSERT_LT(id, mapped->size());
+      ASSERT_LT(id, snap->size());
       const float exact =
-          ComputeDistance(mapped->metric(), data_->queries.Row(q),
-                          mapped->Fp32Row(id), mapped->dim());
+          ComputeDistance(snap->metric, data_->queries.Row(q),
+                          snap->Fp32Row(id), snap->dim());
       EXPECT_EQ(dist, exact);
       EXPECT_GE(dist, prev);
       prev = dist;
@@ -263,13 +274,13 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreValidatesTheFile) {
   bp.graph_degree = 4;
   auto small = CagraIndex::Build(other.base, bp);
   ASSERT_TRUE(small.ok());
-  const std::string wrong = ::testing::TempDir() + "/ooc_wrong.cagra";
+  const std::string wrong = TempPath("ooc_wrong.cagra");
   ASSERT_TRUE(small->Save(wrong).ok());
   EXPECT_EQ(copy.EnableOutOfCore(wrong).code(),
             StatusCode::kInvalidArgument);
   std::remove(wrong.c_str());
   // Not an index file at all.
-  const std::string junk = ::testing::TempDir() + "/ooc_junk.bin";
+  const std::string junk = TempPath("ooc_junk.bin");
   std::FILE* f = std::fopen(junk.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char noise[64] = {0x13};
@@ -290,19 +301,20 @@ TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
   EXPECT_EQ(mapped->Save(*path_).code(), StatusCode::kInvalidArgument);
   // Saving elsewhere round-trips the identical index (the dataset is
   // streamed back out of the mapping).
-  const std::string copy_path = ::testing::TempDir() + "/ooc_resave.cagra";
+  const std::string copy_path = TempPath("ooc_resave.cagra");
   ASSERT_TRUE(mapped->Save(copy_path).ok());
   auto reloaded = CagraIndex::Load(copy_path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->dataset().data(), data_->base.data());
-  EXPECT_EQ(reloaded->graph().edges(), index_->graph().edges());
+  const auto snap = reloaded->snapshot();
+  EXPECT_EQ(snap->DatasetRef().data(), data_->base.data());
+  EXPECT_EQ(snap->GraphRef().edges(), index_->snapshot()->GraphRef().edges());
   std::remove(copy_path.c_str());
 }
 
 TEST_F(OutOfCoreTest, TruncatedMappedFileFailsWithCleanIoError) {
   // Cut the file inside the dataset section: the out-of-core open must
   // refuse before any row is dereferenced (SIGBUS territory).
-  const std::string cut = ::testing::TempDir() + "/ooc_cut.cagra";
+  const std::string cut = TempPath("ooc_cut.cagra");
   std::FILE* in = std::fopen(path_->c_str(), "rb");
   ASSERT_NE(in, nullptr);
   std::vector<unsigned char> bytes(40 + index_->size() * index_->dim() * 2);
@@ -387,7 +399,8 @@ TEST_F(OutOfCoreTest, InjectedMmapFaultSurfacesOnEveryEntryPoint) {
   CagraIndex copy = *index_;
   EXPECT_EQ(copy.EnableOutOfCore(*path_).code(), StatusCode::kIoError);
   EXPECT_FALSE(copy.out_of_core());
-  EXPECT_FALSE(copy.dataset().empty());  // resident rows were not dropped
+  // The resident rows were not dropped.
+  EXPECT_FALSE(copy.snapshot()->DatasetRef().empty());
   FaultController::Instance().Reset();
   // Disarmed, the same calls succeed.
   ASSERT_TRUE(CagraIndex::LoadOutOfCore(*path_).ok());

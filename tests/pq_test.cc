@@ -405,15 +405,16 @@ TEST(OpqTest, SearchRecallAtLeastPlainPq) {
   PqTrainParams opq_params;
   opq_params.rotate = true;
   index_opq.EnablePq(opq_params);
-  ASSERT_TRUE(index_opq.pq_dataset().HasRotation());
+  ASSERT_TRUE(index_opq.snapshot()->PqRef().HasRotation());
 
   const auto gt = ComputeGroundTruth(data.base, data.queries, 10, p->metric);
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto pq = Search(*index_pq, data.queries, sp, Precision::kPq);
-  auto opq = Search(index_opq, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto pq = Search(*index_pq, data.queries, sp);
+  auto opq = Search(index_opq, data.queries, sp);
   ASSERT_TRUE(pq.ok());
   ASSERT_TRUE(opq.ok());
   const double recall_pq = ComputeRecall(pq->neighbors, gt);
@@ -600,7 +601,8 @@ TEST(PqSearchTest, RequiresEnable) {
   ASSERT_TRUE(index.ok());
   SearchParams sp;
   sp.k = 5;
-  auto r = Search(*index, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto r = Search(*index, data.queries, sp);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -614,15 +616,16 @@ TEST(PqSearchTest, RecallFloorAndCompressedTraffic) {
   ASSERT_TRUE(index.ok());
   index->EnablePq();
   EXPECT_TRUE(index->HasPq());
-  EXPECT_EQ(index->pq_dataset().RowBytes(), data.base.dim() / 4);
+  EXPECT_EQ(index->snapshot()->PqRef().RowBytes(), data.base.dim() / 4);
 
   const auto gt = ComputeGroundTruth(data.base, data.queries, 10, p->metric);
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto fp32 = Search(*index, data.queries, sp, Precision::kFp32);
-  auto pq = Search(*index, data.queries, sp, Precision::kPq);
+  auto fp32 = Search(*index, data.queries, sp);
+  sp.precision = Precision::kPq;
+  auto pq = Search(*index, data.queries, sp);
   ASSERT_TRUE(fp32.ok());
   ASSERT_TRUE(pq.ok());
   // Absolute floor (measured ~0.86 on this synthetic setup): ADC
@@ -650,10 +653,11 @@ TEST(PqSearchTest, MultiCtaRecallMatchesSingleCta) {
   sp.itopk = 64;
   sp.algo = SearchAlgo::kMultiCta;
   sp.cta_per_query = 2;
-  auto multi = Search(*index, data.queries, sp, Precision::kPq);
+  sp.precision = Precision::kPq;
+  auto multi = Search(*index, data.queries, sp);
   ASSERT_TRUE(multi.ok());
   sp.algo = SearchAlgo::kSingleCta;
-  auto single = Search(*index, data.queries, sp, Precision::kPq);
+  auto single = Search(*index, data.queries, sp);
   ASSERT_TRUE(single.ok());
   EXPECT_NEAR(ComputeRecall(multi->neighbors, gt),
               ComputeRecall(single->neighbors, gt), 0.1);

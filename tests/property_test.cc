@@ -49,7 +49,8 @@ TEST_P(CagraPropertyTest, PipelineInvariants) {
 
   // --- Graph invariants: fixed degree, in-range ids, no self loops, no
   // duplicate edges within a row.
-  const auto& g = index->graph();
+  const auto snap = index->snapshot();
+  const auto& g = snap->GraphRef();
   EXPECT_EQ(g.degree(), c.degree);
   for (size_t v = 0; v < g.num_nodes(); v++) {
     std::set<uint32_t> seen;
@@ -113,7 +114,8 @@ TEST_P(CagraPropertyTest, ReorderedGraphKeepsReachability) {
   const double max2hop = std::min<double>(
       static_cast<double>(c.degree + c.degree * c.degree),
       static_cast<double>(data.base.rows() - 1));
-  EXPECT_GT(Average2HopCount(index->graph(), 200), 0.35 * max2hop);
+  const auto snap = index->snapshot();
+  EXPECT_GT(Average2HopCount(snap->GraphRef(), 200), 0.35 * max2hop);
 }
 
 INSTANTIATE_TEST_SUITE_P(

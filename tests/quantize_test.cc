@@ -200,7 +200,8 @@ TEST(Int8SearchTest, RequiresEnable) {
   ASSERT_TRUE(index.ok());
   SearchParams sp;
   sp.k = 5;
-  auto r = Search(*index, data.queries, sp, Precision::kInt8);
+  sp.precision = Precision::kInt8;
+  auto r = Search(*index, data.queries, sp);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -220,8 +221,9 @@ TEST(Int8SearchTest, RecallCloseToFp32AndQuarterTraffic) {
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto fp32 = Search(*index, data.queries, sp, Precision::kFp32);
-  auto int8 = Search(*index, data.queries, sp, Precision::kInt8);
+  auto fp32 = Search(*index, data.queries, sp);
+  sp.precision = Precision::kInt8;
+  auto int8 = Search(*index, data.queries, sp);
   ASSERT_TRUE(fp32.ok());
   ASSERT_TRUE(int8.ok());
   EXPECT_NEAR(ComputeRecall(int8->neighbors, gt),
@@ -247,7 +249,8 @@ TEST(Int8SearchTest, AbsoluteRecallFloor) {
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto int8 = Search(*index, data.queries, sp, Precision::kInt8);
+  sp.precision = Precision::kInt8;
+  auto int8 = Search(*index, data.queries, sp);
   ASSERT_TRUE(int8.ok());
   EXPECT_GT(ComputeRecall(int8->neighbors, gt), 0.8);
 }
@@ -268,10 +271,11 @@ TEST(Int8SearchTest, MultiCtaRecallMatchesSingleCta) {
   sp.itopk = 64;
   sp.algo = SearchAlgo::kMultiCta;
   sp.cta_per_query = 2;
-  auto multi = Search(*index, data.queries, sp, Precision::kInt8);
+  sp.precision = Precision::kInt8;
+  auto multi = Search(*index, data.queries, sp);
   ASSERT_TRUE(multi.ok());
   sp.algo = SearchAlgo::kSingleCta;
-  auto single = Search(*index, data.queries, sp, Precision::kInt8);
+  auto single = Search(*index, data.queries, sp);
   ASSERT_TRUE(single.ok());
   EXPECT_NEAR(ComputeRecall(multi->neighbors, gt),
               ComputeRecall(single->neighbors, gt), 0.1);
@@ -291,8 +295,9 @@ TEST(Int8SearchTest, ModeledQpsAtLeastFp32) {
   sp.k = 10;
   sp.itopk = 64;
   sp.algo = SearchAlgo::kSingleCta;
-  auto fp32 = Search(*index, data.queries, sp, Precision::kFp32);
-  auto int8 = Search(*index, data.queries, sp, Precision::kInt8);
+  auto fp32 = Search(*index, data.queries, sp);
+  sp.precision = Precision::kInt8;
+  auto int8 = Search(*index, data.queries, sp);
   ASSERT_TRUE(fp32.ok());
   ASSERT_TRUE(int8.ok());
   EXPECT_GE(int8->modeled_qps, fp32->modeled_qps);

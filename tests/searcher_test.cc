@@ -1,9 +1,8 @@
-// The unified Searcher front door (PR 6 API redesign): Precision folded
-// into SearchParams with delegating positional overloads, one shared
-// ValidateSearchParams on every path (identical bad input -> identical
-// error), the uniform_seed result-identity contract the serving
-// scheduler builds on, and host_threads reporting the width a batch can
-// actually occupy.
+// The unified Searcher front door: Precision carried in SearchParams,
+// one shared ValidateSearchParams on every path (identical bad input ->
+// identical error), the uniform_seed result-identity contract the
+// serving scheduler builds on, and host_threads reporting the width a
+// batch can actually occupy.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include "core/sharded.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
+#include "sharded_reference.h"
 #include "util/thread_pool.h"
 
 namespace cagra {
@@ -27,7 +27,6 @@ class SearcherTest : public ::testing::Test {
     auto index = CagraIndex::Build(data_->base, bp);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new CagraIndex(std::move(index.value()));
-    index_->EnableHalfPrecision();
     auto sharded = ShardedCagraIndex::Build(data_->base, bp, 2);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     sharded_ = new ShardedCagraIndex(std::move(sharded.value()));
@@ -85,46 +84,6 @@ TEST_F(SearcherTest, ValidateSearchParamsAcceptsAutoItopk) {
   sp.k = 100;
   sp.itopk = 0;  // auto widens past k; must not be rejected
   EXPECT_TRUE(ValidateSearchParams(sp).ok());
-}
-
-// --- Precision folded into SearchParams -----------------------------------
-
-TEST_F(SearcherTest, PrecisionInParamsMatchesPositionalOverload) {
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  sp.precision = Precision::kFp16;
-  auto via_params = Search(*index_, data_->queries, sp);
-  ASSERT_TRUE(via_params.ok()) << via_params.status().ToString();
-
-  SearchParams plain;
-  plain.k = 10;
-  plain.itopk = 64;
-  auto via_positional =
-      Search(*index_, data_->queries, plain, Precision::kFp16);
-  ASSERT_TRUE(via_positional.ok()) << via_positional.status().ToString();
-  ExpectSameNeighbors(*via_params, *via_positional);
-}
-
-TEST_F(SearcherTest, PositionalPrecisionOverridesParamsField) {
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  sp.precision = Precision::kPq;  // not enabled; override must win
-  auto r = Search(*index_, data_->queries, sp, Precision::kFp32);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-}
-
-TEST_F(SearcherTest, ShardedPrecisionInParamsMatchesPositionalOverload) {
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  auto via_params = sharded_->Search(data_->queries, sp);
-  ASSERT_TRUE(via_params.ok());
-  auto via_positional =
-      sharded_->Search(data_->queries, sp, Precision::kFp32);
-  ASSERT_TRUE(via_positional.ok());
-  ExpectSameNeighbors(*via_params, *via_positional);
 }
 
 // --- Searcher interface ----------------------------------------------------
@@ -189,13 +148,14 @@ TEST_F(SearcherTest, UniformSeedStreamingMatchesBarrier) {
   sp.k = 10;
   sp.itopk = 64;
   sp.uniform_seed = true;
-  auto barrier = sharded_->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(barrier.ok());
+  auto ref = ShardedReferenceSearch(*sharded_, data_->queries, sp);
+  ASSERT_TRUE(ref.ok());
   for (size_t chunk : {size_t{1}, size_t{7}, data_->queries.rows()}) {
     sp.shard_chunk_queries = chunk;
     auto streaming = sharded_->Search(data_->queries, sp);
     ASSERT_TRUE(streaming.ok());
-    ExpectSameNeighbors(*streaming, *barrier);
+    EXPECT_EQ(streaming->neighbors.ids, ref->ids) << "chunk=" << chunk;
+    EXPECT_EQ(streaming->neighbors.distances, ref->distances);
   }
 }
 

@@ -1,10 +1,10 @@
 // Scheduling-determinism suite for the streaming sharded pipeline: the
 // chunked, overlapped execution must be EXPECT_EQ-identical (ids *and*
-// distances) to the serial barrier reference for every thread count,
-// chunk size, storage precision, and across repeated runs — streaming
-// is purely a throughput structure, never a result change. This suite
-// is part of the TSan CI job, where the repeated concurrent runs double
-// as a race detector workload.
+// distances) to the serial per-shard reference (sharded_reference.h)
+// for every thread count, chunk size, storage precision, and across
+// repeated runs — streaming is purely a throughput structure, never a
+// result change. This suite is part of the TSan CI job, where the
+// repeated concurrent runs double as a race detector workload.
 #include <cstdint>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
+#include "sharded_reference.h"
 
 namespace cagra {
 namespace {
@@ -64,18 +65,17 @@ SyntheticData* StreamingDeterminismTest::data_ = nullptr;
 ShardedCagraIndex* StreamingDeterminismTest::index_ = nullptr;
 ShardedCagraIndex* StreamingDeterminismTest::opq_index_ = nullptr;
 
-/// Streaming must reproduce the serial barrier reference bit-for-bit
-/// across the full (num_threads, chunk size, repetition) matrix.
+/// Streaming must reproduce the serial per-shard reference bit-for-bit
+/// across the full (num_threads, chunk size, repetition) matrix. The
+/// chunk == batch column is the barrier schedule.
 class StreamingMatrixTest
     : public StreamingDeterminismTest,
       public ::testing::WithParamInterface<Precision> {};
 
 TEST_P(StreamingMatrixTest, IdenticalToSerialBarrierReference) {
-  const Precision precision = GetParam();
-
   SearchParams ref_params = BaseParams();
-  ref_params.num_threads = 1;  // fully serial reference
-  auto ref = index_->SearchBarrier(data_->queries, ref_params, precision);
+  ref_params.precision = GetParam();
+  auto ref = ShardedReferenceSearch(*index_, data_->queries, ref_params);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
   const size_t batch = data_->queries.rows();
@@ -87,35 +87,19 @@ TEST_P(StreamingMatrixTest, IdenticalToSerialBarrierReference) {
       // repetition each.
       const int reps = num_threads == 0 ? 20 : 2;
       for (int rep = 0; rep < reps; rep++) {
-        SearchParams sp = BaseParams();
+        SearchParams sp = ref_params;
         sp.num_threads = num_threads;
         sp.shard_chunk_queries = chunk;
-        auto got = index_->Search(data_->queries, sp, precision);
+        auto got = index_->Search(data_->queries, sp);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(got->neighbors.ids, ref->neighbors.ids)
+        EXPECT_EQ(got->neighbors.ids, ref->ids)
             << "threads=" << num_threads << " chunk=" << chunk
             << " rep=" << rep;
-        EXPECT_EQ(got->neighbors.distances, ref->neighbors.distances)
+        EXPECT_EQ(got->neighbors.distances, ref->distances)
             << "threads=" << num_threads << " chunk=" << chunk
             << " rep=" << rep;
       }
     }
-  }
-}
-
-TEST_P(StreamingMatrixTest, BarrierPathIsThreadCountInvariantToo) {
-  const Precision precision = GetParam();
-  SearchParams ref_params = BaseParams();
-  ref_params.num_threads = 1;
-  auto ref = index_->SearchBarrier(data_->queries, ref_params, precision);
-  ASSERT_TRUE(ref.ok());
-  for (size_t num_threads : {size_t{0}, size_t{3}}) {
-    SearchParams sp = BaseParams();
-    sp.num_threads = num_threads;
-    auto got = index_->SearchBarrier(data_->queries, sp, precision);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->neighbors.ids, ref->neighbors.ids);
-    EXPECT_EQ(got->neighbors.distances, ref->neighbors.distances);
   }
 }
 
@@ -219,26 +203,26 @@ TEST_F(StreamingDeterminismTest,
 TEST_F(StreamingDeterminismTest, OpqStreamingIdenticalToSerialBarrier) {
   // The OPQ determinism matrix: the rotated-codebook ADC path must be
   // as scheduling-invariant as the plain one — streaming EXPECT_EQ to
-  // the serial barrier across threads x chunk sizes x repeats.
+  // the serial per-shard reference across threads x chunk sizes x
+  // repeats.
   SearchParams ref_params = BaseParams();
-  ref_params.num_threads = 1;
-  auto ref =
-      opq_index_->SearchBarrier(data_->queries, ref_params, Precision::kPq);
+  ref_params.precision = Precision::kPq;
+  auto ref = ShardedReferenceSearch(*opq_index_, data_->queries, ref_params);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   const size_t batch = data_->queries.rows();
   for (size_t num_threads : {size_t{0}, size_t{1}, size_t{3}}) {
     for (size_t chunk : {size_t{1}, size_t{7}, batch}) {
       const int reps = num_threads == 0 ? 10 : 2;
       for (int rep = 0; rep < reps; rep++) {
-        SearchParams sp = BaseParams();
+        SearchParams sp = ref_params;
         sp.num_threads = num_threads;
         sp.shard_chunk_queries = chunk;
-        auto got = opq_index_->Search(data_->queries, sp, Precision::kPq);
+        auto got = opq_index_->Search(data_->queries, sp);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(got->neighbors.ids, ref->neighbors.ids)
+        EXPECT_EQ(got->neighbors.ids, ref->ids)
             << "threads=" << num_threads << " chunk=" << chunk
             << " rep=" << rep;
-        EXPECT_EQ(got->neighbors.distances, ref->neighbors.distances)
+        EXPECT_EQ(got->neighbors.distances, ref->distances)
             << "threads=" << num_threads << " chunk=" << chunk
             << " rep=" << rep;
       }
@@ -313,52 +297,47 @@ TEST_F(StreamingDeterminismTest, SingleRowChunksUnderContention) {
 }
 
 TEST_F(StreamingDeterminismTest, StreamingModelsOverlapNotFullMergeTail) {
-  // The barrier path charges the host merge of the whole batch after
-  // the slowest shard; streaming hides all but the final chunk's merge.
-  // With equal scan time (single chunk == whole batch), the two models
-  // must agree exactly; with more chunks the merge tail shrinks while
-  // per-launch overhead grows — both must stay positive and finite.
+  // A single chunk (the barrier schedule) charges the host merge of the
+  // whole batch after the slowest shard; more chunks hide all but the
+  // final chunk's merge, while per-launch overhead grows — both must
+  // stay positive and finite.
   SearchParams sp = BaseParams();
   sp.shard_chunk_queries = data_->queries.rows();
   auto one_chunk = index_->Search(data_->queries, sp);
-  auto barrier = index_->SearchBarrier(data_->queries, sp);
   ASSERT_TRUE(one_chunk.ok());
-  ASSERT_TRUE(barrier.ok());
-  EXPECT_DOUBLE_EQ(one_chunk->modeled_seconds, barrier->modeled_seconds);
-  EXPECT_DOUBLE_EQ(one_chunk->cost.total, barrier->cost.total);
 
   sp.shard_chunk_queries = 7;
   auto chunked = index_->Search(data_->queries, sp);
   ASSERT_TRUE(chunked.ok());
-  // Both paths report modeled_seconds = cost.total (the scan estimate)
-  // plus the merge tail, so the tail is recoverable exactly. The
-  // barrier's tail covers the whole batch; the chunked pipeline's must
+  // Both runs report modeled_seconds = cost.total (the scan estimate)
+  // plus the merge tail, so the tail is recoverable exactly. The single
+  // chunk's tail covers the whole batch; the chunked pipeline's must
   // cover only the final chunk — same per-entry overhead, scaled by
   // tail rows instead of batch rows.
   const size_t batch = data_->queries.rows();
   const size_t tail = batch % 7 == 0 ? 7 : batch % 7;
   ASSERT_LT(tail, batch);
-  const double barrier_merge = barrier->modeled_seconds - barrier->cost.total;
+  const double full_merge = one_chunk->modeled_seconds - one_chunk->cost.total;
   const double chunked_merge = chunked->modeled_seconds - chunked->cost.total;
-  ASSERT_GT(barrier_merge, 0.0);
+  ASSERT_GT(full_merge, 0.0);
   ASSERT_GT(chunked_merge, 0.0);
-  EXPECT_LT(chunked_merge, barrier_merge);
-  EXPECT_NEAR(chunked_merge / barrier_merge,
+  EXPECT_LT(chunked_merge, full_merge);
+  EXPECT_NEAR(chunked_merge / full_merge,
               static_cast<double>(tail) / static_cast<double>(batch), 1e-9);
 }
 
 TEST_F(StreamingDeterminismTest, EmptyBatchReturnsEmptyResult) {
   // Regression: an empty batch used to reach the multi-CTA width
-  // resolution with batch == 0 and divide by zero. Both paths must
-  // return an ok, empty result instead.
+  // resolution with batch == 0 and divide by zero. It must return an
+  // ok, empty result instead.
   Matrix<float> empty(0, data_->queries.dim());
   SearchParams sp = BaseParams();
   auto streamed = index_->Search(empty, sp);
-  auto barrier = index_->SearchBarrier(empty, sp);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  ASSERT_TRUE(barrier.ok()) << barrier.status().ToString();
+  EXPECT_EQ(streamed->neighbors.k, sp.k);
   EXPECT_TRUE(streamed->neighbors.ids.empty());
-  EXPECT_TRUE(barrier->neighbors.ids.empty());
+  EXPECT_TRUE(streamed->neighbors.distances.empty());
+  EXPECT_TRUE(streamed->complete);
 }
 
 }  // namespace

@@ -152,9 +152,7 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   sp.itopk = 64;
   sp.shard_chunk_queries = data_->queries.rows();  // one chunk
   auto sharded = index->Search(data_->queries, sp);
-  auto barrier = index->SearchBarrier(data_->queries, sp);
   ASSERT_TRUE(sharded.ok());
-  ASSERT_TRUE(barrier.ok());
 
   // Re-run each shard individually (deterministic, identical inputs).
   double max_cost = 0.0;
@@ -167,19 +165,17 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
     max_threads = std::max(max_threads, one->host_threads);
     sum_distances += one->counters.distance_computations;
   }
-  for (const SearchResult* r : {&*sharded, &*barrier}) {
-    EXPECT_DOUBLE_EQ(r->cost.total, max_cost);
-    EXPECT_EQ(r->host_threads, max_threads);
-    EXPECT_EQ(r->counters.distance_computations, sum_distances);
-    // The launch config must belong to the slowest shard (whose cost
-    // was reported), i.e. describe the same batch every shard ran.
-    EXPECT_EQ(r->launch.batch, data_->queries.rows());
-  }
+  EXPECT_DOUBLE_EQ(sharded->cost.total, max_cost);
+  EXPECT_EQ(sharded->host_threads, max_threads);
+  EXPECT_EQ(sharded->counters.distance_computations, sum_distances);
+  // The launch config must belong to the slowest shard (whose cost was
+  // reported), i.e. describe the same batch every shard ran.
+  EXPECT_EQ(sharded->launch.batch, data_->queries.rows());
 }
 
 TEST_F(ShardedTest, CountersSurviveChunking) {
   // The per-query counters are chunking-invariant, so any chunk size
-  // must report exactly the sums the barrier reference reports.
+  // must report exactly the sums the single-chunk run reports.
   BuildParams bp;
   bp.graph_degree = 16;
   auto index = ShardedCagraIndex::Build(data_->base, bp, 4);
@@ -187,23 +183,24 @@ TEST_F(ShardedTest, CountersSurviveChunking) {
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
-  auto barrier = index->SearchBarrier(data_->queries, sp);
-  ASSERT_TRUE(barrier.ok());
+  sp.shard_chunk_queries = data_->queries.rows();  // one chunk
+  auto one_chunk = index->Search(data_->queries, sp);
+  ASSERT_TRUE(one_chunk.ok());
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
     sp.shard_chunk_queries = chunk;
     auto streamed = index->Search(data_->queries, sp);
     ASSERT_TRUE(streamed.ok());
     EXPECT_EQ(streamed->counters.distance_computations,
-              barrier->counters.distance_computations)
+              one_chunk->counters.distance_computations)
         << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.queries, barrier->counters.queries)
+    EXPECT_EQ(streamed->counters.queries, one_chunk->counters.queries)
         << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.iterations, barrier->counters.iterations)
+    EXPECT_EQ(streamed->counters.iterations, one_chunk->counters.iterations)
         << "chunk=" << chunk;
     // Each chunk is its own launch per shard: launches scale with the
     // chunk count instead of collapsing to one per shard.
     EXPECT_GE(streamed->counters.kernel_launches,
-              barrier->counters.kernel_launches);
+              one_chunk->counters.kernel_launches);
     EXPECT_GT(streamed->modeled_seconds, 0.0);
   }
 }
@@ -235,8 +232,10 @@ TEST_F(ShardedTest, ParallelBuildMatchesSequentialReference) {
     BuildStats ref_stats;
     auto ref = CagraIndex::Build(shard_data, bp, &ref_stats);
     ASSERT_TRUE(ref.ok());
-    const FixedDegreeGraph& got = index->shard(s).graph();
-    const FixedDegreeGraph& want = ref->graph();
+    const auto got_snap = index->shard(s).snapshot();
+    const auto want_snap = ref->snapshot();
+    const FixedDegreeGraph& got = got_snap->GraphRef();
+    const FixedDegreeGraph& want = want_snap->GraphRef();
     ASSERT_EQ(got.num_nodes(), want.num_nodes()) << "shard " << s;
     ASSERT_EQ(got.degree(), want.degree()) << "shard " << s;
     for (size_t v = 0; v < got.num_nodes(); v++) {
