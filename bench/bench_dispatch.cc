@@ -1,7 +1,8 @@
 // Dispatch bench: scalar vs SIMD distance-kernel throughput (fp32/fp16
 // one-row kernels, int8 one-vs-many vs the per-element QuantizedDistance
-// baseline, multi-row batch vs one-row-per-call loops) and 1/2/4/8-thread
-// batch-search QPS, emitted as one JSON object for the bench trajectory.
+// baseline, multi-row batch vs one-row-per-call loops) and batch-search
+// QPS at widths 1/2/4/8 (each row reports the width it ran, clamped to
+// the global pool), emitted as one JSON object for the bench trajectory.
 // Not a google-benchmark binary on purpose — the output contract is
 // machine-readable JSON on stdout; CI uploads it as a build artifact.
 #include <cstdio>
@@ -357,6 +358,8 @@ PqBruteforceSample BenchPqBruteforce() {
 }
 
 struct ScalingSample {
+  /// The width the search ran (SearchResult::host_threads): a request
+  /// above the global pool clamps to it.
   size_t threads;
   double qps;
   double speedup;
@@ -388,6 +391,7 @@ std::vector<ScalingSample> BenchBatchScaling() {
     // best of three runs.
     (void)Search(*index, data.queries, params);
     double best = 0;
+    size_t ran = 0;
     for (int rep = 0; rep < 3; rep++) {
       auto result = Search(*index, data.queries, params);
       if (!result.ok()) {
@@ -396,9 +400,10 @@ std::vector<ScalingSample> BenchBatchScaling() {
         std::abort();
       }
       if (result->host_qps > best) best = result->host_qps;
+      ran = result->host_threads;
     }
     if (threads == 1) base_qps = best;
-    samples.push_back({threads, best, base_qps > 0 ? best / base_qps : 0});
+    samples.push_back({ran, best, base_qps > 0 ? best / base_qps : 0});
   }
   return samples;
 }

@@ -97,10 +97,12 @@ struct SearchParams {
   /// approximate-ranked candidates for the affected queries and marks
   /// the result incomplete, per the SearchResult::complete contract.
   size_t rerank = 0;
-  /// Host threads for the functional batch execution: 0 = the global
-  /// pool (hardware concurrency), 1 = serial, N = a dedicated N-thread
-  /// pool. Results are byte-identical at any setting — per-query work
-  /// is independent and seeded — so this is purely a throughput knob.
+  /// Host threads for the functional batch execution, drawn from the
+  /// global pool with the calling thread counted: 0 = the whole pool
+  /// (hardware concurrency), 1 = serial on the caller, N = at most N
+  /// (clamped to the pool). Results are byte-identical at any setting —
+  /// per-query work is independent and seeded — so this is purely a
+  /// throughput knob.
   size_t num_threads = 0;
   /// Queries per chunk of the streaming sharded pipeline
   /// (ShardedCagraIndex::Search): each shard searches the batch

@@ -26,21 +26,21 @@ constexpr size_t kSingleCtaThreads = 256;
 constexpr size_t kMultiCtaThreads = 128;
 constexpr size_t kMultiCtaLocalTopM = 32;
 
-/// Per-thread scratch reused across Search() calls. The serving
-/// scheduler's workers call Search once per micro-batch on the same
-/// thread, and before this cache every call re-allocated the visited
-/// tables, search buffers, and — the expensive one for PQ — the M x 256
-/// ADC-table storage that DatasetView::Prepare rebuilds per query.
-/// Reuse is invisible to results (every query fully reinitializes the
-/// state it reads; the ADC table *contents* are still rebuilt per
-/// query, only the allocation persists). Safety: slot entries are
-/// handed to pool workers only for the duration of one
+/// Per-thread scratch reused across Search() calls, one entry per slot
+/// of the global pool. The serving scheduler's workers call Search once
+/// per micro-batch on the same thread, and before this cache every call
+/// re-allocated the visited tables, search buffers, and — the expensive
+/// one for PQ — the M x 256 ADC-table storage that DatasetView::Prepare
+/// rebuilds per query. Reuse is invisible to results (every query fully
+/// reinitializes the state it reads; the ADC table *contents* are still
+/// rebuilt per query, only the allocation persists). Safety: slot
+/// entries are handed to pool workers only for the duration of one
 /// ParallelForSlotted, which guarantees distinct slots for concurrent
 /// iterations of one call; concurrent Search calls come from distinct
 /// calling threads and therefore distinct thread_local caches.
-std::vector<std::unique_ptr<SearchScratch>>& ScratchCache(size_t slots) {
-  static thread_local std::vector<std::unique_ptr<SearchScratch>> cache;
-  if (cache.size() < slots) cache.resize(slots);
+std::vector<std::unique_ptr<SearchScratch>>& ScratchCache() {
+  static thread_local std::vector<std::unique_ptr<SearchScratch>> cache(
+      GlobalThreadPool().num_slots());
   return cache;
 }
 
@@ -243,47 +243,23 @@ Result<SearchResult> Search(const CagraIndex& index,
   };
 
   Timer timer;
-  size_t host_threads = 1;
-  ThreadPool* pool = nullptr;
-  if (params.num_threads != 1) {
-    // Dedicated pool when an explicit width was requested (bench
-    // scaling sweeps); the process-wide pool otherwise. The calling
-    // thread drains chunks alongside the workers (see ParallelForSlotted),
-    // so it counts toward the width: a dedicated pool gets
-    // num_threads - 1 workers, and host_threads reports workers + 1.
-    // The pool is cached per calling thread and reused while the width
-    // matches: chunked callers (streaming sharded search at an explicit
-    // width) issue many small searches back-to-back, and spawning +
-    // joining fresh threads per call would dominate tiny chunks.
-    pool = &GlobalThreadPool();
-    if (params.num_threads > 1) {
-      static thread_local std::unique_ptr<ThreadPool> dedicated;
-      if (dedicated == nullptr ||
-          dedicated->num_threads() != params.num_threads - 1) {
-        dedicated = std::make_unique<ThreadPool>(params.num_threads - 1);
-      }
-      pool = dedicated.get();
-    }
-  }
-  if (pool == nullptr) {
-    auto& scratch = ScratchCache(1);
-    if (scratch[0] == nullptr) scratch[0] = std::make_unique<SearchScratch>();
-    for (size_t q = 0; q < batch; q++) run_query(scratch[0].get(), q);
-  } else {
-    // Report the threads the batch can actually occupy, not the pool's
-    // configured width: ParallelForSlotted runs at most one thread per
-    // iteration (a 1-query batch is serial whatever the pool size), so
-    // the width is clamped to the batch.
-    host_threads = std::min(batch, pool->num_threads() + 1);
-    if (host_threads == 0) host_threads = 1;  // empty batch ran (trivially)
-    auto& scratch = ScratchCache(pool->num_slots());
-    pool->ParallelForSlotted(0, batch, [&](size_t slot, size_t q) {
-      if (scratch[slot] == nullptr) {
-        scratch[slot] = std::make_unique<SearchScratch>();
-      }
-      run_query(scratch[slot].get(), q);
-    });
-  }
+  // Every loop below runs on the global pool, at most params.num_threads
+  // wide with the calling thread included (0 = the whole pool). The
+  // reported width is also clamped to the batch: ParallelForSlotted runs
+  // at most one thread per iteration, so a 1-query batch is serial.
+  ThreadPool& pool = GlobalThreadPool();
+  const size_t host_threads =
+      std::max<size_t>(1, std::min(batch, pool.Width(params.num_threads)));
+  auto& scratch = ScratchCache();
+  pool.ParallelForSlotted(
+      0, batch,
+      [&](size_t slot, size_t q) {
+        if (scratch[slot] == nullptr) {
+          scratch[slot] = std::make_unique<SearchScratch>();
+        }
+        run_query(scratch[slot].get(), q);
+      },
+      params.num_threads);
 
   // --- Exact-fp32 rerank over the emitted top-r candidates.
   if (rerank_n != 0) {
@@ -292,14 +268,12 @@ Result<SearchResult> Search(const CagraIndex& index,
     // MADV_WILLNEED pass per query, so the reads overlap the rescoring
     // of earlier queries instead of serializing behind it.
     if (const MmapMatrix* mapped = snap->mmap.get()) {
-      auto prefetch_query = [&](size_t q) {
-        mapped->PrefetchRows(cand_ids.data() + q * rerank_n, rerank_n);
-      };
-      if (pool == nullptr) {
-        for (size_t q = 0; q < batch; q++) prefetch_query(q);
-      } else {
-        pool->ParallelFor(0, batch, prefetch_query);
-      }
+      pool.ParallelFor(
+          0, batch,
+          [&](size_t q) {
+            mapped->PrefetchRows(cand_ids.data() + q * rerank_n, rerank_n);
+          },
+          params.num_threads);
     }
     const float* base = snap->Fp32Data();
     constexpr size_t kRerankBlock = 256;
@@ -349,11 +323,7 @@ Result<SearchResult> Search(const CagraIndex& index,
         out_dists[i] = best[i].distance;
       }
     };
-    if (pool == nullptr) {
-      for (size_t q = 0; q < batch; q++) rerank_query(q);
-    } else {
-      pool->ParallelFor(0, batch, rerank_query);
-    }
+    pool.ParallelFor(0, batch, rerank_query, params.num_threads);
   }
   // Translate internal row ids to stable external ids. A no-op (null
   // map) until compaction has renumbered rows, so unmutated indexes

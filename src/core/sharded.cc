@@ -5,7 +5,6 @@
 #include <chrono>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -33,8 +32,9 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 /// well-behaved task; only a genuinely stalled one gets abandoned.
 constexpr std::chrono::milliseconds kCancelDrainGrace{2};
 
-/// Poll period of the cancelable merger wait: bounds how late a manual
-/// Cancel() from another thread is forwarded into the pipeline.
+/// Poll period of the merger's wait under a caller token: bounds how
+/// late a manual Cancel() from another thread is forwarded into the
+/// pipeline while no chunk arrives.
 constexpr std::chrono::milliseconds kCancelPollPeriod{1};
 
 /// Effective chunk size of the streaming pipeline: the explicit request
@@ -61,149 +61,124 @@ bool IsCancelMarker(const Status& s) {
 }
 
 /// Heap-owned state of one streaming pipeline run, shared (shared_ptr)
-/// between the merging caller and every (chunk, shard) task. In
-/// cancelable mode the merger may return before every task has run —
-/// abandoned tasks keep the state alive and finish against it
-/// harmlessly, so nothing here may reference the caller's stack. The
-/// token-free path also routes through this struct (one heap
-/// allocation) but keeps the zero-copy reference to the caller's
-/// queries, which is safe because a token-free merger always drains
-/// every chunk before returning.
+/// between the merging caller and every pool helper. The caller may
+/// return before every task has run — abandoned helpers keep the state
+/// alive and finish against it harmlessly — so nothing here references
+/// the caller's stack: the query chunks are sliced into it up front.
 ///
 /// Synchronization contract (latch-published, not mutex-guarded — so
 /// outside CAGRA_GUARDED_BY's vocabulary; the mutex+2cv protocol lives
 /// inside the annotated MpscBoundedQueue member `ready`):
-///  - `results[c * num_shards + s]` is written by exactly one task,
-///    then that task decrements `remaining[c]` (acq_rel). The final
-///    decrement pushes c into `ready`; the consumer's pop acquires, so
-///    a popped chunk's slots are all ordered-before the read. Slots of
-///    never-popped chunks still belong to (possibly abandoned) tasks
-///    and must not be read — Search tracks popped chunks explicitly.
-///  - `chunks[c]` is published through std::call_once(chunk_sliced[c]).
-///  - Everything else is set before the first task is submitted and
+///  - Task t is (chunk t / num_shards, shard t % num_shards); `next_task`
+///    hands each t to exactly one thread, chunk-major, so early chunks
+///    finish first.
+///  - `results[t]` is written by that thread alone, which then
+///    decrements `remaining[c]` (acq_rel). The final decrement pushes c
+///    into `ready`; the consumer's pop acquires, so a popped chunk's
+///    slots are all ordered-before the read. Slots of never-popped
+///    chunks still belong to (possibly abandoned) helpers and must not
+///    be read — Search tracks popped chunks explicitly.
+///  - Everything else is set before the first task is claimed and
 ///    read-only afterwards (`token` is internally atomic).
 struct StreamState {
-  StreamState(size_t num_chunks_in, size_t num_shards_in,
-              const CancelToken* parent)
-      : num_chunks(num_chunks_in),
-        num_shards(num_shards_in),
-        chunks(num_chunks_in),
-        chunk_sliced(num_chunks_in),
-        results(num_chunks_in * num_shards_in),
-        remaining(num_chunks_in),
-        ready(num_chunks_in),
-        // The derived token tasks consult: the caller's deadline is
-        // copied in (so tasks observe it on their own clock reads) and
-        // manual cancels are forwarded by the merger while it is still
-        // around. Tasks never touch the caller's token, whose lifetime
-        // ends with the call.
+  StreamState(const Matrix<float>& queries, size_t chunk_rows_in,
+              size_t num_shards_in, const CancelToken* parent)
+      : num_shards(num_shards_in),
+        chunk_rows(chunk_rows_in),
+        remaining((queries.rows() + chunk_rows_in - 1) / chunk_rows_in),
+        ready(remaining.size()),
+        // The derived token helpers consult: the caller's deadline is
+        // copied in (so helpers observe it on their own clock reads), a
+        // cancel that already happened is copied too, and later manual
+        // cancels are forwarded by the merger while it is still around.
+        // Helpers never touch the caller's token, whose lifetime ends
+        // with the call.
         token(parent != nullptr && parent->has_deadline()
                   ? CancelToken(parent->deadline())
                   : CancelToken()) {
+    if (parent != nullptr && parent->Expired()) token.Cancel();
     for (auto& r : remaining) r.store(num_shards, std::memory_order_relaxed);
+    chunks.reserve(remaining.size());
+    for (size_t begin = 0; begin < queries.rows(); begin += chunk_rows) {
+      chunks.push_back(SliceQueries(
+          queries, begin, std::min(chunk_rows, queries.rows() - begin)));
+    }
+    results.resize(chunks.size() * num_shards);
   }
 
-  const size_t num_chunks;
   const size_t num_shards;
+  const size_t chunk_rows;
   const std::vector<CagraIndex>* shards = nullptr;
-  /// Points at the caller's matrix (token-free mode) or owned_queries
-  /// (cancelable mode).
-  const Matrix<float>* queries = nullptr;
-  Matrix<float> owned_queries;
   SearchParams task_params;
   DeviceSpec device;
-  size_t chunk_rows = 0;
-  size_t batch = 0;
-  bool cancelable = false;
-
-  /// Query chunks are sliced lazily, once each (whichever shard's task
-  /// gets there first), and shared by the other shards' tasks — the
-  /// copies overlap with running scans instead of serializing in front
-  /// of the whole pipeline.
   std::vector<Matrix<float>> chunks;
-  std::vector<std::once_flag> chunk_sliced;
   std::vector<std::optional<Result<SearchResult>>> results;
   std::vector<std::atomic<size_t>> remaining;
+  std::atomic<size_t> next_task{0};
   /// Carries chunk ids only (results are preallocated above), sized to
-  /// hold every chunk: a worker that finishes a chunk never blocks
-  /// behind a busy merger while runnable search tasks sit in the pool
-  /// queue — and an abandoned task's final push cannot block either.
+  /// hold every chunk: a helper that finishes a chunk never blocks
+  /// behind a busy merger — and an abandoned helper's final push cannot
+  /// block either.
   MpscBoundedQueue<size_t> ready;
   CancelToken token;
-
-  const Matrix<float>& ChunkQueries(size_t c) {
-    std::call_once(chunk_sliced[c], [this, c] {
-      const size_t begin = c * chunk_rows;
-      chunks[c] =
-          SliceQueries(*queries, begin, std::min(chunk_rows, batch - begin));
-    });
-    return chunks[c];
-  }
 };
 
-/// One (chunk, shard) task of the streaming pipeline. Owns a reference
-/// to the shared state (and nothing else), so it runs correctly even
+/// Claims the next (chunk, shard) task and runs it under `token`: the
+/// caller's own token for tasks the caller runs, the derived one for
+/// helpers, null for a token-free search. Returns false once every task
+/// is claimed. Touches only the shared state, so it runs correctly even
 /// after a cancelled merger has returned.
-void RunShardTask(const std::shared_ptr<StreamState>& st, size_t c,
-                  size_t s) {
-  auto publish = [&] {
-    if (st->remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      CAGRA_FAULT_POINT("queue_push_stall");
-      st->ready.Push(c);
-    }
-  };
-  std::optional<Result<SearchResult>>& slot =
-      st->results[c * st->num_shards + s];
+bool RunNextTask(StreamState& st, const CancelToken* token) {
+  const size_t t = st.next_task.fetch_add(1, std::memory_order_relaxed);
+  if (t >= st.results.size()) return false;
+  const size_t c = t / st.num_shards;
+  std::optional<Result<SearchResult>>& slot = st.results[t];
 
   CAGRA_FAULT_POINT("shard_scan_stall");
   Status injected = CAGRA_FAULT_STATUS("shard_scan_fail");
   if (!injected.ok()) {
     slot.emplace(injected);
-    publish();
-    return;
+  } else if (token != nullptr && token->Expired()) {
+    // Shed before scanning once the pipeline is cancelled: nobody is
+    // waiting for this chunk anymore.
+    slot.emplace(CancelMarker(*token));
+  } else {
+    SearchParams p = st.task_params;
+    p.cancel = token;
+    // Chunk-local row q is global row c * chunk_rows + q; offsetting the
+    // seed by the chunk base keeps every per-query seed equal to the
+    // unchunked run's (Search derives them as seed + 0x1000003 * row).
+    // Under uniform_seed every row uses the seed verbatim, so the offset
+    // must be skipped to stay identical to the unchunked run.
+    if (!p.uniform_seed) p.seed += 0x1000003ULL * (c * st.chunk_rows);
+    slot.emplace(cagra::Search((*st.shards)[t % st.num_shards], st.chunks[c],
+                               p, st.device));
   }
-  // Shed before scanning once the pipeline is cancelled: an expired
-  // deadline means nobody is waiting for this chunk anymore. The task's
-  // token is the pipeline's derived one on the pool path, the caller's
-  // own on the inline path — whatever task_params carries.
-  const CancelToken* task_token = st->task_params.cancel;
-  if (st->cancelable && task_token->Expired()) {
-    slot.emplace(CancelMarker(*task_token));
-    publish();
-    return;
+  if (st.remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    CAGRA_FAULT_POINT("queue_push_stall");
+    st.ready.Push(c);
   }
-
-  SearchParams p = st->task_params;
-  // Chunk-local row q is global row c * chunk_rows + q; offsetting the
-  // seed by the chunk base keeps every per-query seed equal to the
-  // unchunked run's (Search derives them as seed + 0x1000003 * row).
-  // Under uniform_seed every row uses the seed verbatim, so the offset
-  // must be skipped to stay identical to the unchunked run.
-  if (!st->task_params.uniform_seed) {
-    p.seed = st->task_params.seed + 0x1000003ULL * (c * st->chunk_rows);
-  }
-  slot.emplace(
-      cagra::Search((*st->shards)[s], st->ChunkQueries(c), p, st->device));
-  publish();
+  return true;
 }
 
-/// The merger's wait in cancelable mode. Polls so a manual Cancel() on
-/// the caller's token is forwarded into the pipeline's derived token;
-/// on expiry grants kCancelDrainGrace for in-flight chunks to publish,
-/// then reports nullopt — the signal to abandon the stragglers.
-std::optional<size_t> PopCancelable(StreamState* st,
-                                    const CancelToken* caller) {
+/// The merger's one wait for the next finished chunk. With a caller
+/// token it forwards that token into the derived one on every step, so
+/// helpers see a manual Cancel() at their next boundary; once expired it
+/// grants kCancelDrainGrace for in-flight chunks to publish, then
+/// reports nullopt — the signal to abandon the stragglers.
+std::optional<size_t> NextChunk(StreamState& st, const CancelToken* caller) {
+  if (caller == nullptr) return st.ready.Pop();
   while (true) {
-    if (st->token.Expired()) {
-      return st->ready.PopUntil(CancelToken::Clock::now() + kCancelDrainGrace);
+    if (caller->Expired()) {
+      st.token.Cancel();
+      return st.ready.PopUntil(CancelToken::Clock::now() + kCancelDrainGrace);
     }
     auto until = CancelToken::Clock::now() + kCancelPollPeriod;
-    if (st->token.has_deadline() && st->token.deadline() < until) {
-      until = st->token.deadline();
+    if (caller->has_deadline() && caller->deadline() < until) {
+      until = caller->deadline();
     }
-    std::optional<size_t> c = st->ready.PopUntil(until);
+    std::optional<size_t> c = st.ready.PopUntil(until);
     if (c.has_value()) return c;
-    if (caller->Expired()) st->token.Cancel();
   }
 }
 
@@ -496,7 +471,6 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
 
   const size_t num_shards = shards_.size();
   const CancelToken* caller_token = params.cancel;
-  const bool cancelable = caller_token != nullptr;
   // Pinned once for the whole streaming run; every chunk merge
   // translates through the same maps (see PinIdMaps).
   const std::vector<IdMapPtr> maps = PinIdMaps();
@@ -507,34 +481,13 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
   // run, or chunking would change the results.
   const size_t chunk_rows =
       ResolveShardChunk(params.shard_chunk_queries, batch);
-  const size_t num_chunks = (batch + chunk_rows - 1) / chunk_rows;
-
-  auto st = std::make_shared<StreamState>(num_chunks, num_shards,
+  Timer host;
+  auto st = std::make_shared<StreamState>(queries, chunk_rows, num_shards,
                                           caller_token);
   st->shards = &shards_;
   st->task_params = ResolveBatchShape(params, device, batch);
   st->device = device;
-  st->chunk_rows = chunk_rows;
-  st->batch = batch;
-  st->cancelable = cancelable;
-  if (cancelable && params.num_threads == 0) {
-    // Pool-scheduled tasks may outlive this call (abandonment), so they
-    // must not reference the caller's stack: queries are copied into
-    // the shared state once, and tasks consult the pipeline's derived
-    // token, never the caller's. The token-free path skips the copy —
-    // its merger provably drains every chunk before returning, keeping
-    // the hot path zero-copy and byte-identical to the
-    // pre-cancellation code.
-    st->owned_queries = queries;
-    st->queries = &st->owned_queries;
-    st->task_params.cancel = &st->token;
-  } else {
-    // Inline tasks run to completion on this stack before the call
-    // returns, so they may keep the caller's token (already copied into
-    // task_params by ResolveBatchShape) — which also lets a manual
-    // Cancel() land mid-search instead of waiting for a task boundary.
-    st->queries = &queries;
-  }
+  const size_t num_chunks = st->chunks.size();
 
   SearchResult out;
   out.neighbors.k = k;
@@ -545,7 +498,7 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
   // Which chunks the merger has popped. A popped chunk's result slots
   // are all written and ordered-before the pop (the latch's acq_rel
   // decrement), so only popped chunks may be read after the loop —
-  // under abandonment the other slots still belong to live tasks.
+  // under abandonment the other slots still belong to live helpers.
   std::vector<uint8_t> chunk_popped(num_chunks, 0);
 
   auto merge_chunk = [&](size_t c) {
@@ -577,43 +530,39 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
               std::min(chunk_rows, batch - begin), k, &out.neighbors);
   };
 
-  Timer host;
-  if (params.num_threads != 0) {
-    // An explicit width is a total budget: tasks run inline in
-    // (chunk, shard) order with each per-chunk search at the full
-    // width — the same streaming structure on a serial schedule. Every
-    // task runs on this thread (expired tokens shed inside the task),
-    // so every chunk publishes and no abandonment arises.
-    for (size_t c = 0; c < num_chunks; c++) {
-      for (size_t s = 0; s < num_shards; s++) RunShardTask(st, c, s);
-      merge_chunk(*st->ready.Pop());
-    }
-  } else {
-    // Producers fan out chunk-major so early chunks finish first; the
-    // calling thread is the single consumer, folding each chunk into
-    // the output while later chunks are still searching.
+  // One schedule; the only free choice is who runs the tasks. At width 0
+  // pool helpers drain them and this thread only merges, folding each
+  // chunk into the output while later chunks are still searching. An
+  // explicit width is a total budget: no helpers, this thread runs each
+  // chunk's tasks itself with every per-chunk search at that width.
+  const bool caller_runs = params.num_threads != 0;
+  if (!caller_runs) {
     ThreadPool& pool = GlobalThreadPool();
-    for (size_t c = 0; c < num_chunks; c++) {
-      for (size_t s = 0; s < num_shards; s++) {
-        pool.Submit([st, c, s] { RunShardTask(st, c, s); });
-      }
+    const CancelToken* helper_token =
+        caller_token != nullptr ? &st->token : nullptr;
+    const size_t helpers = std::min(pool.num_threads(), st->results.size());
+    for (size_t h = 0; h < helpers; h++) {
+      pool.Submit([st, helper_token] {
+        while (RunNextTask(*st, helper_token)) {
+        }
+      });
     }
-    for (size_t m = 0; m < num_chunks; m++) {
-      std::optional<size_t> c = cancelable
-                                    ? PopCancelable(st.get(), caller_token)
-                                    : st->ready.Pop();
-      if (!c.has_value()) {
-        // Deadline passed and the grace drain went dry: abandon the
-        // stragglers. They hold the shared state (and observe the
-        // cancelled derived token at their next boundary), so they
-        // finish harmlessly after we return. Unpopped chunks keep
-        // their (kInvalidShardEntry, +inf) padding — well-formed.
-        st->token.Cancel();
-        out.complete = false;
-        break;
-      }
-      merge_chunk(*c);
+  }
+  for (size_t m = 0; m < num_chunks; m++) {
+    if (caller_runs) {
+      for (size_t s = 0; s < num_shards; s++) RunNextTask(*st, caller_token);
     }
+    std::optional<size_t> c = NextChunk(*st, caller_token);
+    if (!c.has_value()) {
+      // Expired and the grace drain went dry: abandon the stragglers.
+      // They hold the shared state (and observe the cancelled derived
+      // token at their next boundary), so they finish harmlessly after
+      // we return. Unpopped chunks keep their (kInvalidShardEntry, +inf)
+      // padding — well-formed.
+      out.complete = false;
+      break;
+    }
+    merge_chunk(*c);
   }
   out.host_seconds = host.Seconds();
   out.host_qps = out.host_seconds > 0

@@ -121,35 +121,38 @@ class ShardedCagraIndex : public Searcher {
 
   /// Streaming sharded search: the batch is split into chunks of
   /// params.shard_chunk_queries rows (0 = auto), every (chunk, shard)
-  /// pair searches as an independent task on the global pool, and a
-  /// per-chunk completion latch hands finished chunks through a bounded
-  /// queue to the calling thread, which merges them into the output
-  /// while later chunks are still searching — the chunk-wise overlap of
-  /// per-shard execution with the host-side gather/merge from the
-  /// paper's multi-GPU evaluation (§V-F). Results are byte-identical at
-  /// every thread count and chunk size; the modeled time charges the
-  /// slowest shard plus only the merge tail of the final chunk (the rest
-  /// of the merge hides under the scans). One chunk
-  /// (shard_chunk_queries >= batch) is the barrier schedule: every shard
-  /// scans the whole batch, then the full merge runs as a serial tail.
+  /// pair is an independent task handed out chunk-major, and a per-chunk
+  /// completion latch hands finished chunks through a bounded queue to
+  /// the calling thread, which merges them into the output while later
+  /// chunks are still searching — the chunk-wise overlap of per-shard
+  /// execution with the host-side gather/merge from the paper's
+  /// multi-GPU evaluation (§V-F). Results are byte-identical at every
+  /// thread count and chunk size; the modeled time charges the slowest
+  /// shard plus only the merge tail of the final chunk (the rest of the
+  /// merge hides under the scans). One chunk (shard_chunk_queries >=
+  /// batch) is the barrier schedule: every shard scans the whole batch,
+  /// then the full merge runs as a serial tail. The storage mode comes
+  /// from params.precision (the Searcher front door).
   ///
-  /// params.num_threads != 0 is a total host budget, so the pipeline
-  /// runs its tasks inline in (chunk, shard) order and each per-chunk
-  /// search uses the full width. The storage mode comes from
-  /// params.precision (the Searcher front door).
+  /// One schedule runs every width; only who runs the tasks differs. At
+  /// params.num_threads == 0, global-pool helpers drain the tasks and
+  /// the caller only merges. An explicit width is a total host budget:
+  /// the caller runs each chunk's tasks itself, in (chunk, shard) order,
+  /// with every per-chunk search capped at that width.
   ///
   /// Deadline/cancellation (params.cancel): every (chunk, shard) task
   /// checks the token before scanning and the per-chunk searches check
   /// it at iteration boundaries, so an expired token drains the
-  /// pipeline cooperatively. A straggler that cannot observe the token
-  /// (a stalled shard) is *abandoned*: after a short grace the call
-  /// returns the best-effort merge of every chunk that did finish,
-  /// marked SearchResult::complete == false, with untouched rows left
-  /// as padding. Abandoned tasks run to completion against detached
-  /// heap-owned state (they never reference the caller's stack, token
-  /// included) — the only caller obligation is that the index itself
-  /// outlive them, which cancellation bounds to roughly the stall
-  /// plus one search iteration.
+  /// pipeline cooperatively; a token cancelled before the call sheds
+  /// every task. A straggler that cannot observe the token (a stalled
+  /// shard) is *abandoned*: after a short grace the call returns the
+  /// best-effort merge of every chunk that did finish, marked
+  /// SearchResult::complete == false, with untouched rows left as
+  /// padding. Helpers read a token derived from the caller's and run
+  /// against detached heap-owned state (they never reference the
+  /// caller's stack), so an abandoned helper finishes harmlessly — the
+  /// only caller obligation is that the index itself outlive it, which
+  /// cancellation bounds to roughly the stall plus one search iteration.
   [[nodiscard]] Result<SearchResult> Search(
       const Matrix<float>& queries,
       const SearchParams& params) const override;

@@ -95,17 +95,19 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 }
 
 void ThreadPool::ParallelForSlotted(
-    size_t begin, size_t end,
-    const std::function<void(size_t, size_t)>& fn) {
+    size_t begin, size_t end, const std::function<void(size_t, size_t)>& fn,
+    size_t max_threads) {
   if (begin >= end) return;
   const size_t total = end - begin;
   const size_t caller_slot =
       tls_pool == this ? tls_worker_index : threads_.size();
 
-  // Over-decompose ~4x for dynamic balance (per-query search cost
-  // varies); small loops run inline on the caller.
-  const size_t num_chunks = std::min(total, num_slots() * 4);
-  if (num_chunks <= 1) {
+  // Over-decompose ~4x per thread for dynamic balance (per-query search
+  // cost varies); width-1 and small loops run inline on the caller.
+  const size_t width = Width(max_threads);
+  const size_t num_chunks = std::min(total, width * 4);
+  const size_t helpers = std::min(width, num_chunks) - 1;
+  if (helpers == 0) {
     for (size_t i = begin; i < end; i++) fn(caller_slot, i);
     return;
   }
@@ -117,14 +119,13 @@ void ThreadPool::ParallelForSlotted(
   state->chunk = (total + num_chunks - 1) / num_chunks;
   state->fn = &fn;
 
-  const size_t helpers = std::min(threads_.size(), num_chunks - 1);
   {
     MutexLock lock(mutex_);
     for (size_t h = 0; h < helpers; h++) {
       tasks_.push([state] { state->Drain(tls_worker_index); });
     }
   }
-  if (helpers > 0) cv_.NotifyAll();
+  cv_.NotifyAll();
 
   state->Drain(caller_slot);
 
@@ -143,8 +144,10 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::ParallelFor(size_t begin, size_t end,
-                             const std::function<void(size_t)>& fn) {
-  ParallelForSlotted(begin, end, [&fn](size_t, size_t i) { fn(i); });
+                             const std::function<void(size_t)>& fn,
+                             size_t max_threads) {
+  ParallelForSlotted(
+      begin, end, [&fn](size_t, size_t i) { fn(i); }, max_threads);
 }
 
 ThreadPool& GlobalThreadPool() {

@@ -1,6 +1,7 @@
 #ifndef CAGRA_UTIL_THREAD_POOL_H_
 #define CAGRA_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <queue>
@@ -38,13 +39,21 @@ class ThreadPool {
   /// one per worker plus one for the calling (non-worker) thread.
   size_t num_slots() const { return threads_.size() + 1; }
 
+  /// Threads a ParallelFor capped at `max_threads` may occupy, the
+  /// calling thread included: 0 = the whole pool (num_slots()), larger
+  /// caps clamp to num_slots().
+  size_t Width(size_t max_threads) const {
+    return max_threads == 0 ? num_slots() : std::min(max_threads, num_slots());
+  }
+
   /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks
-  /// across the pool plus the calling thread. Blocks until all
-  /// iterations complete. fn must be safe to invoke concurrently for
-  /// distinct i.
+  /// across the calling thread and at most Width(max_threads) - 1 pool
+  /// workers: max_threads = 1 runs every iteration on the caller, 0 uses
+  /// the whole pool. Blocks until all iterations complete. fn must be
+  /// safe to invoke concurrently for distinct i.
   void ParallelFor(size_t begin, size_t end,
-                   const std::function<void(size_t)>& fn)
-      CAGRA_EXCLUDES(mutex_);
+                   const std::function<void(size_t)>& fn,
+                   size_t max_threads = 0) CAGRA_EXCLUDES(mutex_);
 
   /// ParallelFor variant handing fn the executing thread's stable slot
   /// in [0, num_slots()): pool workers get their worker index, any other
@@ -52,17 +61,17 @@ class ThreadPool {
   /// never share a slot, so callers can keep per-slot scratch state
   /// (VisitedSet, search buffers) without locking.
   void ParallelForSlotted(size_t begin, size_t end,
-                          const std::function<void(size_t slot, size_t i)>& fn)
-      CAGRA_EXCLUDES(mutex_);
+                          const std::function<void(size_t slot, size_t i)>& fn,
+                          size_t max_threads = 0) CAGRA_EXCLUDES(mutex_);
 
   /// Enqueues a fire-and-forget task for the workers; returns
   /// immediately. Unlike ParallelFor the caller does not participate and
-  /// nothing waits for completion — the producer side of the streaming
-  /// sharded pipeline uses this and tracks completion itself (per-chunk
-  /// latch + MpscBoundedQueue). Tasks may themselves call ParallelFor
-  /// (the re-entrant caller-drains-its-own-batch rule still applies),
-  /// but a submitted task must never block on another submitted task
-  /// that could be queued behind it.
+  /// nothing waits for completion — the streaming sharded pipeline
+  /// submits its (chunk, shard) drainers this way and tracks completion
+  /// itself (per-chunk latch + MpscBoundedQueue). Tasks may themselves
+  /// call ParallelFor (the re-entrant caller-drains-its-own-batch rule
+  /// still applies), but a submitted task must never block on another
+  /// submitted task that could be queued behind it.
   void Submit(std::function<void()> task) CAGRA_EXCLUDES(mutex_);
 
  private:

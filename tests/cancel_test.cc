@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -407,20 +408,31 @@ TEST_F(ShardedCancelTest, ManualCancelMidFlightYieldsPartial) {
   }
 }
 
-TEST_F(ShardedCancelTest, InlineModeHonorsExpiredToken) {
-  // num_threads != 0 runs the pipeline inline (no pool); the token
-  // must cut that path too.
-  CancelToken expired;
-  expired.Cancel();
-  SearchParams sp = BaseParams();
-  sp.num_threads = 2;
-  sp.shard_chunk_queries = 7;
-  sp.cancel = &expired;
-  auto r = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r->complete);
-  ASSERT_EQ(r->rows_examined.size(), data_->queries.rows());
-  ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
+TEST_F(ShardedCancelTest, PreCancelledTokenShedsEveryTask) {
+  // A token cancelled before the call: every (chunk, shard) task sheds
+  // before scanning, whoever runs it — pool helpers read the derived
+  // token, which starts cancelled, and the caller reads its own.
+  CancelToken cancelled;
+  cancelled.Cancel();
+  const size_t batch = data_->queries.rows();
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{3}}) {
+    for (size_t chunk : {size_t{1}, size_t{7}, batch}) {
+      SearchParams sp = BaseParams();
+      sp.num_threads = threads;
+      sp.shard_chunk_queries = chunk;
+      sp.cancel = &cancelled;
+      auto r = index_->Search(data_->queries, sp);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r->complete) << "threads=" << threads << " chunk=" << chunk;
+      EXPECT_EQ(r->rows_examined, std::vector<uint64_t>(batch, 0))
+          << "threads=" << threads << " chunk=" << chunk;
+      EXPECT_EQ(r->neighbors.ids, std::vector<uint32_t>(batch * sp.k, kPad))
+          << "threads=" << threads << " chunk=" << chunk;
+      EXPECT_EQ(r->neighbors.distances,
+                std::vector<float>(batch * sp.k,
+                                   std::numeric_limits<float>::infinity()));
+    }
+  }
 }
 
 }  // namespace

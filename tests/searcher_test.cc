@@ -4,6 +4,11 @@
 // serving scheduler builds on, and host_threads reporting the width a
 // batch can actually occupy.
 #include <algorithm>
+#include <condition_variable>
+#include <fstream>
+#include <mutex>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -188,6 +193,71 @@ TEST_F(SearcherTest, HostThreadsSerialIsOne) {
   auto r = Search(*index_, data_->queries, sp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->host_threads, 1u);
+}
+
+TEST_F(SearcherTest, HostThreadsCappedByGlobalPool) {
+  // num_threads caps the global pool, calling thread included: a width
+  // above the pool's slots clamps to them.
+  SearchParams sp;
+  sp.k = 10;
+  sp.itopk = 64;
+  const size_t batch = data_->queries.rows();
+  sp.num_threads = 2;
+  auto two = Search(*index_, data_->queries, sp);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two->host_threads, std::min<size_t>(batch, 2));
+  sp.num_threads = 64;
+  auto wide = Search(*index_, data_->queries, sp);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->host_threads,
+            std::min(batch, GlobalThreadPool().num_slots()));
+}
+
+/// Live threads of this process, from /proc/self/status.
+size_t LiveThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST_F(SearcherTest, ExplicitWidthSpawnsNoThreads) {
+  // An explicit width borrows global-pool workers; it never starts
+  // threads of its own that outlive the call.
+  GlobalThreadPool();  // started before the baseline count
+  const size_t before = LiveThreads();
+  ASSERT_GT(before, 0u) << "no Threads: line in /proc/self/status";
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool searched = false;
+  bool counted = false;
+  bool ok = false;
+  std::thread caller([&] {
+    SearchParams sp;
+    sp.k = 10;
+    sp.itopk = 64;
+    sp.num_threads = 3;
+    const bool result_ok = Search(*index_, data_->queries, sp).ok();
+    std::unique_lock<std::mutex> lock(mu);
+    ok = result_ok;
+    searched = true;
+    cv.notify_all();
+    while (!counted) cv.wait(lock);
+  });
+  size_t during = 0;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    while (!searched) cv.wait(lock);
+    during = LiveThreads();
+    counted = true;
+    cv.notify_all();
+  }
+  caller.join();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(during, before + 1) << "only the calling thread may be added";
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +82,70 @@ TEST(ThreadPoolTest, LargeRangeStress) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), static_cast<uint64_t>(n) * (n - 1) / 2);
+}
+
+// ------------------------------------------------------------ width cap
+
+/// (thread, slot) of every iteration of a capped ParallelForSlotted over
+/// `n` iterations.
+std::vector<std::pair<std::thread::id, size_t>> RecordThreads(
+    ThreadPool& pool, size_t n, size_t max_threads) {
+  std::mutex mu;
+  std::vector<std::pair<std::thread::id, size_t>> seen;
+  pool.ParallelForSlotted(
+      0, n,
+      [&](size_t slot, size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.emplace_back(std::this_thread::get_id(), slot);
+      },
+      max_threads);
+  return seen;
+}
+
+/// Distinct threads in `seen`; each must keep one slot and no two may
+/// share a slot.
+size_t DistinctThreadsWithDistinctSlots(
+    const std::vector<std::pair<std::thread::id, size_t>>& seen) {
+  std::map<std::thread::id, size_t> slot_of;
+  std::map<size_t, std::thread::id> thread_of;
+  for (const auto& [thread, slot] : seen) {
+    EXPECT_EQ(slot_of.emplace(thread, slot).first->second, slot);
+    EXPECT_EQ(thread_of.emplace(slot, thread).first->second, thread);
+  }
+  return slot_of.size();
+}
+
+TEST(ThreadPoolTest, MaxThreadsOneRunsOnCaller) {
+  ThreadPool pool(4);
+  const auto seen = RecordThreads(pool, 1000, 1);
+  ASSERT_EQ(seen.size(), 1000u);
+  for (const auto& [thread, slot] : seen) {
+    EXPECT_EQ(thread, std::this_thread::get_id());
+    EXPECT_EQ(slot, pool.num_threads());  // the non-worker caller slot
+  }
+  EXPECT_EQ(pool.Width(1), 1u);
+}
+
+TEST(ThreadPoolTest, MaxThreadsTwoUsesAtMostTwoThreads) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; round++) {
+    const auto seen = RecordThreads(pool, 1000, 2);
+    ASSERT_EQ(seen.size(), 1000u);
+    EXPECT_LE(DistinctThreadsWithDistinctSlots(seen), 2u) << round;
+  }
+  EXPECT_EQ(pool.Width(2), 2u);
+}
+
+TEST(ThreadPoolTest, MaxThreadsAboveSlotsClampsToSlots) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.Width(64), pool.num_slots());
+  EXPECT_EQ(pool.Width(0), pool.num_slots());
+  std::vector<std::atomic<int>> hits(1000);
+  pool.ParallelFor(0, 1000, [&](size_t i) { hits[i].fetch_add(1); }, 64);
+  for (size_t i = 0; i < hits.size(); i++) EXPECT_EQ(hits[i].load(), 1) << i;
+  const auto seen = RecordThreads(pool, 1000, 64);
+  EXPECT_LE(DistinctThreadsWithDistinctSlots(seen), pool.num_slots());
+  for (const auto& entry : seen) EXPECT_LT(entry.second, pool.num_slots());
 }
 
 // --------------------------------------------------- streaming primitives
