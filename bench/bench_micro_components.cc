@@ -1,49 +1,57 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
-// blocks — bitonic vs radix sorting around the 512-entry crossover,
-// visited-set probing, distance kernels fp32 vs fp16, and NN-descent vs
-// exact kNN-graph construction.
+// blocks — the per-iteration candidate sort + top-M merge at the search
+// shapes the benchmark workloads run, visited-set probing, distance
+// kernels fp32 vs fp16, and NN-descent vs exact kNN-graph construction.
 #include <benchmark/benchmark.h>
 
+#include "core/search_internal.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "distance/distance.h"
 #include "knn/bruteforce.h"
 #include "knn/nn_descent.h"
-#include "util/bitonic.h"
-#include "util/radix_sort.h"
 #include "util/rng.h"
+#include "util/sort.h"
 #include "util/visited_set.h"
 
 namespace {
 
 using namespace cagra;
 
-std::vector<KeyValue> RandomKv(size_t n, uint64_t seed) {
-  Pcg32 rng(seed);
+std::vector<KeyValue> RandomKv(size_t n, Pcg32* rng) {
   std::vector<KeyValue> data(n);
-  for (auto& kv : data) kv = {rng.NextFloat(), rng.Next()};
+  for (auto& kv : data) kv = {rng->NextFloat(), rng->Next() >> 1};
   return data;
 }
 
-void BM_BitonicSort(benchmark::State& state) {
-  const size_t n = state.range(0);
-  for (auto _ : state) {
-    auto data = RandomKv(n, 1);
-    benchmark::DoNotOptimize(BitonicSorter::Sort(&data));
+/// One SortAndMerge of `candidates` fresh entries into a sorted
+/// `itopk`-entry top-M: 16 into 32 is batch_deep's single-CTA iteration
+/// and each multi-CTA CTA's; 16 into 64 is churn's.
+void BM_SortAndMerge(benchmark::State& state) {
+  const size_t itopk = state.range(0);
+  const size_t num_candidates = state.range(1);
+  Pcg32 rng(1);
+  std::vector<KeyValue> topm = RandomKv(itopk, &rng);
+  std::sort(topm.begin(), topm.end(), KeyValueLess);
+  // Rounds of fresh candidates, cycled so the sort sees unsorted input.
+  std::vector<std::vector<KeyValue>> rounds;
+  for (int i = 0; i < 64; i++) {
+    rounds.push_back(RandomKv(num_candidates, &rng));
   }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BitonicSort)->Arg(64)->Arg(256)->Arg(512)->Arg(1024)->Arg(4096);
-
-void BM_RadixSort(benchmark::State& state) {
-  const size_t n = state.range(0);
+  std::vector<KeyValue> candidates;
+  std::vector<KeyValue> merged;
+  KernelCounters counters;
+  size_t round = 0;
   for (auto _ : state) {
-    auto data = RandomKv(n, 1);
-    benchmark::DoNotOptimize(RadixSorter::Sort(&data));
+    candidates = rounds[round++ % rounds.size()];
+    internal_search::SortAndMerge(&topm, &candidates, &merged, &counters);
+    benchmark::DoNotOptimize(topm.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  benchmark::DoNotOptimize(counters.sort_exchanges);
+  state.SetItemsProcessed(state.iterations() * num_candidates);
 }
-BENCHMARK(BM_RadixSort)->Arg(64)->Arg(256)->Arg(512)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_SortAndMerge)->Args({32, 16})->Args({64, 16});
 
 void BM_VisitedSetInsert(benchmark::State& state) {
   Pcg32 rng(7);

@@ -54,7 +54,8 @@ struct SearchResult {
 /// the §IV-B1 occupancy model when params.team_size == 0, and the hash
 /// management per Table II when params.hash_mode == kAuto. The dataset
 /// storage mode comes from params.precision; reduced precisions require
-/// the matching Enable*() call on the index.
+/// the matching Enable*() call on the index. Each query's row comes back
+/// in (distance, id) order: equal distances go by ascending id.
 /// Requires ValidateSearchParams(params).ok() and
 /// queries.dim() == index.dim().
 [[nodiscard]] Result<SearchResult> Search(

@@ -2,7 +2,6 @@
 #include <cmath>
 
 #include "core/search_internal.h"
-#include "util/radix_sort.h"
 
 namespace cagra {
 namespace internal_search {
@@ -88,16 +87,25 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
 
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
-                  KernelCounters* counters) {
-  // §IV-B2: warp-level bitonic sort in registers for small candidate
-  // lists, CTA-level radix sort in shared memory above 512 entries.
-  if (candidates->size() <= 512) {
-    counters->sort_exchanges += BitonicSorter::Sort(candidates);
+                  std::vector<KeyValue>* merged, KernelCounters* counters) {
+  // §IV-B2: the kernel sorts up to 512 candidates with a warp-level
+  // bitonic network in registers and longer lists with a CTA radix sort
+  // in shared memory, then bitonic-merges them into the top-M. Charge
+  // those counts; the host sorts and merges under KeyValueLess.
+  const size_t m = topm->size();
+  const size_t c = candidates->size();
+  if (c <= 512) {
+    counters->sort_exchanges += BitonicSortExchanges(c);
   } else {
-    counters->radix_scatters += RadixSorter::Sort(candidates);
+    counters->radix_scatters += RadixSortScatters(c);
   }
-  counters->sort_exchanges +=
-      BitonicSorter::MergeKeepSmallest(topm, *candidates);
+  counters->sort_exchanges += BitonicMergeExchanges(m, c);
+
+  std::sort(candidates->begin(), candidates->end(), KeyValueLess);
+  merged->resize(m + c);
+  std::merge(topm->begin(), topm->end(), candidates->begin(),
+             candidates->end(), merged->begin(), KeyValueLess);
+  std::copy_n(merged->begin(), m, topm->begin());
 }
 
 }  // namespace internal_search

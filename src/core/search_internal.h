@@ -10,16 +10,12 @@
 #include "core/params.h"
 #include "core/snapshot.h"
 #include "gpusim/counters.h"
-#include "util/bitonic.h"
+#include "util/sort.h"
 #include "util/visited_set.h"
 
 namespace cagra {
 namespace internal_search {
 
-/// MSB parent flag on buffer entries (§IV-B4): set once a node has been
-/// expanded, checked with one bit-test instead of a second hash lookup.
-constexpr uint32_t kParentFlag = 0x80000000u;
-constexpr uint32_t kIndexMask = 0x7fffffffu;
 constexpr uint32_t kInvalidEntry = 0xffffffffu;
 
 /// Counter-instrumented accessor over the fp32/fp16/int8/PQ dataset
@@ -29,8 +25,8 @@ constexpr uint32_t kInvalidEntry = 0xffffffffu;
 /// PQ is the one mode with per-query state: the ADC lookup tables.
 /// Callers obtain a QueryView once per query via Prepare() (which
 /// builds the tables into worker-owned scratch and charges the codebook
-/// traffic) and pass it to every Distance/DistanceBatch call; for the
-/// other modes Prepare is a free passthrough.
+/// traffic) and pass it to every DistanceBatch call; for the other
+/// modes Prepare is a free passthrough.
 class DatasetView {
  public:
   /// Views one immutable index version: everything a kernel touches —
@@ -60,39 +56,13 @@ class DatasetView {
     return {query, adc_storage};
   }
 
-  float Distance(const QueryView& q, uint32_t id,
-                 KernelCounters* counters) const {
-    counters->distance_computations++;
-    counters->distance_elements += ElementsPerDistance();
-    counters->device_vector_bytes += RowBytes();
-    switch (precision_) {
-      case Precision::kFp16:
-        return ComputeDistance(snap_.metric, q.query,
-                               snap_.HalfRef().Row(id), snap_.dim());
-      case Precision::kInt8: {
-        const QuantizedDataset& i8 = snap_.Int8Ref();
-        return ComputeDistance(snap_.metric, q.query, i8.codes.Row(id),
-                               i8.scale.data(), i8.offset.data(),
-                               snap_.dim());
-      }
-      case Precision::kPq:
-        return ComputeDistanceAdc(*q.adc, snap_.PqRef().codes.Row(id), id);
-      case Precision::kFp32:
-        break;
-    }
-    // Fp32Row reads through the active storage tier: the RAM-resident
-    // matrix, or the mmap view when the index is out-of-core. Same
-    // bytes either way, so every dispatch tier stays bit-identical.
-    return ComputeDistance(snap_.metric, q.query, snap_.Fp32Row(id),
-                           snap_.dim());
-  }
-
-  /// Batched variant of Distance: out[i] = distance(query, row ids[i]).
-  /// All storage types go through the SIMD-dispatched gather primitives
-  /// (multi-row kernels inside) so the candidate-expansion hot loop
-  /// prices one function call per batch, not per pair — int8 decodes in
-  /// vector registers, PQ scans the per-query ADC tables. Counters
-  /// charge the same bytes/flops either way.
+  /// out[i] = distance(query, row ids[i]), charging each row's bytes and
+  /// flops. All storage types go through the SIMD-dispatched gather
+  /// primitives (multi-row kernels inside), so the candidate-expansion
+  /// hot loop makes one function call per batch, not per pair — int8
+  /// decodes in vector registers, PQ scans the per-query ADC tables.
+  /// fp32 rows read through the active storage tier (RAM or mmap), the
+  /// same bytes either way.
   void DistanceBatch(const QueryView& q, const uint32_t* ids, size_t n,
                      float* out, KernelCounters* counters) const {
     counters->distance_computations += n;
@@ -202,13 +172,17 @@ struct SearchScratch {
   std::vector<uint32_t> batch_slots;
   std::vector<float> batch_dists;
 
-  // Multi-CTA per-CTA buffers and the final merge list.
+  // Multi-CTA per-CTA buffers.
   struct CtaState {
     std::vector<KeyValue> topm;
     std::vector<KeyValue> candidates;
     bool active = true;
   };
   std::vector<CtaState> ctas;
+
+  /// Merge staging, never live twice at once: SortAndMerge's output
+  /// before it is copied back into the top-M, and multi-CTA's final
+  /// merge list.
   std::vector<KeyValue> merged;
 
   /// Returns a wiped visited table with exactly `capacity` slots,
@@ -266,11 +240,13 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       bool* truncated = nullptr);
 
 /// Sorts the candidate segment and merges it into the sorted top-M
-/// segment, charging bitonic or radix cost per the §IV-B2 rule
-/// (bitonic for <= 512 candidates, radix above).
+/// segment, keeping the |topm| smallest, all under KeyValueLess; `merged`
+/// is staging that keeps its capacity across calls. Charges what the
+/// kernel's §IV-B2 networks would count: a bitonic sort for <= 512
+/// candidates, a radix sort above, then a bitonic merge.
 void SortAndMerge(std::vector<KeyValue>* topm,
                   std::vector<KeyValue>* candidates,
-                  KernelCounters* counters);
+                  std::vector<KeyValue>* merged, KernelCounters* counters);
 
 }  // namespace internal_search
 }  // namespace cagra

@@ -88,7 +88,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
     bool any_active = false;
     for (SearchScratch::CtaState& cta : ctas) {
       if (!cta.active) continue;
-      SortAndMerge(&cta.topm, &cta.candidates, counters);
+      SortAndMerge(&cta.topm, &cta.candidates, &scratch->merged, counters);
 
       uint32_t parent = kInvalidEntry;
       for (auto& entry : cta.topm) {
@@ -133,10 +133,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
       merged.push_back(KeyValue{entry.key, entry.value & kIndexMask});
     }
   }
-  std::sort(merged.begin(), merged.end(), [](KeyValue a, KeyValue b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.value < b.value;
-  });
+  std::sort(merged.begin(), merged.end(), KeyValueLess);
 
   size_t written = 0;
   uint32_t prev = kInvalidEntry;

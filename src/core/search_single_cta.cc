@@ -82,7 +82,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
       }
     }
     scratch->FlushBatch(dataset, qv, &init, counters);
-    counters->sort_exchanges += BitonicSorter::Sort(&init);
+    counters->sort_exchanges += BitonicSortExchanges(init.size());
+    std::sort(init.begin(), init.end(), KeyValueLess);
     std::copy(init.begin(), init.begin() + cfg.itopk, topm.begin());
     std::copy(init.begin() + cfg.itopk, init.end(), candidates.begin());
   }
@@ -99,7 +100,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    SortAndMerge(&topm, &candidates, counters);
+    SortAndMerge(&topm, &candidates, &scratch->merged, counters);
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;

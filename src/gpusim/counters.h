@@ -19,8 +19,13 @@ struct KernelCounters {
   size_t hash_probes_device = 0;     ///< visited-set probes, device-mem table
   size_t hash_table_device_bytes = 0;  ///< device tables zeroed per query
   size_t hash_resets = 0;            ///< forgettable-table wipes (unpriced)
-  size_t sort_exchanges = 0;         ///< bitonic compare-exchange ops
-  size_t radix_scatters = 0;         ///< radix-sort scatter ops
+  /// Bitonic compare-exchanges the kernel's sorts and merges would run,
+  /// charged by formula from the list lengths (util/sort.h); the host
+  /// itself sorts with std::sort.
+  size_t sort_exchanges = 0;
+  /// Radix-sort scatters for candidate lists over 512 entries, charged
+  /// by formula the same way.
+  size_t radix_scatters = 0;
   size_t iterations = 0;             ///< summed search iterations
   size_t max_iterations = 0;         ///< longest per-query iteration chain
   size_t kernel_launches = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/sort.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -21,9 +22,12 @@ struct Neighbor {
   bool is_new;  ///< not yet used in a local join
 };
 
-/// Fixed-capacity neighbor list kept sorted ascending by distance.
-/// Insertion is the classic NN-descent UPDATE: reject duplicates and
-/// anything worse than the current tail.
+/// Fixed-capacity neighbor list kept sorted by (distance, id), the order
+/// of every search buffer. Insertion is the classic NN-descent UPDATE:
+/// reject duplicates and anything not ahead of the current tail. Under a
+/// total order the list ends each local join as the k best of everything
+/// offered, whichever thread took the lock first; with ties unordered,
+/// equal-distance ids would race for the last slots.
 class NeighborHeapList {
  public:
   void Init(size_t capacity) {
@@ -33,24 +37,20 @@ class NeighborHeapList {
 
   /// Returns 1 if inserted (an "update" in the termination criterion).
   size_t Insert(float distance, uint32_t id) {
-    if (entries_.size() >= capacity_ &&
-        distance >= entries_.back().distance) {
+    const Neighbor entry{distance, id, true};
+    if (entries_.size() >= capacity_ && !Before(entry, entries_.back())) {
       return 0;
     }
-    // Find insertion point; reject if already present.
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), distance,
-        [](const Neighbor& n, float d) { return n.distance < d; });
+    // Reject if already present. A stored copy sorts no later than `it`:
+    // the distance function is deterministic, so it cannot carry a worse
+    // distance than this one.
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), entry,
+                               Before);
+    if (it != entries_.end() && it->id == id) return 0;
     for (auto scan = entries_.begin(); scan != it; ++scan) {
       if (scan->id == id) return 0;
     }
-    for (auto scan = it; scan != entries_.end() && scan->distance == distance;
-         ++scan) {
-      if (scan->id == id) return 0;
-    }
-    // A duplicate with a *worse* stored distance cannot exist because the
-    // distance function is deterministic, so the scan above is complete.
-    entries_.insert(it, Neighbor{distance, id, true});
+    entries_.insert(it, entry);
     if (entries_.size() > capacity_) entries_.pop_back();
     return 1;
   }
@@ -59,6 +59,10 @@ class NeighborHeapList {
   const std::vector<Neighbor>& entries() const { return entries_; }
 
  private:
+  static bool Before(const Neighbor& a, const Neighbor& b) {
+    return KeyValueLess({a.distance, a.id}, {b.distance, b.id});
+  }
+
   size_t capacity_ = 0;
   std::vector<Neighbor> entries_;
 };
@@ -213,7 +217,7 @@ FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
     }
   }
 
-  // --- Emit the fixed-degree graph, neighbor rows ascending by distance.
+  // --- Emit the fixed-degree graph, neighbor rows in (distance, id) order.
   for (size_t v = 0; v < n; v++) {
     const auto& entries = lists[v].entries();
     uint32_t* row = graph.MutableNeighbors(v);

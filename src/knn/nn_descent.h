@@ -28,8 +28,9 @@ struct NnDescentStats {
 };
 
 /// Builds an approximate k-NN graph by iterative local joins. Neighbor
-/// lists in the result are sorted ascending by distance (the CAGRA
-/// optimization relies on this order to define initial ranks, §III-B1).
+/// lists in the result are sorted ascending by distance, ties by id (the
+/// CAGRA optimization relies on this order to define initial ranks,
+/// §III-B1).
 FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
                                         const NnDescentParams& params,
                                         Metric metric,

@@ -6,6 +6,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
+#include "util/sort.h"
 
 namespace cagra {
 namespace {
@@ -223,6 +224,30 @@ TEST_F(CagraSearchTest, CountersAreConsistent) {
   EXPECT_GT(c.sort_exchanges, 0u);
 }
 
+TEST_F(CagraSearchTest, SortChargesFollowTheSearchShape) {
+  // Single-CTA charges one seeding sort of the whole buffer per query
+  // and one candidate sort plus top-M merge per iteration, whatever the
+  // graph does: the §IV-B2 counts depend on lengths alone.
+  for (const auto& [itopk, width] : {std::pair<size_t, size_t>{64, 1},
+                                     std::pair<size_t, size_t>{32, 2}}) {
+    SearchParams params;
+    params.k = 10;
+    params.itopk = itopk;
+    params.search_width = width;
+    params.algo = SearchAlgo::kSingleCta;
+    auto r = Search(*index_, data_->queries, params);
+    ASSERT_TRUE(r.ok());
+    const size_t candidates = width * index_->degree();
+    const KernelCounters& c = r->counters;
+    EXPECT_EQ(c.sort_exchanges,
+              c.queries * BitonicSortExchanges(itopk + candidates) +
+                  c.iterations * (BitonicSortExchanges(candidates) +
+                                  BitonicMergeExchanges(itopk, candidates)))
+        << itopk << " " << width;
+    EXPECT_EQ(c.radix_scatters, 0u);
+  }
+}
+
 TEST_F(CagraSearchTest, ModeledCostPopulated) {
   SearchParams params;
   params.k = 10;
@@ -253,6 +278,48 @@ TEST_F(CagraSearchTest, SingleQueryMultiCtaBeatsSingleCtaQps) {
   ASSERT_TRUE(single.ok());
   ASSERT_TRUE(multi.ok());
   EXPECT_GT(multi->modeled_qps, single->modeled_qps);
+}
+
+TEST(CagraSearchTieTest, EqualDistancesComeOutInIdOrder) {
+  // Every row appears 4 times, so each query meets exact distance ties.
+  // Both modes must return each row in (distance, id) order, the order
+  // the rerank and the shard merge already emit.
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  const SyntheticData data = GenerateDataset(*p, 400, 64, 41);
+  const size_t copies = 4;
+  const size_t distinct = data.base.rows();
+  Matrix<float> base(distinct * copies, data.base.dim());
+  for (size_t r = 0; r < base.rows(); r++) {
+    std::copy(data.base.Row(r % distinct),
+              data.base.Row(r % distinct) + base.dim(), base.MutableRow(r));
+  }
+  BuildParams bp;
+  bp.graph_degree = 16;
+  bp.metric = p->metric;
+  auto built = CagraIndex::Build(base, bp);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+  for (SearchAlgo algo : {SearchAlgo::kSingleCta, SearchAlgo::kMultiCta}) {
+    SearchParams params;
+    params.k = 10;
+    params.itopk = 64;
+    params.algo = algo;
+    auto r = Search(*built, data.queries, params);
+    ASSERT_TRUE(r.ok());
+    size_t broken_rows = 0;
+    for (size_t q = 0; q < data.queries.rows(); q++) {
+      const uint32_t* ids = r->neighbors.ids.data() + q * params.k;
+      const float* dists = r->neighbors.distances.data() + q * params.k;
+      for (size_t i = 1; i < params.k; i++) {
+        if (!(dists[i - 1] < dists[i] ||
+              (dists[i - 1] == dists[i] && ids[i - 1] < ids[i]))) {
+          broken_rows++;
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(broken_rows, 0u) << "algo " << static_cast<int>(algo);
+  }
 }
 
 // ---------------------------------------------------------- validation

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +186,29 @@ TEST(NnDescentTest, DeterministicInSeed) {
   const auto a = BuildKnnGraphNnDescent(data.base, params, p->metric);
   const auto b = BuildKnnGraphNnDescent(data.base, params, p->metric);
   EXPECT_EQ(a.edges(), b.edges());
+
+  // Every row 4 times, so distances tie exactly all over. Builds run two
+  // at a time, which interleaves the local joins' inserts differently
+  // from the reference build's; the graph must not depend on that.
+  const auto distinct = GenerateDataset(*p, 100, 1, 43);
+  Matrix<float> tied(4 * distinct.base.rows(), distinct.base.dim());
+  for (size_t r = 0; r < tied.rows(); r++) {
+    const float* row = distinct.base.Row(r % distinct.base.rows());
+    std::copy(row, row + tied.dim(), tied.MutableRow(r));
+  }
+  params.k = 16;
+  const auto reference = BuildKnnGraphNnDescent(tied, params, p->metric);
+  for (int round = 0; round < 4; round++) {
+    FixedDegreeGraph builds[2];
+    std::thread other([&] {
+      builds[1] = BuildKnnGraphNnDescent(tied, params, p->metric);
+    });
+    builds[0] = BuildKnnGraphNnDescent(tied, params, p->metric);
+    other.join();
+    for (const FixedDegreeGraph& g : builds) {
+      EXPECT_EQ(g.edges(), reference.edges()) << "round " << round;
+    }
+  }
 }
 
 TEST(NnDescentTest, TinyDatasetDegreeClamped) {

@@ -1,206 +1,141 @@
 #include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/bitonic.h"
-#include "util/radix_sort.h"
+#include "core/search_internal.h"
 #include "util/rng.h"
+#include "util/sort.h"
 
 namespace cagra {
 namespace {
 
-std::vector<KeyValue> RandomData(size_t n, uint64_t seed,
-                                 bool with_negatives = false) {
-  Pcg32 rng(seed);
-  std::vector<KeyValue> data(n);
-  for (size_t i = 0; i < n; i++) {
-    float key = rng.NextFloat() * 100.0f;
-    if (with_negatives) key -= 50.0f;
-    data[i] = {key, rng.Next()};
+constexpr float kInf = std::numeric_limits<float>::infinity();
+const float kNan = std::numeric_limits<float>::quiet_NaN();
+
+TEST(KeyValueOrderTest, DistanceThenMaskedIdNanLast) {
+  // Distance first, whatever the ids.
+  EXPECT_TRUE(KeyValueLess({1.f, 9}, {2.f, 1}));
+  EXPECT_FALSE(KeyValueLess({2.f, 1}, {1.f, 9}));
+  // Equal distances go by id.
+  EXPECT_TRUE(KeyValueLess({1.f, 3}, {1.f, 4}));
+  EXPECT_FALSE(KeyValueLess({1.f, 4}, {1.f, 3}));
+  // The parent flag is masked: a flagged entry keeps its id's place.
+  EXPECT_TRUE(KeyValueLess({1.f, 3 | kParentFlag}, {1.f, 4}));
+  EXPECT_FALSE(KeyValueLess({1.f, 4}, {1.f, 3 | kParentFlag}));
+  EXPECT_FALSE(KeyValueLess({1.f, 3 | kParentFlag}, {1.f, 3}));
+  EXPECT_FALSE(KeyValueLess({1.f, 3}, {1.f, 3 | kParentFlag}));
+  // +0 and -0 are one distance.
+  EXPECT_TRUE(KeyValueLess({-0.f, 1}, {0.f, 2}));
+  EXPECT_TRUE(KeyValueLess({0.f, 1}, {-0.f, 2}));
+  // NaN comes after everything, +inf included; NaNs go by id.
+  EXPECT_TRUE(KeyValueLess({kInf, 7}, {kNan, 1}));
+  EXPECT_FALSE(KeyValueLess({kNan, 1}, {kInf, 7}));
+  EXPECT_FALSE(KeyValueLess({kNan, 1}, {-kInf, 7}));
+  EXPECT_TRUE(KeyValueLess({kNan, 1}, {kNan, 2}));
+  EXPECT_FALSE(KeyValueLess({kNan, 2}, {kNan, 1}));
+
+  std::vector<KeyValue> v = {{kNan, 0},  {1.f, 5 | kParentFlag}, {-0.f, 6},
+                             {1.f, 2},   {0.f, 4},         {kInf, 1},
+                             {-2.f, 9}};
+  std::sort(v.begin(), v.end(), KeyValueLess);
+  std::vector<uint32_t> ids;
+  for (const KeyValue& kv : v) ids.push_back(kv.value);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{9, 4, 6, 2, 5 | kParentFlag, 1, 0}));
+}
+
+/// n entries with distinct ids drawn from `ids`, keys from a small pool
+/// so ties are common, plus negatives, ±0, +inf and NaN; a quarter of
+/// the ids carry the parent flag.
+std::vector<KeyValue> AwkwardEntries(size_t n, Pcg32* rng,
+                                     const uint32_t* ids) {
+  const float pool[] = {-3.f, -0.5f, -0.f, 0.f, 0.25f, 0.25f, 1.f,
+                        7.5f, 7.5f,  1e30f, kInf, kNan};
+  std::vector<KeyValue> out(n);
+  for (KeyValue& kv : out) {
+    const uint32_t pick =
+        rng->NextBounded(static_cast<uint32_t>(2 * std::size(pool)));
+    kv.key = pick < std::size(pool) ? pool[pick]
+                                    : rng->NextFloat() * 10.f - 5.f;
+    kv.value = *ids++;
+    if (rng->NextBounded(4) == 0) kv.value |= kParentFlag;
   }
-  return data;
+  return out;
 }
 
-bool IsSortedByKey(const std::vector<KeyValue>& data) {
-  for (size_t i = 1; i < data.size(); i++) {
-    if (data[i - 1].key > data[i].key) return false;
+bool SameEntries(const std::vector<KeyValue>& a,
+                 const std::vector<KeyValue>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(KeyValue)) == 0;
+}
+
+TEST(SortAndMergeTest, MatchesStdSortReference) {
+  // SortAndMerge keeps the |topm| smallest of top-M + candidates under
+  // KeyValueLess. Ids are distinct, so the order is total and the
+  // result must equal a std::sort of the union, bit for bit. Candidate
+  // counts fall on both sides of the 512 bitonic/radix charging rule.
+  Pcg32 rng(2024);
+  std::vector<std::pair<size_t, size_t>> shapes = {
+      {32, 16}, {64, 16}, {1, 0}, {0, 16}, {64, 512}, {64, 513}};
+  for (int trial = 0; trial < 40; trial++) {
+    shapes.emplace_back(rng.NextBounded(129), rng.NextBounded(1100));
   }
-  return true;
-}
-
-// ------------------------------------------------------------- Bitonic
-
-TEST(BitonicTest, EmptyAndSingle) {
-  std::vector<KeyValue> empty;
-  EXPECT_EQ(BitonicSorter::Sort(&empty), 0u);
-  std::vector<KeyValue> one = {{3.f, 1}};
-  EXPECT_EQ(BitonicSorter::Sort(&one), 0u);
-  EXPECT_EQ(one[0].key, 3.f);
-}
-
-TEST(BitonicTest, SortsPowerOfTwo) {
-  auto data = RandomData(64, 1);
-  BitonicSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
-  EXPECT_EQ(data.size(), 64u);
-}
-
-TEST(BitonicTest, SortsNonPowerOfTwoWithPadding) {
-  for (size_t n : {3u, 5u, 17u, 100u, 513u}) {
-    auto data = RandomData(n, n);
-    auto reference = data;
-    BitonicSorter::Sort(&data);
-    EXPECT_TRUE(IsSortedByKey(data)) << n;
-    EXPECT_EQ(data.size(), n) << n;
-    // Same multiset of keys.
-    std::sort(reference.begin(), reference.end(),
-              [](KeyValue a, KeyValue b) { return a.key < b.key; });
-    for (size_t i = 0; i < n; i++) {
-      EXPECT_EQ(data[i].key, reference[i].key) << n << " " << i;
+  std::vector<KeyValue> merged;
+  for (const auto& [m, c] : shapes) {
+    std::vector<uint32_t> ids(m + c);
+    std::iota(ids.begin(), ids.end(), 0u);
+    for (size_t i = ids.size(); i > 1; i--) {
+      std::swap(ids[i - 1],
+                ids[rng.NextBounded(static_cast<uint32_t>(i))]);
     }
+    std::vector<KeyValue> topm = AwkwardEntries(m, &rng, ids.data());
+    std::vector<KeyValue> candidates =
+        AwkwardEntries(c, &rng, ids.data() + m);
+    std::sort(topm.begin(), topm.end(), KeyValueLess);
+
+    std::vector<KeyValue> reference = topm;
+    reference.insert(reference.end(), candidates.begin(), candidates.end());
+    std::sort(reference.begin(), reference.end(), KeyValueLess);
+    reference.resize(m);
+
+    KernelCounters counters;
+    internal_search::SortAndMerge(&topm, &candidates, &merged, &counters);
+    EXPECT_TRUE(SameEntries(topm, reference)) << m << " " << c;
+    const bool bitonic = c <= 512;
+    EXPECT_EQ(counters.sort_exchanges,
+              (bitonic ? BitonicSortExchanges(c) : 0) +
+                  BitonicMergeExchanges(m, c))
+        << m << " " << c;
+    EXPECT_EQ(counters.radix_scatters, bitonic ? 0 : RadixSortScatters(c))
+        << m << " " << c;
   }
 }
 
-TEST(BitonicTest, PreservesKeyValueAssociation) {
-  std::vector<KeyValue> data;
-  for (uint32_t i = 0; i < 32; i++) {
-    data.push_back({static_cast<float>(31 - i), i});
+TEST(SortCostTest, FormulasMatchTheNetworkCounts) {
+  // The counts the §IV-B2 networks reached when they were executed one
+  // compare-exchange (or scatter) at a time on the host.
+  const std::pair<size_t, size_t> sorts[] = {
+      {0, 0},     {1, 0},     {2, 1},     {3, 6},       {16, 80},
+      {17, 240},  {48, 672},  {64, 672},  {96, 1792},   {512, 11520},
+      {513, 28160}};
+  for (const auto& [n, exchanges] : sorts) {
+    EXPECT_EQ(BitonicSortExchanges(n), exchanges) << n;
   }
-  BitonicSorter::Sort(&data);
-  for (uint32_t i = 0; i < 32; i++) {
-    EXPECT_EQ(data[i].key, static_cast<float>(i));
-    EXPECT_EQ(data[i].value, 31 - i);
-  }
-}
-
-TEST(BitonicTest, ExchangeCountMatchesNetwork) {
-  // A length-n bitonic network performs exactly n/2 * log(n)(log(n)+1)/2
-  // compare-exchanges.
-  auto data = RandomData(64, 3);
-  const size_t exchanges = BitonicSorter::Sort(&data);
-  EXPECT_EQ(exchanges, 64 / 2 * BitonicSorter::SortStages(64));
-}
-
-TEST(BitonicTest, SortStagesFormula) {
-  EXPECT_EQ(BitonicSorter::SortStages(1), 0u);
-  EXPECT_EQ(BitonicSorter::SortStages(2), 1u);
-  EXPECT_EQ(BitonicSorter::SortStages(4), 3u);
-  EXPECT_EQ(BitonicSorter::SortStages(512), 45u);  // 9*10/2
-}
-
-TEST(BitonicTest, MergeKeepSmallestBasic) {
-  std::vector<KeyValue> a = {{1.f, 1}, {4.f, 4}, {9.f, 9}};
-  std::vector<KeyValue> b = {{2.f, 2}, {3.f, 3}};
-  BitonicSorter::MergeKeepSmallest(&a, b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[0].key, 1.f);
-  EXPECT_EQ(a[1].key, 2.f);
-  EXPECT_EQ(a[2].key, 3.f);
-}
-
-TEST(BitonicTest, MergeWithEmptyCandidates) {
-  std::vector<KeyValue> a = {{1.f, 1}, {2.f, 2}};
-  std::vector<KeyValue> b;
-  BitonicSorter::MergeKeepSmallest(&a, b);
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0].key, 1.f);
-}
-
-TEST(BitonicTest, MergeMatchesReference) {
-  Pcg32 rng(5);
-  for (int trial = 0; trial < 30; trial++) {
-    const size_t m = 1 + rng.NextBounded(64);
-    const size_t c = rng.NextBounded(64);
-    auto a = RandomData(m, trial * 2 + 100);
-    auto b = RandomData(c, trial * 2 + 101);
-    std::sort(a.begin(), a.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    std::sort(b.begin(), b.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    std::vector<KeyValue> all = a;
-    all.insert(all.end(), b.begin(), b.end());
-    std::sort(all.begin(), all.end(),
-              [](KeyValue x, KeyValue y) { return x.key < y.key; });
-    BitonicSorter::MergeKeepSmallest(&a, b);
-    ASSERT_EQ(a.size(), m);
-    for (size_t i = 0; i < m; i++) EXPECT_EQ(a[i].key, all[i].key);
+  EXPECT_EQ(BitonicMergeExchanges(0, 16), 0u);
+  EXPECT_EQ(BitonicMergeExchanges(32, 16), 192u);
+  EXPECT_EQ(BitonicMergeExchanges(64, 16), 448u);
+  EXPECT_EQ(BitonicMergeExchanges(1, 0), 0u);
+  const std::pair<size_t, size_t> radix[] = {
+      {0, 0}, {1, 0}, {2, 8}, {513, 2052}, {1024, 4096}};
+  for (const auto& [n, scatters] : radix) {
+    EXPECT_EQ(RadixSortScatters(n), scatters) << n;
   }
 }
-
-// ------------------------------------------------------------- Radix
-
-TEST(RadixTest, SortsPositiveKeys) {
-  auto data = RandomData(1000, 7);
-  RadixSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
-}
-
-TEST(RadixTest, SortsNegativeAndPositiveKeys) {
-  auto data = RandomData(1000, 8, /*with_negatives=*/true);
-  RadixSorter::Sort(&data);
-  EXPECT_TRUE(IsSortedByKey(data));
-}
-
-TEST(RadixTest, MatchesStdSort) {
-  auto data = RandomData(777, 9, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  const size_t scatters = RadixSorter::Sort(&data);
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key) << i;
-  }
-  EXPECT_EQ(scatters, 777u * RadixSorter::kPasses);
-}
-
-TEST(RadixTest, StableOnEqualKeys) {
-  std::vector<KeyValue> data = {{1.f, 0}, {1.f, 1}, {0.f, 2}, {1.f, 3}};
-  RadixSorter::Sort(&data);
-  EXPECT_EQ(data[0].value, 2u);
-  EXPECT_EQ(data[1].value, 0u);
-  EXPECT_EQ(data[2].value, 1u);
-  EXPECT_EQ(data[3].value, 3u);
-}
-
-TEST(RadixTest, HandlesZeroAndNegativeZero) {
-  std::vector<KeyValue> data = {{0.0f, 0}, {-0.0f, 1}, {-1.0f, 2}, {1.0f, 3}};
-  RadixSorter::Sort(&data);
-  EXPECT_EQ(data[0].key, -1.0f);
-  EXPECT_EQ(data[3].key, 1.0f);
-}
-
-// Parameterized cross-check: both sorters agree with std::sort across a
-// sweep of sizes (the §IV-B2 small/large candidate-list regimes).
-class SorterSweepTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(SorterSweepTest, BitonicMatchesStdSort) {
-  auto data = RandomData(GetParam(), GetParam() * 13 + 1, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  BitonicSorter::Sort(&data);
-  ASSERT_EQ(data.size(), reference.size());
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key);
-  }
-}
-
-TEST_P(SorterSweepTest, RadixMatchesStdSort) {
-  auto data = RandomData(GetParam(), GetParam() * 17 + 3, true);
-  auto reference = data;
-  std::sort(reference.begin(), reference.end(),
-            [](KeyValue a, KeyValue b) { return a.key < b.key; });
-  RadixSorter::Sort(&data);
-  ASSERT_EQ(data.size(), reference.size());
-  for (size_t i = 0; i < data.size(); i++) {
-    EXPECT_EQ(data[i].key, reference[i].key);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SorterSweepTest,
-                         ::testing::Values(2, 7, 16, 31, 64, 127, 256, 512,
-                                           513, 1024, 2048));
 
 }  // namespace
 }  // namespace cagra
