@@ -1,5 +1,5 @@
 // Reproduces Fig. 15: graph construction time for CAGRA vs HNSW across
-// the DEEP-1M / DEEP-10M / DEEP-100M ladder (scaled 1:3:9 here, paper
+// the DEEP-1M / DEEP-10M / DEEP-100M ladder (scaled 1:2:5 here, paper
 // 1:10:100 — DESIGN.md section 5), with the CAGRA kNN/opt breakdown.
 #include <cstdio>
 

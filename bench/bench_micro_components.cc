@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
-// blocks — the per-iteration candidate sort + top-M merge at the search
-// shapes the benchmark workloads run, visited-set probing, distance
-// kernels fp32 vs fp16, and NN-descent vs exact kNN-graph construction.
+// blocks — the per-iteration candidate sort + top-M merge at the slot
+// fills the benchmark workloads' traversals see, visited-set probing,
+// distance kernels fp32 vs fp16, and NN-descent vs exact kNN-graph
+// construction.
 #include <benchmark/benchmark.h>
 
 #include "core/search_internal.h"
@@ -24,34 +25,44 @@ std::vector<KeyValue> RandomKv(size_t n, Pcg32* rng) {
   return data;
 }
 
-/// One SortAndMerge of `candidates` fresh entries into a sorted
-/// `itopk`-entry top-M: 16 into 32 is batch_deep's single-CTA iteration
-/// and each multi-CTA CTA's; 16 into 64 is churn's.
+/// One SortAndMerge of a 16-slot round into a sorted `itopk`-entry
+/// top-M, `filled` of the slots holding fresh candidates as the
+/// traversal sees them: 8 into 32 is batch_deep's single-CTA iteration,
+/// 5 into 64 churn's, 3 into 32 each multi-CTA CTA's. Late in a search
+/// most fresh candidates lose to the M-th entry, so a quarter of the
+/// keys fall inside the top-M's range [0, 1) and the rest beyond it.
+/// Every round starts from the same top-M; its copy is timed too.
 void BM_SortAndMerge(benchmark::State& state) {
+  constexpr size_t kSlots = 16;
   const size_t itopk = state.range(0);
-  const size_t num_candidates = state.range(1);
+  const size_t filled = state.range(1);
   Pcg32 rng(1);
-  std::vector<KeyValue> topm = RandomKv(itopk, &rng);
-  std::sort(topm.begin(), topm.end(), KeyValueLess);
-  // Rounds of fresh candidates, cycled so the sort sees unsorted input.
+  std::vector<KeyValue> start = RandomKv(itopk, &rng);
+  std::sort(start.begin(), start.end(), KeyValueLess);
   std::vector<std::vector<KeyValue>> rounds;
   for (int i = 0; i < 64; i++) {
-    rounds.push_back(RandomKv(num_candidates, &rng));
+    rounds.push_back(RandomKv(filled, &rng));
+    for (KeyValue& kv : rounds.back()) {
+      if (rng.NextBounded(4) != 0) kv.key += 1.f;
+    }
   }
+  std::vector<KeyValue> topm;
   std::vector<KeyValue> candidates;
   std::vector<KeyValue> merged;
   KernelCounters counters;
   size_t round = 0;
   for (auto _ : state) {
+    topm = start;
     candidates = rounds[round++ % rounds.size()];
-    internal_search::SortAndMerge(&topm, &candidates, &merged, &counters);
+    internal_search::SortAndMerge(&topm, &candidates, kSlots, &merged,
+                                  &counters);
     benchmark::DoNotOptimize(topm.data());
     benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(counters.sort_exchanges);
-  state.SetItemsProcessed(state.iterations() * num_candidates);
+  state.SetItemsProcessed(state.iterations() * kSlots);
 }
-BENCHMARK(BM_SortAndMerge)->Args({32, 16})->Args({64, 16});
+BENCHMARK(BM_SortAndMerge)->Args({32, 8})->Args({64, 5})->Args({32, 3});
 
 void BM_VisitedSetInsert(benchmark::State& state) {
   Pcg32 rng(7);

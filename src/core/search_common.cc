@@ -19,16 +19,15 @@ VisitedSet& SearchScratch::EnsureVisited(size_t capacity) {
 
 void SearchScratch::FlushBatch(const DatasetView& dataset,
                                const DatasetView::QueryView& query,
-                               std::vector<KeyValue>* buffer,
+                               std::vector<KeyValue>* list,
                                KernelCounters* counters) {
   batch_dists.resize(batch_ids.size());
   dataset.DistanceBatch(query, batch_ids.data(), batch_ids.size(),
                         batch_dists.data(), counters);
   for (size_t i = 0; i < batch_ids.size(); i++) {
-    (*buffer)[batch_slots[i]] = {batch_dists[i], batch_ids[i]};
+    list->push_back({batch_dists[i], batch_ids[i]});
   }
   batch_ids.clear();
-  batch_slots.clear();
 }
 
 ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
@@ -86,26 +85,45 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
 }
 
 void SortAndMerge(std::vector<KeyValue>* topm,
-                  std::vector<KeyValue>* candidates,
+                  std::vector<KeyValue>* candidates, size_t num_slots,
                   std::vector<KeyValue>* merged, KernelCounters* counters) {
-  // §IV-B2: the kernel sorts up to 512 candidates with a warp-level
-  // bitonic network in registers and longer lists with a CTA radix sort
-  // in shared memory, then bitonic-merges them into the top-M. Charge
-  // those counts; the host sorts and merges under KeyValueLess.
-  const size_t m = topm->size();
-  const size_t c = candidates->size();
-  if (c <= 512) {
-    counters->sort_exchanges += BitonicSortExchanges(c);
+  // §IV-B2: the kernel sorts all num_slots slots, pads included, with a
+  // warp-level bitonic network (<= 512) or a CTA radix sort, then
+  // bitonic-merges them into the top-M. Charge those counts.
+  if (num_slots <= 512) {
+    counters->sort_exchanges += BitonicSortExchanges(num_slots);
   } else {
-    counters->radix_scatters += RadixSortScatters(c);
+    counters->radix_scatters += RadixSortScatters(num_slots);
   }
-  counters->sort_exchanges += BitonicMergeExchanges(m, c);
+  counters->sort_exchanges += BitonicMergeExchanges(topm->size(), num_slots);
+  if (topm->empty()) return;
 
+  // The merge puts the top-M's entry first on ties, so only a candidate
+  // KeyValueLess than the M-th entry can enter. Pads can enter only when
+  // the M-th key is NaN; then they join the list and take the same path.
+  const KeyValue last = topm->back();
+  if (KeyValueLess(kPad, last)) candidates->resize(num_slots, kPad);
+  candidates->erase(std::remove_if(candidates->begin(), candidates->end(),
+                                   [&](const KeyValue& kv) {
+                                     return !KeyValueLess(kv, last);
+                                   }),
+                    candidates->end());
+  if (candidates->empty()) return;
   std::sort(candidates->begin(), candidates->end(), KeyValueLess);
-  merged->resize(m + c);
-  std::merge(topm->begin(), topm->end(), candidates->begin(),
-             candidates->end(), merged->begin(), KeyValueLess);
-  std::copy_n(merged->begin(), m, topm->begin());
+
+  // Entries up to the first survivor's upper bound keep their places;
+  // the displaced tail is staged in `merged` and merged back with the
+  // survivors until the top-M is full.
+  auto out = std::upper_bound(topm->begin(), topm->end(),
+                              candidates->front(), KeyValueLess);
+  merged->assign(out, topm->end());
+  auto kept = merged->cbegin();
+  auto fresh = candidates->cbegin();
+  for (; out != topm->end(); ++out) {
+    const bool take_fresh =
+        fresh != candidates->cend() && KeyValueLess(*fresh, *kept);
+    *out = take_fresh ? *fresh++ : *kept++;
+  }
 }
 
 }  // namespace internal_search

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,11 @@ namespace cagra {
 namespace internal_search {
 
 constexpr uint32_t kInvalidEntry = 0xffffffffu;
+
+/// An empty search-buffer slot. Under KeyValueLess it sorts after every
+/// non-NaN key and before NaN keys.
+constexpr KeyValue kPad{std::numeric_limits<float>::infinity(),
+                        kInvalidEntry};
 
 /// Counter-instrumented accessor over the fp32/fp16/int8/PQ dataset
 /// copy; every distance charges the device bytes + flops the GPU kernel
@@ -161,18 +167,20 @@ struct SearchScratch {
   /// the allocation across the worker's queries.
   PqAdcTable adc;
 
-  // Single-CTA buffers (Fig. 6 layout) + the step-0 seeding buffer.
+  // Single-CTA buffers + the step-0 seeding buffer. The kernel's buffer
+  // (Fig. 6) is the sorted internal top-M followed by p*d candidate
+  // slots; `candidates` holds only the fresh entries of those slots; the
+  // other slots are +inf pads, counted by SortAndMerge, never stored.
   std::vector<KeyValue> topm;
   std::vector<KeyValue> candidates;
   std::vector<KeyValue> init;
   std::vector<uint32_t> parents;
 
-  // Batched-distance staging: fresh node ids and their target slots.
+  // Batched-distance staging: fresh node ids awaiting their distances.
   std::vector<uint32_t> batch_ids;
-  std::vector<uint32_t> batch_slots;
   std::vector<float> batch_dists;
 
-  // Multi-CTA per-CTA buffers.
+  // Multi-CTA per-CTA buffers, compact like the single-CTA ones.
   struct CtaState {
     std::vector<KeyValue> topm;
     std::vector<KeyValue> candidates;
@@ -180,22 +188,20 @@ struct SearchScratch {
   };
   std::vector<CtaState> ctas;
 
-  /// Merge staging, never live twice at once: SortAndMerge's output
-  /// before it is copied back into the top-M, and multi-CTA's final
-  /// merge list.
+  /// Merge staging, never live twice at once: the top-M tail that
+  /// SortAndMerge displaces, and multi-CTA's final merge list.
   std::vector<KeyValue> merged;
 
   /// Returns a wiped visited table with exactly `capacity` slots,
   /// reusing the previous allocation when the capacity matches.
   VisitedSet& EnsureVisited(size_t capacity);
 
-  /// Runs the staged batch (batch_ids/batch_slots) through one batched
-  /// distance call and scatters {distance, id} into
-  /// (*buffer)[batch_slots[i]], then clears the staging vectors. The
-  /// shared tail of every candidate-fill loop.
+  /// Runs the staged batch_ids through one batched distance call,
+  /// appends their {distance, id} pairs to `list` and clears the
+  /// staging. The shared tail of every candidate-fill loop.
   void FlushBatch(const DatasetView& dataset,
                   const DatasetView::QueryView& query,
-                  std::vector<KeyValue>* buffer, KernelCounters* counters);
+                  std::vector<KeyValue>* list, KernelCounters* counters);
 };
 
 /// Effective internal top-M length: the explicit value, or the
@@ -239,13 +245,18 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       KernelCounters* counters, SearchScratch* scratch,
                       bool* truncated = nullptr);
 
-/// Sorts the candidate segment and merges it into the sorted top-M
-/// segment, keeping the |topm| smallest, all under KeyValueLess; `merged`
-/// is staging that keeps its capacity across calls. Charges what the
-/// kernel's §IV-B2 networks would count: a bitonic sort for <= 512
-/// candidates, a radix sort above, then a bitonic merge.
+/// Folds one candidate buffer of `num_slots` slots into the sorted
+/// top-M. `candidates` lists the filled slots in any order (at most
+/// num_slots of them); the others hold kPad. Keeps the |topm| smallest
+/// of top-M, candidates and pads under KeyValueLess, the top-M's entry
+/// first on ties, as a std::merge with the sorted buffer would, and
+/// clobbers `candidates`. Charges what the kernel's §IV-B2 networks
+/// count on the whole buffer: a bitonic sort for <= 512 slots, a radix
+/// sort above, then a bitonic merge; the host itself sorts and merges
+/// only the candidates that beat the M-th entry. `merged` is staging
+/// that keeps its capacity across calls.
 void SortAndMerge(std::vector<KeyValue>* topm,
-                  std::vector<KeyValue>* candidates,
+                  std::vector<KeyValue>* candidates, size_t num_slots,
                   std::vector<KeyValue>* merged, KernelCounters* counters);
 
 }  // namespace internal_search

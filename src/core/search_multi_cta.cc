@@ -43,11 +43,10 @@ size_t SearchMultiCta(const DatasetView& dataset,
     return fresh;
   };
 
-  // Batched-distance staging shared by the seeding and expansion steps:
-  // candidates[batch_slots[i]] of the CTA being filled gets batch_ids[i],
-  // via SearchScratch::FlushBatch.
+  // Batched-distance staging shared by the seeding and expansion steps;
+  // SearchScratch::FlushBatch appends the staged nodes to the candidate
+  // list of the CTA being filled.
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
-  std::vector<uint32_t>& batch_slots = scratch->batch_slots;
 
   std::vector<SearchScratch::CtaState>& ctas = scratch->ctas;
   ctas.resize(num_ctas);
@@ -56,17 +55,13 @@ size_t SearchMultiCta(const DatasetView& dataset,
   for (size_t c = 0; c < num_ctas; c++) {
     SearchScratch::CtaState& cta = ctas[c];
     cta.active = true;
-    cta.topm.assign(kLocalTopM, KeyValue{kInf, kInvalidEntry});
-    cta.candidates.assign(d, KeyValue{kInf, kInvalidEntry});
+    cta.topm.assign(kLocalTopM, kPad);
+    cta.candidates.clear();
     Pcg32 rng(query_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)), 0xbeef + c);
     batch_ids.clear();
-    batch_slots.clear();
     for (size_t i = 0; i < d; i++) {
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
-      if (charged_insert(node)) {
-        batch_ids.push_back(node);
-        batch_slots.push_back(static_cast<uint32_t>(i));
-      }
+      if (charged_insert(node)) batch_ids.push_back(node);
     }
     scratch->FlushBatch(dataset, qv, &cta.candidates, counters);
   }
@@ -88,7 +83,8 @@ size_t SearchMultiCta(const DatasetView& dataset,
     bool any_active = false;
     for (SearchScratch::CtaState& cta : ctas) {
       if (!cta.active) continue;
-      SortAndMerge(&cta.topm, &cta.candidates, &scratch->merged, counters);
+      SortAndMerge(&cta.topm, &cta.candidates, d, &scratch->merged,
+                   counters);
 
       uint32_t parent = kInvalidEntry;
       for (auto& entry : cta.topm) {
@@ -110,13 +106,10 @@ size_t SearchMultiCta(const DatasetView& dataset,
       const uint32_t* nbrs = graph.Neighbors(parent);
       for (size_t j = 0; j < d; j++) {
         const uint32_t node = nbrs[j];
-        cta.candidates[j] = {kInf, kInvalidEntry};
         if (node >= n) continue;
-        if (charged_insert(node)) {
-          batch_ids.push_back(node);
-          batch_slots.push_back(static_cast<uint32_t>(j));
-        }
+        if (charged_insert(node)) batch_ids.push_back(node);
       }
+      cta.candidates.clear();
       scratch->FlushBatch(dataset, qv, &cta.candidates, counters);
     }
     iterations++;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "core/search_internal.h"
@@ -42,11 +43,10 @@ size_t SearchSingleCta(const DatasetView& dataset,
       dataset.Prepare(query, &scratch->adc, counters);
 
   // Buffer layout of Fig. 6: internal top-M (sorted ascending) followed
-  // by the candidate list. All buffers live in the per-worker scratch.
+  // by num_candidates slots, of which `candidates` lists the filled ones
+  // (SearchScratch). All buffers live in the per-worker scratch.
   std::vector<KeyValue>& topm = scratch->topm;
   std::vector<KeyValue>& candidates = scratch->candidates;
-  topm.assign(cfg.itopk, KeyValue{kInf, kInvalidEntry});
-  candidates.assign(num_candidates, KeyValue{kInf, kInvalidEntry});
 
   VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
   if (!cfg.hash_in_shared) {
@@ -56,10 +56,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
   }
   Pcg32 rng(query_seed, 0xc0ffee);
 
-  // Fresh nodes awaiting their (batched) distance computation: the id
-  // and the buffer slot the result lands in.
+  // Fresh nodes awaiting their (batched) distance computation.
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
-  std::vector<uint32_t>& batch_slots = scratch->batch_slots;
 
   // --- Step 0: random sampling. The whole buffer (internal top-M +
   // candidate list, Fig. 6) is seeded with uniform random nodes so the
@@ -67,25 +65,31 @@ size_t SearchSingleCta(const DatasetView& dataset,
   // the visited table exactly like graph-expanded candidates. Distances
   // for the deduplicated sample run as one batched kernel call.
   {
+    const size_t num_slots = cfg.itopk + num_candidates;
     std::vector<KeyValue>& init = scratch->init;
-    init.assign(cfg.itopk + num_candidates, KeyValue{kInf, kInvalidEntry});
+    init.clear();
     batch_ids.clear();
-    batch_slots.clear();
-    for (size_t slot = 0; slot < init.size(); slot++) {
+    for (size_t slot = 0; slot < num_slots; slot++) {
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
       const size_t before = visited.stats().probes;
       const bool fresh = visited.InsertIfAbsent(node);
       ChargeProbes(visited, before, cfg.hash_in_shared, counters);
-      if (fresh) {
-        batch_ids.push_back(node);
-        batch_slots.push_back(static_cast<uint32_t>(slot));
-      }
+      if (fresh) batch_ids.push_back(node);
     }
     scratch->FlushBatch(dataset, qv, &init, counters);
-    counters->sort_exchanges += BitonicSortExchanges(init.size());
+    counters->sort_exchanges += BitonicSortExchanges(num_slots);
     std::sort(init.begin(), init.end(), KeyValueLess);
-    std::copy(init.begin(), init.begin() + cfg.itopk, topm.begin());
-    std::copy(init.begin() + cfg.itopk, init.end(), candidates.begin());
+    // Each duplicate left a pad in its slot; the sorted buffer holds
+    // them before the first NaN key. The top-M takes the first itopk
+    // entries and the tail's real entries are the first candidate list,
+    // its pads implicit again.
+    init.insert(std::lower_bound(init.begin(), init.end(), kPad, KeyValueLess),
+                num_slots - init.size(), kPad);
+    topm.assign(init.begin(), init.begin() + cfg.itopk);
+    candidates.clear();
+    std::remove_copy_if(
+        init.begin() + cfg.itopk, init.end(), std::back_inserter(candidates),
+        [](const KeyValue& kv) { return kv.value == kInvalidEntry; });
   }
 
   size_t iterations = 0;
@@ -100,7 +104,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    SortAndMerge(&topm, &candidates, &scratch->merged, counters);
+    SortAndMerge(&topm, &candidates, num_candidates, &scratch->merged,
+                 counters);
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;
@@ -142,27 +147,19 @@ size_t SearchSingleCta(const DatasetView& dataset,
     // one batched kernel call computes all their distances (the paper's
     // team-per-candidate parallelism, expressed as SIMD lanes here).
     batch_ids.clear();
-    batch_slots.clear();
-    size_t slot = 0;
     for (const uint32_t parent : parents) {
       const uint32_t* nbrs = graph.Neighbors(parent);
       counters->device_graph_bytes += d * sizeof(uint32_t);
-      for (size_t j = 0; j < d; j++, slot++) {
+      for (size_t j = 0; j < d; j++) {
         const uint32_t node = nbrs[j];
-        candidates[slot] = {kInf, kInvalidEntry};
         if (node >= n) continue;  // kInvalid padding
         const size_t before = visited.stats().probes;
         const bool fresh = visited.InsertIfAbsent(node);
         ChargeProbes(visited, before, cfg.hash_in_shared, counters);
-        if (fresh) {
-          batch_ids.push_back(node);
-          batch_slots.push_back(static_cast<uint32_t>(slot));
-        }
+        if (fresh) batch_ids.push_back(node);
       }
     }
-    for (; slot < num_candidates; slot++) {
-      candidates[slot] = {kInf, kInvalidEntry};
-    }
+    candidates.clear();
     scratch->FlushBatch(dataset, qv, &candidates, counters);
   }
 

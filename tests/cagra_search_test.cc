@@ -1,4 +1,9 @@
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +11,7 @@
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
+#include "util/rng.h"
 #include "util/sort.h"
 
 namespace cagra {
@@ -228,23 +234,30 @@ TEST_F(CagraSearchTest, SortChargesFollowTheSearchShape) {
   // Single-CTA charges one seeding sort of the whole buffer per query
   // and one candidate sort plus top-M merge per iteration, whatever the
   // graph does: the §IV-B2 counts depend on lengths alone.
-  for (const auto& [itopk, width] : {std::pair<size_t, size_t>{64, 1},
-                                     std::pair<size_t, size_t>{32, 2}}) {
+  // (32, 4) merges 64 slots into 32; hash_bits 9 makes the forgettable
+  // table reset every iteration, which re-admits visited nodes.
+  struct Shape {
+    size_t itopk, width, hash_bits;
+  };
+  for (const Shape& s : {Shape{64, 1, 0}, Shape{32, 2, 0}, Shape{32, 4, 0},
+                         Shape{64, 1, 9}}) {
     SearchParams params;
     params.k = 10;
-    params.itopk = itopk;
-    params.search_width = width;
+    params.itopk = s.itopk;
+    params.search_width = s.width;
+    params.hash_bits = s.hash_bits;
     params.algo = SearchAlgo::kSingleCta;
     auto r = Search(*index_, data_->queries, params);
     ASSERT_TRUE(r.ok());
-    const size_t candidates = width * index_->degree();
+    const size_t slots = s.width * index_->degree();
     const KernelCounters& c = r->counters;
     EXPECT_EQ(c.sort_exchanges,
-              c.queries * BitonicSortExchanges(itopk + candidates) +
-                  c.iterations * (BitonicSortExchanges(candidates) +
-                                  BitonicMergeExchanges(itopk, candidates)))
-        << itopk << " " << width;
+              c.queries * BitonicSortExchanges(s.itopk + slots) +
+                  c.iterations * (BitonicSortExchanges(slots) +
+                                  BitonicMergeExchanges(s.itopk, slots)))
+        << s.itopk << " " << s.width << " " << s.hash_bits;
     EXPECT_EQ(c.radix_scatters, 0u);
+    if (s.hash_bits != 0) EXPECT_GT(c.hash_resets, 0u);
   }
 }
 
@@ -319,6 +332,84 @@ TEST(CagraSearchTieTest, EqualDistancesComeOutInIdOrder) {
       }
     }
     EXPECT_EQ(broken_rows, 0u) << "algo " << static_cast<int>(algo);
+  }
+}
+
+TEST(CagraSearchNanTest, NanRowsTraverseAsPinned) {
+  // A query row holding a NaN makes every distance NaN at every SIMD
+  // tier, and NaN keys sort after the buffer's +inf pads, so the walk
+  // depends on ids alone: which pads enter the top-M, which entries
+  // become parents. The graph is a fixed random 16-regular one, not a
+  // Build, so it does not depend on the tier either. The literals come
+  // from a search that stored a pad in every empty slot; counting the
+  // pads instead must walk the same way.
+  constexpr size_t kRows = 1000, kDim = 8, kDegree = 16, kQueries = 3;
+  Pcg32 rng(31);
+  Matrix<float> base(kRows, kDim);
+  for (size_t r = 0; r < kRows; r++) {
+    for (size_t j = 0; j < kDim; j++) base.MutableRow(r)[j] = rng.NextFloat();
+  }
+  FixedDegreeGraph graph(kRows, kDegree);
+  for (size_t u = 0; u < kRows; u++) {
+    uint32_t* nbrs = graph.MutableNeighbors(u);
+    for (size_t j = 0; j < kDegree; j++) {
+      uint32_t v;
+      do {
+        v = rng.NextBounded(static_cast<uint32_t>(kRows));
+      } while (v == u || std::find(nbrs, nbrs + j, v) != nbrs + j);
+      nbrs[j] = v;
+    }
+  }
+  auto index = CagraIndex::FromGraph(base, std::move(graph), Metric::kL2);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  Matrix<float> queries(kQueries, kDim);
+  for (size_t q = 0; q < kQueries; q++) {
+    for (size_t j = 0; j < kDim; j++) {
+      queries.MutableRow(q)[j] = rng.NextFloat();
+    }
+    queries.MutableRow(q)[q] = std::numeric_limits<float>::quiet_NaN();
+  }
+
+  constexpr uint32_t kNone = 0xffffffffu;
+  const std::vector<uint32_t> no_rows(kQueries * 4, kNone);
+  struct Expected {
+    SearchAlgo algo;
+    size_t width;
+    size_t hash_bits;  ///< 9: a forgettable table that resets each iteration
+    std::vector<uint32_t> ids;
+    size_t iterations, distances, sort_exchanges, probes;
+  };
+  const Expected cases[] = {
+      {SearchAlgo::kSingleCta, 1, 0,
+       {2, 8, 11, 12, 0, 3, 8, 11, 4, 7, 8, kNone}, 42, 690, 13440, 768},
+      {SearchAlgo::kSingleCta, 4, 0, no_rows, 13, 775, 19936, 880},
+      {SearchAlgo::kSingleCta, 1, 9, {0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 4, 7},
+       72, 1216, 21600, 3161},
+      {SearchAlgo::kMultiCta, 1, 0, no_rows, 3, 1883, 52224, 3072},
+  };
+  for (const Expected& e : cases) {
+    SearchParams params;
+    params.k = 4;
+    params.itopk = 32;
+    params.search_width = e.width;
+    params.hash_bits = e.hash_bits;
+    params.algo = e.algo;
+    auto r = Search(*index, queries, params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::string shape =
+        "algo " + std::to_string(static_cast<int>(e.algo)) + " width " +
+        std::to_string(e.width) + " hash_bits " + std::to_string(e.hash_bits);
+    EXPECT_EQ(r->neighbors.ids, e.ids) << shape;
+    for (size_t i = 0; i < e.ids.size(); i++) {
+      EXPECT_EQ(std::isnan(r->neighbors.distances[i]), e.ids[i] != kNone)
+          << shape << " entry " << i;
+    }
+    const KernelCounters& c = r->counters;
+    EXPECT_EQ(c.iterations, e.iterations) << shape;
+    EXPECT_EQ(c.distance_computations, e.distances) << shape;
+    EXPECT_EQ(c.sort_exchanges, e.sort_exchanges) << shape;
+    EXPECT_EQ(c.hash_probes_shared + c.hash_probes_device, e.probes) << shape;
+    if (e.hash_bits != 0) EXPECT_GT(c.hash_resets, 0u) << shape;
   }
 }
 

@@ -74,46 +74,86 @@ bool SameEntries(const std::vector<KeyValue>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(KeyValue)) == 0;
 }
 
+/// Runs SortAndMerge on a copy of `topm` and `candidates` over
+/// `num_slots` slots. The result must be bit-equal to a sort of the
+/// whole buffer (top-M, candidates, then a pad per empty slot) cut to
+/// |topm|, and the charges must follow the slot count.
+void ExpectMergeMatchesReference(const std::vector<KeyValue>& topm,
+                                 const std::vector<KeyValue>& candidates,
+                                 size_t num_slots,
+                                 std::vector<KeyValue>* merged) {
+  const size_t m = topm.size();
+  std::vector<KeyValue> reference = topm;
+  reference.insert(reference.end(), candidates.begin(), candidates.end());
+  reference.resize(m + num_slots, internal_search::kPad);
+  // Stable, so a top-M entry stays ahead of a candidate tied with it;
+  // with distinct ids (pads are bit-identical) this is std::sort.
+  std::stable_sort(reference.begin(), reference.end(), KeyValueLess);
+  reference.resize(m);
+
+  std::vector<KeyValue> out = topm;
+  std::vector<KeyValue> list = candidates;
+  KernelCounters counters;
+  internal_search::SortAndMerge(&out, &list, num_slots, merged, &counters);
+  EXPECT_TRUE(SameEntries(out, reference))
+      << m << " " << candidates.size() << " " << num_slots;
+  const bool bitonic = num_slots <= 512;
+  EXPECT_EQ(counters.sort_exchanges,
+            (bitonic ? BitonicSortExchanges(num_slots) : 0) +
+                BitonicMergeExchanges(m, num_slots))
+      << m << " " << num_slots;
+  EXPECT_EQ(counters.radix_scatters,
+            bitonic ? 0 : RadixSortScatters(num_slots))
+      << m << " " << num_slots;
+}
+
 TEST(SortAndMergeTest, MatchesStdSortReference) {
-  // SortAndMerge keeps the |topm| smallest of top-M + candidates under
-  // KeyValueLess. Ids are distinct, so the order is total and the
-  // result must equal a std::sort of the union, bit for bit. Candidate
-  // counts fall on both sides of the 512 bitonic/radix charging rule.
+  // SortAndMerge keeps the |topm| smallest of top-M, the filled slots
+  // and the pads of the empty ones under KeyValueLess. Slot counts fall
+  // on both sides of the 512 bitonic/radix charging rule, below and
+  // above m; a random 0..c of the c slots are filled.
   Pcg32 rng(2024);
   std::vector<std::pair<size_t, size_t>> shapes = {
       {32, 16}, {64, 16}, {1, 0}, {0, 16}, {64, 512}, {64, 513}};
   for (int trial = 0; trial < 40; trial++) {
     shapes.emplace_back(rng.NextBounded(129), rng.NextBounded(1100));
   }
+  shapes.emplace_back(32, 64);  // itopk 32 at search width 4
+  shapes.emplace_back(0, 0);
   std::vector<KeyValue> merged;
   for (const auto& [m, c] : shapes) {
-    std::vector<uint32_t> ids(m + c);
+    const size_t filled = rng.NextBounded(static_cast<uint32_t>(c + 1));
+    std::vector<uint32_t> ids(m + filled);
     std::iota(ids.begin(), ids.end(), 0u);
     for (size_t i = ids.size(); i > 1; i--) {
       std::swap(ids[i - 1],
                 ids[rng.NextBounded(static_cast<uint32_t>(i))]);
     }
     std::vector<KeyValue> topm = AwkwardEntries(m, &rng, ids.data());
-    std::vector<KeyValue> candidates =
-        AwkwardEntries(c, &rng, ids.data() + m);
+    const std::vector<KeyValue> candidates =
+        AwkwardEntries(filled, &rng, ids.data() + m);
     std::sort(topm.begin(), topm.end(), KeyValueLess);
+    ExpectMergeMatchesReference(topm, candidates, c, &merged);
 
-    std::vector<KeyValue> reference = topm;
-    reference.insert(reference.end(), candidates.begin(), candidates.end());
-    std::sort(reference.begin(), reference.end(), KeyValueLess);
-    reference.resize(m);
-
-    KernelCounters counters;
-    internal_search::SortAndMerge(&topm, &candidates, &merged, &counters);
-    EXPECT_TRUE(SameEntries(topm, reference)) << m << " " << c;
-    const bool bitonic = c <= 512;
-    EXPECT_EQ(counters.sort_exchanges,
-              (bitonic ? BitonicSortExchanges(c) : 0) +
-                  BitonicMergeExchanges(m, c))
-        << m << " " << c;
-    EXPECT_EQ(counters.radix_scatters, bitonic ? 0 : RadixSortScatters(c))
-        << m << " " << c;
+    // The same buffer with the top-M's tail NaN: pads must enter.
+    if (m == 0) continue;
+    for (size_t i = m - std::min<size_t>(m, 3); i < m; i++) {
+      topm[i].key = kNan;
+    }
+    std::sort(topm.begin(), topm.end(), KeyValueLess);
+    ExpectMergeMatchesReference(topm, candidates, c, &merged);
   }
+
+  // A forgettable reset can re-admit a node the top-M still holds,
+  // flagged as expanded: the candidate ties with it under KeyValueLess
+  // and must neither displace nor precede it.
+  const std::vector<KeyValue> topm = {
+      {0.5f, 3}, {1.f, 7 | kParentFlag}, {2.f, 1}, {kInf, 9}};
+  ExpectMergeMatchesReference(topm, {{1.f, 7}, {0.25f, 4}}, 16, &merged);
+  ExpectMergeMatchesReference(topm, {{1.f, 7}}, 16, &merged);
+  const std::vector<KeyValue> nan_tail = {
+      {1.f, 7 | kParentFlag}, {kNan, 2 | kParentFlag}};
+  ExpectMergeMatchesReference(nan_tail, {{kNan, 2}, {1.f, 7}}, 4, &merged);
 }
 
 TEST(SortCostTest, FormulasMatchTheNetworkCounts) {
