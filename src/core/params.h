@@ -71,7 +71,10 @@ struct SearchParams {
   size_t cta_per_query = 0;      ///< multi-CTA width; 0 = auto
   HashMode hash_mode = HashMode::kAuto;
   size_t hash_reset_interval = 1;  ///< forgettable wipe period (iterations)
-  size_t hash_bits = 0;          ///< log2 table entries; 0 = auto (8..13)
+  /// log2 of the visited table's entries; 0 = auto (8..13 for a
+  /// forgettable table). At most 32: ids are 31-bit, so a table twice
+  /// the visits never needs more slots; larger values are rejected.
+  size_t hash_bits = 0;
   size_t team_size = 0;          ///< 0 = auto-pick per dim (§IV-B1)
   uint64_t seed = 77;            ///< random-sampling seed (step 0)
   /// When true, every query in the batch samples its random start nodes

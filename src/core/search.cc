@@ -15,6 +15,7 @@ namespace cagra {
 namespace {
 
 using internal_search::DatasetView;
+using internal_search::kMultiCtaLocalTopM;
 using internal_search::ResolveConfig;
 using internal_search::ResolvedConfig;
 using internal_search::SearchScratch;
@@ -24,7 +25,6 @@ using internal_search::SearchScratch;
 /// fit per query).
 constexpr size_t kSingleCtaThreads = 256;
 constexpr size_t kMultiCtaThreads = 128;
-constexpr size_t kMultiCtaLocalTopM = 32;
 
 /// Per-thread scratch reused across Search() calls, one entry per slot
 /// of the global pool. The serving scheduler's workers call Search once
@@ -117,6 +117,12 @@ Status ValidateSearchParams(const SearchParams& params) {
   // here compared k against max(itopk, k) and could never fire.
   if (params.itopk != 0 && params.k > params.itopk) {
     return Status::InvalidArgument("k must be <= itopk");
+  }
+  // The kernels size the visited table as 1 << hash_bits: past 63 bits
+  // the shift is undefined, and past 32 the table outgrows what 31-bit
+  // ids can ever fill at the 2x rule (§IV-B3).
+  if (params.hash_bits > 32) {
+    return Status::InvalidArgument("hash_bits must be <= 32");
   }
   return Status::Ok();
 }

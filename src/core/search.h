@@ -45,8 +45,8 @@ struct SearchResult {
 /// Index-independent request validation, shared by every search front
 /// door (single-index Search, ShardedCagraIndex::Search, the serving
 /// scheduler's Submit) so identical bad inputs produce identical
-/// errors: k >= 1, and k <= itopk when itopk is set explicitly
-/// (itopk == 0 resolves to the auto default).
+/// errors: k >= 1, k <= itopk when itopk is set explicitly
+/// (itopk == 0 resolves to the auto default), and hash_bits <= 32.
 [[nodiscard]] Status ValidateSearchParams(const SearchParams& params);
 
 /// Runs the CAGRA search (§IV) over a query batch. Picks the execution

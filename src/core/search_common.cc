@@ -84,9 +84,9 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
   return cfg;
 }
 
-void SortAndMerge(std::vector<KeyValue>* topm,
-                  std::vector<KeyValue>* candidates, size_t num_slots,
-                  std::vector<KeyValue>* merged, KernelCounters* counters) {
+size_t SortAndMerge(std::vector<KeyValue>* topm,
+                    std::vector<KeyValue>* candidates, size_t num_slots,
+                    std::vector<KeyValue>* merged, KernelCounters* counters) {
   // §IV-B2: the kernel sorts all num_slots slots, pads included, with a
   // warp-level bitonic network (<= 512) or a CTA radix sort, then
   // bitonic-merges them into the top-M. Charge those counts.
@@ -96,7 +96,7 @@ void SortAndMerge(std::vector<KeyValue>* topm,
     counters->radix_scatters += RadixSortScatters(num_slots);
   }
   counters->sort_exchanges += BitonicMergeExchanges(topm->size(), num_slots);
-  if (topm->empty()) return;
+  if (topm->empty()) return 0;
 
   // The merge puts the top-M's entry first on ties, so only a candidate
   // KeyValueLess than the M-th entry can enter. Pads can enter only when
@@ -108,22 +108,25 @@ void SortAndMerge(std::vector<KeyValue>* topm,
                                      return !KeyValueLess(kv, last);
                                    }),
                     candidates->end());
-  if (candidates->empty()) return;
+  if (candidates->empty()) return topm->size();
   std::sort(candidates->begin(), candidates->end(), KeyValueLess);
 
   // Entries up to the first survivor's upper bound keep their places;
   // the displaced tail is staged in `merged` and merged back with the
-  // survivors until the top-M is full.
-  auto out = std::upper_bound(topm->begin(), topm->end(),
-                              candidates->front(), KeyValueLess);
-  merged->assign(out, topm->end());
+  // survivors until the top-M is full. The first survivor lands on the
+  // first displaced slot, and it is KeyValueLess than the entry it
+  // replaces, so that slot is the first that changes.
+  const auto first = std::upper_bound(topm->begin(), topm->end(),
+                                      candidates->front(), KeyValueLess);
+  merged->assign(first, topm->end());
   auto kept = merged->cbegin();
   auto fresh = candidates->cbegin();
-  for (; out != topm->end(); ++out) {
+  for (auto out = first; out != topm->end(); ++out) {
     const bool take_fresh =
         fresh != candidates->cend() && KeyValueLess(*fresh, *kept);
     *out = take_fresh ? *fresh++ : *kept++;
   }
+  return static_cast<size_t>(first - topm->begin());
 }
 
 }  // namespace internal_search

@@ -24,6 +24,17 @@ constexpr uint32_t kInvalidEntry = 0xffffffffu;
 constexpr KeyValue kPad{std::numeric_limits<float>::infinity(),
                         kInvalidEntry};
 
+/// Whether a search-buffer entry holds a node the search may expand or
+/// emit: not a pad and not at +inf. NaN keys qualify.
+inline bool IsUsable(const KeyValue& entry) {
+  return entry.value != kInvalidEntry &&
+         entry.key != std::numeric_limits<float>::infinity();
+}
+
+/// Per-CTA internal list length in multi-CTA mode: each CTA maintains a
+/// small local top-M with p = 1 (§IV-C2).
+constexpr size_t kMultiCtaLocalTopM = 32;
+
 /// Counter-instrumented accessor over the fp32/fp16/int8/PQ dataset
 /// copy; every distance charges the device bytes + flops the GPU kernel
 /// would spend.
@@ -180,17 +191,30 @@ struct SearchScratch {
   std::vector<uint32_t> batch_ids;
   std::vector<float> batch_dists;
 
-  // Multi-CTA per-CTA buffers, compact like the single-CTA ones.
+  // Multi-CTA per-CTA buffers, compact like the single-CTA ones. A
+  // lockstep round stages each CTA's fresh ids as its range of
+  // batch_ids; one distance call then scores the whole round.
   struct CtaState {
     std::vector<KeyValue> topm;
     std::vector<KeyValue> candidates;
+    size_t cursor = 0;  ///< NextParent's scan start in `topm`
+    size_t fresh_begin = 0;
+    size_t fresh_end = 0;
     bool active = true;
   };
   std::vector<CtaState> ctas;
 
-  /// Merge staging, never live twice at once: the top-M tail that
-  /// SortAndMerge displaces, and multi-CTA's final merge list.
+  /// The top-M tail that SortAndMerge displaces, staged for its merge.
   std::vector<KeyValue> merged;
+
+  /// Multi-CTA emission: a min-heap of each CTA list's next usable entry,
+  /// parent flag stripped, with the entry's slot in ctas[cta].topm.
+  struct Head {
+    KeyValue entry;
+    uint32_t cta;
+    uint32_t slot;
+  };
+  std::vector<Head> heads;
 
   /// Returns a wiped visited table with exactly `capacity` slots,
   /// reusing the previous allocation when the capacity matches.
@@ -198,7 +222,8 @@ struct SearchScratch {
 
   /// Runs the staged batch_ids through one batched distance call,
   /// appends their {distance, id} pairs to `list` and clears the
-  /// staging. The shared tail of every candidate-fill loop.
+  /// staging. The tail of every single-CTA fill; multi-CTA scores a
+  /// whole lockstep round at once instead.
   void FlushBatch(const DatasetView& dataset,
                   const DatasetView::QueryView& query,
                   std::vector<KeyValue>* list, KernelCounters* counters);
@@ -254,10 +279,29 @@ size_t SearchMultiCta(const DatasetView& dataset,
 /// count on the whole buffer: a bitonic sort for <= 512 slots, a radix
 /// sort above, then a bitonic merge; the host itself sorts and merges
 /// only the candidates that beat the M-th entry. `merged` is staging
-/// that keeps its capacity across calls.
-void SortAndMerge(std::vector<KeyValue>* topm,
-                  std::vector<KeyValue>* candidates, size_t num_slots,
-                  std::vector<KeyValue>* merged, KernelCounters* counters);
+/// that keeps its capacity across calls. Returns the first slot whose
+/// bits (parent flag included) changed, or |topm| when none did: the
+/// slots before it are as they were, so a parent cursor stays valid
+/// at the minimum of itself and this index.
+size_t SortAndMerge(std::vector<KeyValue>* topm,
+                    std::vector<KeyValue>* candidates, size_t num_slots,
+                    std::vector<KeyValue>* merged, KernelCounters* counters);
+
+/// Picks the next parent (§IV-B4): the first IsUsable entry of `topm` at
+/// or after `*cursor` that is not flagged yet. Sets its parent flag,
+/// moves the cursor past it and returns its id; returns kInvalidEntry,
+/// cursor at |topm|, when no such entry is left. The cursor's invariant
+/// is that no slot before it can be picked, so after a merge it drops
+/// to SortAndMerge's return value if lower.
+inline uint32_t NextParent(std::vector<KeyValue>* topm, size_t* cursor) {
+  while (*cursor < topm->size()) {
+    KeyValue& entry = (*topm)[(*cursor)++];
+    if (!IsUsable(entry) || (entry.value & kParentFlag) != 0) continue;
+    entry.value |= kParentFlag;
+    return entry.value & kIndexMask;
+  }
+  return kInvalidEntry;
+}
 
 }  // namespace internal_search
 }  // namespace cagra

@@ -11,9 +11,32 @@ namespace internal_search {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-/// Per-CTA internal list length in multi-CTA mode: each CTA maintains a
-/// small local top-M with p = 1 (§IV-C2).
-constexpr size_t kLocalTopM = 32;
+
+/// Scores the staged batch_ids with one batched distance call and makes
+/// each active CTA's [fresh_begin, fresh_end) range its candidate list.
+/// The gather kernels give a row the same bits whatever the batch, so
+/// this equals one call per CTA.
+void ScoreRound(const DatasetView& dataset, const DatasetView::QueryView& qv,
+                SearchScratch* scratch, KernelCounters* counters) {
+  std::vector<uint32_t>& ids = scratch->batch_ids;
+  std::vector<float>& dists = scratch->batch_dists;
+  dists.resize(ids.size());
+  dataset.DistanceBatch(qv, ids.data(), ids.size(), dists.data(), counters);
+  for (SearchScratch::CtaState& cta : scratch->ctas) {
+    if (!cta.active) continue;
+    cta.candidates.clear();
+    for (size_t i = cta.fresh_begin; i < cta.fresh_end; i++) {
+      cta.candidates.push_back({dists[i], ids[i]});
+    }
+  }
+  ids.clear();
+}
+
+/// The first IsUsable slot at or after `slot` of a CTA list.
+size_t NextUsable(const std::vector<KeyValue>& topm, size_t slot) {
+  while (slot < topm.size() && !IsUsable(topm[slot])) slot++;
+  return slot;
+}
 
 }  // namespace
 
@@ -34,20 +57,13 @@ size_t SearchMultiCta(const DatasetView& dataset,
 
   // One visited table per *query*, shared by its CTAs, in device memory
   // (Table II). A node claimed by one CTA is never recomputed by another.
+  // Its probes are charged once, as the query's total.
   VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
   counters->hash_table_device_bytes += visited.MemoryBytes();
-  auto charged_insert = [&](uint32_t node) {
-    const size_t before = visited.stats().probes;
-    const bool fresh = visited.InsertIfAbsent(node);
-    counters->hash_probes_device += visited.stats().probes - before;
-    return fresh;
-  };
+  const size_t probes_before = visited.stats().probes;
 
-  // Batched-distance staging shared by the seeding and expansion steps;
-  // SearchScratch::FlushBatch appends the staged nodes to the candidate
-  // list of the CTA being filled.
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
-
+  batch_ids.clear();
   std::vector<SearchScratch::CtaState>& ctas = scratch->ctas;
   ctas.resize(num_ctas);
 
@@ -55,20 +71,21 @@ size_t SearchMultiCta(const DatasetView& dataset,
   for (size_t c = 0; c < num_ctas; c++) {
     SearchScratch::CtaState& cta = ctas[c];
     cta.active = true;
-    cta.topm.assign(kLocalTopM, kPad);
-    cta.candidates.clear();
+    cta.topm.assign(kMultiCtaLocalTopM, kPad);
+    cta.cursor = 0;
     Pcg32 rng(query_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)), 0xbeef + c);
-    batch_ids.clear();
+    cta.fresh_begin = batch_ids.size();
     for (size_t i = 0; i < d; i++) {
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
-      if (charged_insert(node)) batch_ids.push_back(node);
+      if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
     }
-    scratch->FlushBatch(dataset, qv, &cta.candidates, counters);
+    cta.fresh_end = batch_ids.size();
   }
+  ScoreRound(dataset, qv, scratch, counters);
 
   // --- Lockstep iterations: every active CTA merges its buffer, expands
-  // its single best non-parent node (p = 1), and refills its candidates
-  // with one batched distance call per CTA.
+  // its single best non-parent node (p = 1) and stages its fresh
+  // neighbors; one batched distance call then refills every CTA.
   size_t iterations = 0;
   // Cancellation boundary: one amortized check per lockstep round (a
   // round spans every active CTA, so rounds are the coarsest safe
@@ -83,17 +100,10 @@ size_t SearchMultiCta(const DatasetView& dataset,
     bool any_active = false;
     for (SearchScratch::CtaState& cta : ctas) {
       if (!cta.active) continue;
-      SortAndMerge(&cta.topm, &cta.candidates, d, &scratch->merged,
-                   counters);
-
-      uint32_t parent = kInvalidEntry;
-      for (auto& entry : cta.topm) {
-        if (entry.value == kInvalidEntry || entry.key == kInf) continue;
-        if ((entry.value & kParentFlag) != 0) continue;
-        entry.value |= kParentFlag;
-        parent = entry.value & kIndexMask;
-        break;
-      }
+      cta.cursor = std::min(cta.cursor,
+                            SortAndMerge(&cta.topm, &cta.candidates, d,
+                                         &scratch->merged, counters));
+      const uint32_t parent = NextParent(&cta.topm, &cta.cursor);
       if (parent == kInvalidEntry) {
         // This CTA's local list is fully expanded; it idles while the
         // others continue (the kernel keeps it resident but quiescent).
@@ -104,36 +114,59 @@ size_t SearchMultiCta(const DatasetView& dataset,
 
       counters->device_graph_bytes += d * sizeof(uint32_t);
       const uint32_t* nbrs = graph.Neighbors(parent);
+      cta.fresh_begin = batch_ids.size();
       for (size_t j = 0; j < d; j++) {
         const uint32_t node = nbrs[j];
         if (node >= n) continue;
-        if (charged_insert(node)) batch_ids.push_back(node);
+        if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
       }
-      cta.candidates.clear();
-      scratch->FlushBatch(dataset, qv, &cta.candidates, counters);
+      cta.fresh_end = batch_ids.size();
     }
+    ScoreRound(dataset, qv, scratch, counters);
     iterations++;
     if (!any_active && iterations >= cfg.min_iterations) break;
   }
+  counters->hash_probes_device += visited.stats().probes - probes_before;
 
-  // --- Result merge: gather all CTA-local lists, sort, dedupe, top-k.
-  std::vector<KeyValue>& merged = scratch->merged;
-  merged.clear();
-  merged.reserve(num_ctas * kLocalTopM);
-  for (const SearchScratch::CtaState& cta : ctas) {
-    for (const auto& entry : cta.topm) {
-      if (entry.value == kInvalidEntry || entry.key == kInf) continue;
-      merged.push_back(KeyValue{entry.key, entry.value & kIndexMask});
-    }
+  // --- Result merge: a k-way merge of the CTA lists, each sorted under
+  // KeyValueLess, through a min-heap of their next usable entries. Entries
+  // equal under KeyValueLess are one id at one distance, so the merge
+  // emits what sorting all ctas x 32 entries would; the same id held by
+  // several CTAs (a full table re-admits nodes) arrives adjacent, and
+  // only its first copy is kept.
+  std::vector<SearchScratch::Head>& heads = scratch->heads;
+  heads.clear();
+  const auto later = [](const SearchScratch::Head& a,
+                        const SearchScratch::Head& b) {
+    return KeyValueLess(b.entry, a.entry);
+  };
+  const auto head_at = [&](size_t c, size_t slot) {
+    const KeyValue& kv = ctas[c].topm[slot];
+    return SearchScratch::Head{{kv.key, kv.value & kIndexMask},
+                               static_cast<uint32_t>(c),
+                               static_cast<uint32_t>(slot)};
+  };
+  for (size_t c = 0; c < num_ctas; c++) {
+    const size_t slot = NextUsable(ctas[c].topm, 0);
+    if (slot < kMultiCtaLocalTopM) heads.push_back(head_at(c, slot));
   }
-  std::sort(merged.begin(), merged.end(), KeyValueLess);
+  std::make_heap(heads.begin(), heads.end(), later);
 
   size_t written = 0;
   uint32_t prev = kInvalidEntry;
-  for (const auto& entry : merged) {
-    if (written >= cfg.k) break;
-    if (entry.value == prev) continue;  // sharing the hash should prevent
-    prev = entry.value;                 // dupes, but stay defensive
+  while (written < cfg.k && !heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    const KeyValue entry = heads.back().entry;
+    const size_t c = heads.back().cta;
+    const size_t slot = NextUsable(ctas[c].topm, heads.back().slot + 1);
+    if (slot < kMultiCtaLocalTopM) {
+      heads.back() = head_at(c, slot);
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+    if (entry.value == prev) continue;
+    prev = entry.value;
     // Lazy-delete filter: tombstoned rows routed the traversal but are
     // dropped at emission, identically across every dispatch tier.
     if (dataset.Deleted(entry.value)) continue;

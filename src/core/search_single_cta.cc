@@ -13,17 +13,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/// Charges hash-probe counters to the location the table lives in.
-void ChargeProbes(const VisitedSet& table, size_t before_probes,
-                  bool in_shared, KernelCounters* counters) {
-  const size_t delta = table.stats().probes - before_probes;
-  if (in_shared) {
-    counters->hash_probes_shared += delta;
-  } else {
-    counters->hash_probes_device += delta;
-  }
-}
-
 }  // namespace
 
 size_t SearchSingleCta(const DatasetView& dataset,
@@ -54,6 +43,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
     // the cost model charges its initialization traffic.
     counters->hash_table_device_bytes += visited.MemoryBytes();
   }
+  // Probes are charged once, as the query's total, to where it lives.
+  const size_t probes_before = visited.stats().probes;
   Pcg32 rng(query_seed, 0xc0ffee);
 
   // Fresh nodes awaiting their (batched) distance computation.
@@ -71,10 +62,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
     batch_ids.clear();
     for (size_t slot = 0; slot < num_slots; slot++) {
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
-      const size_t before = visited.stats().probes;
-      const bool fresh = visited.InsertIfAbsent(node);
-      ChargeProbes(visited, before, cfg.hash_in_shared, counters);
-      if (fresh) batch_ids.push_back(node);
+      if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
     }
     scratch->FlushBatch(dataset, qv, &init, counters);
     counters->sort_exchanges += BitonicSortExchanges(num_slots);
@@ -93,6 +81,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   }
 
   size_t iterations = 0;
+  size_t cursor = 0;  // NextParent's scan start in topm
   std::vector<uint32_t>& parents = scratch->parents;
   parents.clear();
   parents.reserve(cfg.search_width);
@@ -104,8 +93,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    SortAndMerge(&topm, &candidates, num_candidates, &scratch->merged,
-                 counters);
+    cursor = std::min(cursor, SortAndMerge(&topm, &candidates, num_candidates,
+                                           &scratch->merged, counters));
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;
@@ -117,12 +106,10 @@ size_t SearchSingleCta(const DatasetView& dataset,
     // --- Step 2: pick up to p best non-parent nodes, set their MSB flag
     // (§IV-B4), gather their adjacency rows.
     parents.clear();
-    for (auto& entry : topm) {
-      if (parents.size() >= cfg.search_width) break;
-      if (entry.value == kInvalidEntry || entry.key == kInf) continue;
-      if ((entry.value & kParentFlag) != 0) continue;
-      entry.value |= kParentFlag;
-      parents.push_back(entry.value & kIndexMask);
+    while (parents.size() < cfg.search_width) {
+      const uint32_t parent = NextParent(&topm, &cursor);
+      if (parent == kInvalidEntry) break;
+      parents.push_back(parent);
     }
     // Convergence: the top-M index set is stable once every entry has
     // been expanded — no further iteration can change it.
@@ -135,10 +122,8 @@ size_t SearchSingleCta(const DatasetView& dataset,
       visited.Reset();
       counters->hash_resets++;
       for (const auto& entry : topm) {
-        if (entry.value == kInvalidEntry || entry.key == kInf) continue;
-        const size_t before = visited.stats().probes;
+        if (!IsUsable(entry)) continue;
         visited.InsertIfAbsent(entry.value & kIndexMask);
-        ChargeProbes(visited, before, cfg.hash_in_shared, counters);
       }
     }
 
@@ -153,15 +138,15 @@ size_t SearchSingleCta(const DatasetView& dataset,
       for (size_t j = 0; j < d; j++) {
         const uint32_t node = nbrs[j];
         if (node >= n) continue;  // kInvalid padding
-        const size_t before = visited.stats().probes;
-        const bool fresh = visited.InsertIfAbsent(node);
-        ChargeProbes(visited, before, cfg.hash_in_shared, counters);
-        if (fresh) batch_ids.push_back(node);
+        if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
       }
     }
     candidates.clear();
     scratch->FlushBatch(dataset, qv, &candidates, counters);
   }
+  (cfg.hash_in_shared ? counters->hash_probes_shared
+                      : counters->hash_probes_device) +=
+      visited.stats().probes - probes_before;
 
   // --- Output: top-k of the internal list, parent flags stripped,
   // defensively deduplicated (duplicates are possible only after a
@@ -171,7 +156,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   size_t written = 0;
   for (const auto& entry : topm) {
     if (written >= cfg.k) break;
-    if (entry.value == kInvalidEntry || entry.key == kInf) continue;
+    if (!IsUsable(entry)) continue;
     const uint32_t id = entry.value & kIndexMask;
     if (dataset.Deleted(id)) continue;
     bool dup = false;

@@ -41,19 +41,41 @@ inline bool KeyValueLess(const KeyValue& a, const KeyValue& b) {
 // and merges with a bitonic network; their operation counts depend on the
 // lengths alone, so the host charges these and sorts with std::sort.
 
+namespace sort_internal {
+
+/// log2 of the power of two a length-n network is padded to.
+inline size_t PaddedLog2(size_t n) {
+  size_t log = 0;
+  while ((size_t{1} << log) < n) log++;
+  return log;
+}
+
+}  // namespace sort_internal
+
 /// Compare-exchanges of a bitonic sort of n entries padded with +inf to
 /// the next power of two P: P/2 per stage over log2(P)(log2(P)+1)/2
 /// stages. 0 for n <= 1.
-size_t BitonicSortExchanges(size_t n);
+inline size_t BitonicSortExchanges(size_t n) {
+  if (n <= 1) return 0;
+  const size_t log_p = sort_internal::PaddedLog2(n);
+  return (size_t{1} << log_p) / 2 * (log_p * (log_p + 1) / 2);
+}
 
 /// Compare-exchanges of the bitonic merge that folds c sorted candidates
 /// into an m-entry sorted top-M: log2(P) stages of P/2 over the padded
 /// combined length P. 0 when m is 0 (there is nothing to keep).
-size_t BitonicMergeExchanges(size_t m, size_t c);
+inline size_t BitonicMergeExchanges(size_t m, size_t c) {
+  if (m == 0) return 0;
+  const size_t log_p = sort_internal::PaddedLog2(m + c);
+  return log_p * ((size_t{1} << log_p) / 2);
+}
 
 /// Scatters of a radix sort of n entries: one per entry in each of the
 /// four 8-bit digit passes over a 32-bit key. 0 for n <= 1.
-size_t RadixSortScatters(size_t n);
+inline size_t RadixSortScatters(size_t n) {
+  constexpr size_t kPasses = 4;
+  return n <= 1 ? 0 : n * kPasses;
+}
 
 }  // namespace cagra
 

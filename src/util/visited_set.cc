@@ -17,44 +17,26 @@ size_t RoundUpPow2(size_t n) {
 VisitedSet::VisitedSet(size_t min_capacity)
     : slots_(RoundUpPow2(min_capacity), kEmpty), mask_(slots_.size() - 1) {}
 
-bool VisitedSet::InsertIfAbsent(uint32_t key) {
-  if (size_ >= slots_.size()) {
-    // Full table: the key may still be *present* — probe before
-    // declaring overflow, or every revisit would be reported unvisited
-    // and recomputed. The table has no empty stop slot anymore, so the
-    // walk is capped (kMaxFullProbes) to keep the overflow regime O(1)
-    // like the GPU kernel it models; a present key past the cap is
-    // treated as an overflow, which recomputes but stays correct.
-    constexpr size_t kMaxFullProbes = 64;
-    const size_t limit = std::min(slots_.size(), kMaxFullProbes);
-    size_t slot = Slot(key);
-    for (size_t i = 0; i < limit; i++) {
-      stats_.probes++;
-      if (slots_[slot] == key) {
-        stats_.rejects++;
-        return false;
-      }
-      slot = (slot + 1) & mask_;
-    }
-    stats_.overflows++;
-    return true;  // absent (as far as the capped probe saw): recompute
-  }
+bool VisitedSet::InsertIntoFull(uint32_t key) {
+  // The key may still be *present* — probe before declaring overflow, or
+  // every revisit would be reported unvisited and recomputed. The table
+  // has no empty stop slot anymore, so the walk is capped
+  // (kMaxFullProbes) to keep the overflow regime O(1) like the GPU
+  // kernel it models; a present key past the cap is treated as an
+  // overflow, which recomputes but stays correct.
+  constexpr size_t kMaxFullProbes = 64;
+  const size_t limit = std::min(slots_.size(), kMaxFullProbes);
   size_t slot = Slot(key);
-  while (true) {
+  for (size_t i = 0; i < limit; i++) {
     stats_.probes++;
-    const uint32_t occupant = slots_[slot];
-    if (occupant == key) {
+    if (slots_[slot] == key) {
       stats_.rejects++;
       return false;
     }
-    if (occupant == kEmpty) {
-      slots_[slot] = key;
-      size_++;
-      stats_.inserts++;
-      return true;
-    }
     slot = (slot + 1) & mask_;
   }
+  stats_.overflows++;
+  return true;  // absent (as far as the capped probe saw): recompute
 }
 
 bool VisitedSet::Contains(uint32_t key) const {

@@ -40,8 +40,26 @@ class VisitedSet {
   /// inserted, false when already present (or the table is full, in which
   /// case the key is treated as unvisited and an overflow is recorded —
   /// matching the GPU kernel's behaviour of recomputing rather than
-  /// failing).
-  bool InsertIfAbsent(uint32_t key);
+  /// failing). Inline: the traversal calls it once per neighbor.
+  bool InsertIfAbsent(uint32_t key) {
+    if (size_ >= slots_.size()) return InsertIntoFull(key);
+    size_t slot = Slot(key);
+    while (true) {
+      stats_.probes++;
+      const uint32_t occupant = slots_[slot];
+      if (occupant == key) {
+        stats_.rejects++;
+        return false;
+      }
+      if (occupant == kEmpty) {
+        slots_[slot] = key;
+        size_++;
+        stats_.inserts++;
+        return true;
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
 
   /// Returns true if `key` is present.
   bool Contains(uint32_t key) const;
@@ -64,6 +82,9 @@ class VisitedSet {
     // Fibonacci multiplicative hashing onto the table's power-of-two size.
     return (static_cast<uint64_t>(key) * 2654435761u) & mask_;
   }
+
+  /// InsertIfAbsent on a table with no empty slot left.
+  bool InsertIntoFull(uint32_t key);
 
   std::vector<uint32_t> slots_;
   size_t mask_;

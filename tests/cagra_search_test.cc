@@ -335,6 +335,24 @@ TEST(CagraSearchTieTest, EqualDistancesComeOutInIdOrder) {
   }
 }
 
+/// A fixed random `degree`-regular graph without self-loops or repeated
+/// edges. Pinned tests search it instead of a Build, so the walk does not
+/// depend on the SIMD tier through the graph.
+FixedDegreeGraph RandomRegularGraph(size_t rows, size_t degree, Pcg32* rng) {
+  FixedDegreeGraph graph(rows, degree);
+  for (size_t u = 0; u < rows; u++) {
+    uint32_t* nbrs = graph.MutableNeighbors(u);
+    for (size_t j = 0; j < degree; j++) {
+      uint32_t v;
+      do {
+        v = rng->NextBounded(static_cast<uint32_t>(rows));
+      } while (v == u || std::find(nbrs, nbrs + j, v) != nbrs + j);
+      nbrs[j] = v;
+    }
+  }
+  return graph;
+}
+
 TEST(CagraSearchNanTest, NanRowsTraverseAsPinned) {
   // A query row holding a NaN makes every distance NaN at every SIMD
   // tier, and NaN keys sort after the buffer's +inf pads, so the walk
@@ -349,18 +367,8 @@ TEST(CagraSearchNanTest, NanRowsTraverseAsPinned) {
   for (size_t r = 0; r < kRows; r++) {
     for (size_t j = 0; j < kDim; j++) base.MutableRow(r)[j] = rng.NextFloat();
   }
-  FixedDegreeGraph graph(kRows, kDegree);
-  for (size_t u = 0; u < kRows; u++) {
-    uint32_t* nbrs = graph.MutableNeighbors(u);
-    for (size_t j = 0; j < kDegree; j++) {
-      uint32_t v;
-      do {
-        v = rng.NextBounded(static_cast<uint32_t>(kRows));
-      } while (v == u || std::find(nbrs, nbrs + j, v) != nbrs + j);
-      nbrs[j] = v;
-    }
-  }
-  auto index = CagraIndex::FromGraph(base, std::move(graph), Metric::kL2);
+  auto index = CagraIndex::FromGraph(
+      base, RandomRegularGraph(kRows, kDegree, &rng), Metric::kL2);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   Matrix<float> queries(kQueries, kDim);
   for (size_t q = 0; q < kQueries; q++) {
@@ -413,6 +421,97 @@ TEST(CagraSearchNanTest, NanRowsTraverseAsPinned) {
   }
 }
 
+TEST(CagraSearchEmissionTest, MultiCtaMergeAsPinned) {
+  // Multi-CTA emission merges the CTAs' local lists into one top-k. The
+  // rows have integer coordinates 0..3, so every distance is an exact
+  // small integer at every SIMD tier and ties are common: the id tie
+  // order decides which tied rows make the cut. Every 5th row is
+  // tombstoned and must be skipped. At hash_bits 5 the 32-slot table
+  // fills during seeding, so one id reaches several CTA lists and must
+  // be emitted once. The literals come from a search that sorted all
+  // ctas x 32 entries before taking the first k.
+  constexpr size_t kRows = 1000, kDim = 8, kDegree = 16, kQueries = 3;
+  Pcg32 rng(47);
+  const auto coordinate = [&] {
+    return static_cast<float>(rng.NextBounded(4));
+  };
+  Matrix<float> base(kRows, kDim);
+  for (size_t r = 0; r < kRows; r++) {
+    for (size_t j = 0; j < kDim; j++) base.MutableRow(r)[j] = coordinate();
+  }
+  auto index = CagraIndex::FromGraph(
+      base, RandomRegularGraph(kRows, kDegree, &rng), Metric::kL2);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  CompactionOptions no_compaction;
+  no_compaction.trigger_fraction = 1.0;
+  index->SetCompactionOptions(no_compaction);
+  std::vector<uint32_t> dead;
+  for (uint32_t id = 0; id < kRows; id += 5) dead.push_back(id);
+  ASSERT_TRUE(index->Remove(dead).ok());
+  Matrix<float> queries(kQueries, kDim);
+  for (size_t q = 0; q < kQueries; q++) {
+    for (size_t j = 0; j < kDim; j++) queries.MutableRow(q)[j] = coordinate();
+  }
+
+  constexpr uint32_t kNone = 0xffffffffu;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  struct Expected {
+    size_t hash_bits;
+    std::vector<uint32_t> ids;
+    std::vector<float> distances;
+    size_t iterations, distances_computed, probes, sort_exchanges;
+  };
+  const Expected cases[] = {
+      {0,
+       {58, 66, 992, 109, 113, 322, 832, 152, 302, 412, 497, 561, 574, 578,
+        683, 702, 808, 939, 164, 288, 424, 861, 877, 936, 486, 102, 269, 493,
+        789, 74, 149, 257, 342, 566, 983, 204, 259, 363, 468, 556, 592, 614,
+        841, 156, 237, 327, 429, 483, 121, 49, 518, 452, 501, 722, 977, 196,
+        362, 401, 438, 602, 607, 706, 17, 86, 151, 172, 286, 601, 634, 666,
+        776, 902},
+       {3.f, 3.f, 3.f, 4.f, 4.f, 4.f, 4.f, 5.f, 5.f, 5.f, 5.f, 5.f, 5.f, 5.f,
+        5.f, 5.f, 5.f, 5.f, 6.f, 6.f, 6.f, 6.f, 6.f, 6.f, 2.f, 3.f, 3.f, 3.f,
+        3.f, 4.f, 4.f, 4.f, 4.f, 4.f, 4.f, 5.f, 5.f, 5.f, 5.f, 5.f, 5.f, 5.f,
+        5.f, 6.f, 6.f, 6.f, 6.f, 6.f, 2.f, 3.f, 3.f, 4.f, 4.f, 4.f, 4.f, 5.f,
+        5.f, 5.f, 5.f, 5.f, 5.f, 5.f, 6.f, 6.f, 6.f, 6.f, 6.f, 6.f, 6.f, 6.f,
+        6.f, 6.f},
+       102, 2654, 6400, 108800},
+      {5,
+       {58, 992, 109, 322, 302, 497, 164, 949, 36, 92, 93, 159, 251, 303, 392,
+        628, 792, 849, kNone, kNone, kNone, kNone, kNone, kNone, 486, 102,
+        269, 493, 789, 149, 257, 566, 983, 204, 363, 556, 592, 841, 156, 327,
+        483, 726, 848, 61, 142, 453, 539, 564, 452, 722, 401, 607, 17, 86,
+        151, 172, 286, 601, 902, 54, 296, 403, 546, 863, 389, kNone, kNone,
+        kNone, kNone, kNone, kNone, kNone},
+       {3.f, 3.f, 4.f, 4.f, 5.f, 5.f, 6.f, 6.f, 7.f, 7.f, 7.f, 7.f, 7.f, 7.f,
+        7.f, 7.f, 7.f, 7.f, kInf, kInf, kInf, kInf, kInf, kInf, 2.f, 3.f, 3.f,
+        3.f, 3.f, 4.f, 4.f, 4.f, 4.f, 5.f, 5.f, 5.f, 5.f, 5.f, 6.f, 6.f, 6.f,
+        6.f, 6.f, 7.f, 7.f, 7.f, 7.f, 7.f, 4.f, 4.f, 5.f, 5.f, 6.f, 6.f, 6.f,
+        6.f, 6.f, 6.f, 6.f, 7.f, 7.f, 7.f, 7.f, 7.f, 8.f, kInf, kInf, kInf,
+        kInf, kInf, kInf, kInf},
+       127, 7277, 230782, 126480},
+  };
+  for (const Expected& e : cases) {
+    SearchParams params;
+    params.k = 24;
+    params.itopk = 32;
+    params.algo = SearchAlgo::kMultiCta;
+    params.cta_per_query = 4;
+    params.hash_bits = e.hash_bits;
+    auto r = Search(*index, queries, params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::string shape = "hash_bits " + std::to_string(e.hash_bits);
+    EXPECT_EQ(r->neighbors.ids, e.ids) << shape;
+    EXPECT_EQ(r->neighbors.distances, e.distances) << shape;
+    const KernelCounters& c = r->counters;
+    EXPECT_EQ(c.iterations, e.iterations) << shape;
+    EXPECT_EQ(c.distance_computations, e.distances_computed) << shape;
+    EXPECT_EQ(c.hash_probes_device, e.probes) << shape;
+    EXPECT_EQ(c.hash_probes_shared, 0u) << shape;
+    EXPECT_EQ(c.sort_exchanges, e.sort_exchanges) << shape;
+  }
+}
+
 // ---------------------------------------------------------- validation
 
 TEST_F(CagraSearchTest, RejectsDimMismatch) {
@@ -440,6 +539,26 @@ TEST_F(CagraSearchTest, RejectsFp16WithoutEnable) {
   params.precision = Precision::kFp16;
   auto r = Search(*plain, data_->queries, params);
   EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CagraSearchTest, RejectsHashBitsAbove32) {
+  // The kernels size the visited table as 1 << hash_bits. 32 is the
+  // largest useful value (ids are 31-bit); past it the table could not
+  // be allocated, and at 64 the shift is undefined. A rejected request
+  // allocates no table.
+  SearchParams params;
+  params.hash_bits = 32;
+  EXPECT_TRUE(ValidateSearchParams(params).ok());
+  for (const size_t bits : {33, 64}) {
+    params.hash_bits = bits;
+    EXPECT_EQ(ValidateSearchParams(params).code(),
+              StatusCode::kInvalidArgument)
+        << bits;
+  }
+  params.hash_bits = 64;
+  auto r = Search(*index_, data_->queries, params);
+  ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 

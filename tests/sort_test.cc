@@ -77,7 +77,8 @@ bool SameEntries(const std::vector<KeyValue>& a,
 /// Runs SortAndMerge on a copy of `topm` and `candidates` over
 /// `num_slots` slots. The result must be bit-equal to a sort of the
 /// whole buffer (top-M, candidates, then a pad per empty slot) cut to
-/// |topm|, and the charges must follow the slot count.
+/// |topm|, the charges must follow the slot count, and the return value
+/// must be the first slot whose bits changed, or |topm|.
 void ExpectMergeMatchesReference(const std::vector<KeyValue>& topm,
                                  const std::vector<KeyValue>& candidates,
                                  size_t num_slots,
@@ -94,8 +95,17 @@ void ExpectMergeMatchesReference(const std::vector<KeyValue>& topm,
   std::vector<KeyValue> out = topm;
   std::vector<KeyValue> list = candidates;
   KernelCounters counters;
-  internal_search::SortAndMerge(&out, &list, num_slots, merged, &counters);
+  const size_t first_changed =
+      internal_search::SortAndMerge(&out, &list, num_slots, merged, &counters);
   EXPECT_TRUE(SameEntries(out, reference))
+      << m << " " << candidates.size() << " " << num_slots;
+  size_t expected_changed = 0;
+  while (expected_changed < m &&
+         std::memcmp(&out[expected_changed], &topm[expected_changed],
+                     sizeof(KeyValue)) == 0) {
+    expected_changed++;
+  }
+  EXPECT_EQ(first_changed, expected_changed)
       << m << " " << candidates.size() << " " << num_slots;
   const bool bitonic = num_slots <= 512;
   EXPECT_EQ(counters.sort_exchanges,
