@@ -133,7 +133,11 @@ void BM_NnDescentBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_NnDescentBuild)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NnDescentBuild)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactKnnGraphBuild(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -49,6 +49,9 @@ size_t SearchMultiCta(const DatasetView& dataset,
   const size_t n = dataset.size();
   const size_t d = graph.degree();
   const size_t num_ctas = cfg.cta_per_query;
+  // Each CTA seeds max(d, 1) random samples, so a degree-0 graph still
+  // scores a start node per CTA; its merges take that many slots.
+  const size_t slots = std::max<size_t>(d, 1);
 
   // Prepared once per query, shared by every CTA (the GPU equivalent
   // keeps one ADC table per query in shared memory).
@@ -67,7 +70,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
   std::vector<SearchScratch::CtaState>& ctas = scratch->ctas;
   ctas.resize(num_ctas);
 
-  // --- Step 0 per CTA: d random samples into its candidate list.
+  // --- Step 0 per CTA: max(d, 1) random samples into its candidate list.
   for (size_t c = 0; c < num_ctas; c++) {
     SearchScratch::CtaState& cta = ctas[c];
     cta.active = true;
@@ -75,7 +78,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
     cta.cursor = 0;
     Pcg32 rng(query_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)), 0xbeef + c);
     cta.fresh_begin = batch_ids.size();
-    for (size_t i = 0; i < d; i++) {
+    for (size_t i = 0; i < slots; i++) {
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
       if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
     }
@@ -101,7 +104,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
     for (SearchScratch::CtaState& cta : ctas) {
       if (!cta.active) continue;
       cta.cursor = std::min(cta.cursor,
-                            SortAndMerge(&cta.topm, &cta.candidates, d,
+                            SortAndMerge(&cta.topm, &cta.candidates, slots,
                                          &scratch->merged, counters));
       const uint32_t parent = NextParent(&cta.topm, &cta.cursor);
       if (parent == kInvalidEntry) {

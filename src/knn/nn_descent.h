@@ -24,6 +24,10 @@ struct NnDescentParams {
 struct NnDescentStats {
   size_t iterations = 0;
   size_t distance_computations = 0;
+  /// Successful neighbor-list inserts summed over the local joins (the
+  /// random initialization is not counted); each iteration's share is
+  /// what the termination_delta test compares.
+  size_t updates = 0;
   double seconds = 0.0;
 };
 
@@ -31,6 +35,12 @@ struct NnDescentStats {
 /// lists in the result are sorted ascending by distance, ties by id (the
 /// CAGRA optimization relies on this order to define initial ranks,
 /// §III-B1).
+///
+/// The build is deterministic in its inputs: the edges, `iterations`,
+/// `distance_computations` and `updates` equal those of the same join run
+/// on one thread, at any pool width and with other builds running at the
+/// same time. The local join scores a block of nodes in parallel and then
+/// applies each list's offers in that one-thread order (DESIGN.md §2).
 FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
                                         const NnDescentParams& params,
                                         Metric metric,

@@ -25,16 +25,21 @@ struct KeyValue {
 /// with the parent flag masked (expanding a node never moves it), NaN
 /// keys last. Strict-weak on any input, so std::sort is safe on it; on
 /// non-NaN keys it is BoundedHeap's (distance, id) order, which the
-/// rerank, the shard merge and ground truth use.
-inline bool KeyValueLess(const KeyValue& a, const KeyValue& b) {
-  const bool id_less = (a.value & kIndexMask) < (b.value & kIndexMask);
-  // One float comparison settles the usual cases (+0 == -0); the NaN
-  // tests run only when it finds the keys unordered or a > b.
-  if (a.key < b.key) return true;
-  if (a.key == b.key) return id_less;
-  if (!std::isnan(b.key)) return false;
-  return !std::isnan(a.key) || id_less;
-}
+/// rerank, the shard merge and ground truth use. A function object, so
+/// the standard algorithms it is passed to inline the comparison rather
+/// than call through a function pointer.
+struct KeyValueLessFn {
+  bool operator()(const KeyValue& a, const KeyValue& b) const {
+    const bool id_less = (a.value & kIndexMask) < (b.value & kIndexMask);
+    // One float comparison settles the usual cases (+0 == -0); the NaN
+    // tests run only when it finds the keys unordered or a > b.
+    if (a.key < b.key) return true;
+    if (a.key == b.key) return id_less;
+    if (!std::isnan(b.key)) return false;
+    return !std::isnan(a.key) || id_less;
+  }
+};
+inline constexpr KeyValueLessFn KeyValueLess{};
 
 // The §IV-B2 sorts as the cost model prices them. The GPU kernel sorts
 // with a warp-level bitonic network (<= 512 entries) or a CTA radix sort

@@ -421,6 +421,57 @@ TEST(CagraSearchNanTest, NanRowsTraverseAsPinned) {
   }
 }
 
+TEST(CagraSearchDegenerateTest, OneRowBuildFindsItsRow) {
+  // One row clamps NN-descent's k to 0, so the graph has degree 0, and
+  // the auto algorithm picks multi-CTA for a lone query. Each CTA still
+  // seeds one random sample, which is the row.
+  Matrix<float> base(1, 4);
+  for (size_t j = 0; j < 4; j++) base.MutableRow(0)[j] = 0.5f * j;
+  BuildParams build;
+  build.graph_degree = 16;
+  auto index = CagraIndex::Build(base, build);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_EQ(index->degree(), 0u);
+  Matrix<float> query(1, 4);
+  for (size_t j = 0; j < 4; j++) query.MutableRow(0)[j] = 1.0f - 0.25f * j;
+  SearchParams params;
+  params.k = 2;
+  auto r = Search(*index, query, params);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->algo_used, SearchAlgo::kMultiCta);
+  EXPECT_EQ(r->neighbors.ids, (std::vector<uint32_t>{0, 0xffffffffu}));
+  EXPECT_EQ(r->neighbors.distances[0],
+            ComputeDistance(Metric::kL2, query.Row(0), base.Row(0), 4));
+  EXPECT_EQ(r->rows_examined, std::vector<uint64_t>{1});
+}
+
+TEST(CagraSearchDegenerateTest, DegreeZeroGraphReturnsEveryRow) {
+  // Three rows and no edges: only the random seeds reach rows. Rows 1
+  // and 2 tie, so (distance, id) order puts 1 first.
+  Matrix<float> base(3, 2);
+  const float rows[3][2] = {{2, 0}, {0, 1}, {1, 0}};
+  for (size_t r = 0; r < 3; r++) {
+    std::copy(rows[r], rows[r] + 2, base.MutableRow(r));
+  }
+  auto index = CagraIndex::FromGraph(base, FixedDegreeGraph(3, 0),
+                                     Metric::kL2);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  Matrix<float> query(1, 2);
+  query.MutableRow(0)[0] = 0.0f;
+  query.MutableRow(0)[1] = 0.0f;
+  for (const SearchAlgo algo :
+       {SearchAlgo::kSingleCta, SearchAlgo::kMultiCta}) {
+    SearchParams params;
+    params.k = 3;
+    params.algo = algo;
+    auto r = Search(*index, query, params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const int mode = static_cast<int>(algo);
+    EXPECT_EQ(r->neighbors.ids, (std::vector<uint32_t>{1, 2, 0})) << mode;
+    EXPECT_EQ(r->neighbors.distances, (std::vector<float>{1, 1, 4})) << mode;
+  }
+}
+
 TEST(CagraSearchEmissionTest, MultiCtaMergeAsPinned) {
   // Multi-CTA emission merges the CTAs' local lists into one top-k. The
   // rows have integer coordinates 0..3, so every distance is an exact

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,9 @@
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
 #include "knn/nn_descent.h"
+#include "util/rng.h"
+#include "util/sort.h"
+#include "util/thread_pool.h"
 
 namespace cagra {
 namespace {
@@ -177,6 +182,18 @@ TEST(NnDescentTest, FarCheaperThanExact) {
   EXPECT_LT(stats.distance_computations, 2000ull * 1999 / 2);
 }
 
+/// 100 SIFT-profile rows, each 4 times, so distances tie exactly all
+/// over.
+Matrix<float> TiedSiftRows() {
+  const auto distinct = GenerateDataset(*FindProfile("SIFT-1M"), 100, 1, 43);
+  Matrix<float> tied(4 * distinct.base.rows(), distinct.base.dim());
+  for (size_t r = 0; r < tied.rows(); r++) {
+    const float* row = distinct.base.Row(r % distinct.base.rows());
+    std::copy(row, row + tied.dim(), tied.MutableRow(r));
+  }
+  return tied;
+}
+
 TEST(NnDescentTest, DeterministicInSeed) {
   const DatasetProfile* p = FindProfile("SIFT-1M");
   auto data = GenerateDataset(*p, 300, 1, 37);
@@ -187,15 +204,10 @@ TEST(NnDescentTest, DeterministicInSeed) {
   const auto b = BuildKnnGraphNnDescent(data.base, params, p->metric);
   EXPECT_EQ(a.edges(), b.edges());
 
-  // Every row 4 times, so distances tie exactly all over. Builds run two
-  // at a time, which interleaves the local joins' inserts differently
-  // from the reference build's; the graph must not depend on that.
-  const auto distinct = GenerateDataset(*p, 100, 1, 43);
-  Matrix<float> tied(4 * distinct.base.rows(), distinct.base.dim());
-  for (size_t r = 0; r < tied.rows(); r++) {
-    const float* row = distinct.base.Row(r % distinct.base.rows());
-    std::copy(row, row + tied.dim(), tied.MutableRow(r));
-  }
+  // Tied rows. Builds run two at a time, which schedules the local
+  // joins differently from the reference build's; the graph must not
+  // depend on that.
+  const Matrix<float> tied = TiedSiftRows();
   params.k = 16;
   const auto reference = BuildKnnGraphNnDescent(tied, params, p->metric);
   for (int round = 0; round < 4; round++) {
@@ -209,6 +221,221 @@ TEST(NnDescentTest, DeterministicInSeed) {
       EXPECT_EQ(g.edges(), reference.edges()) << "round " << round;
     }
   }
+}
+
+/// SerialNnDescent's graph edges and statistics.
+struct SerialBuild {
+  std::vector<uint32_t> edges;
+  NnDescentStats stats;
+};
+
+/// NN-descent on one thread, inserting as it scores: the random
+/// initialization, sampling and local join of BuildKnnGraphNnDescent with
+/// none of its parallel structure. The library must match it exactly.
+SerialBuild SerialNnDescent(const Matrix<float>& base,
+                            const NnDescentParams& params, Metric metric) {
+  struct Entry {
+    float distance;
+    uint32_t id;
+    bool is_new;
+  };
+  const auto before = [](const Entry& a, const Entry& b) {
+    return KeyValueLess({a.distance, a.id}, {b.distance, b.id});
+  };
+  const size_t n = base.rows();
+  const size_t k = std::min(params.k, n - 1);
+  std::vector<std::vector<Entry>> lists(n);
+  // The UPDATE rule: reject anything not ahead of a full list's tail,
+  // and an id already present. A stored copy sorts no later than the
+  // entry, since the distance function is deterministic.
+  const auto insert = [&](size_t v, float distance, uint32_t id) -> size_t {
+    std::vector<Entry>& list = lists[v];
+    const Entry entry{distance, id, true};
+    if (list.size() >= k && !before(entry, list.back())) return 0;
+    const auto it = std::lower_bound(list.begin(), list.end(), entry, before);
+    if (it != list.end() && it->id == id) return 0;
+    for (auto scan = list.begin(); scan != it; ++scan) {
+      if (scan->id == id) return 0;
+    }
+    list.insert(it, entry);
+    if (list.size() > k) list.pop_back();
+    return 1;
+  };
+  const auto distance = [&](uint32_t a, uint32_t b) {
+    float d;
+    ComputeDistanceGather(metric, base.Row(a), base.data().data(), base.dim(),
+                          &b, 1, &d);
+    return d;
+  };
+
+  SerialBuild out;
+  for (size_t v = 0; v < n; v++) {
+    Pcg32 rng(params.seed + v, 17);
+    size_t attempts = 0;
+    while (lists[v].size() < k && attempts < 100 * k) {
+      std::vector<uint32_t> cand;
+      while (cand.size() < 2 * k && attempts < 100 * k) {
+        attempts++;
+        const uint32_t u = rng.NextBounded(static_cast<uint32_t>(n));
+        if (u != v) cand.push_back(u);
+      }
+      out.stats.distance_computations += cand.size();
+      for (const uint32_t u : cand) {
+        insert(v, distance(static_cast<uint32_t>(v), u), u);
+      }
+    }
+  }
+
+  const size_t max_sample = std::max<size_t>(
+      1, static_cast<size_t>(params.sample_rate * static_cast<double>(k)));
+  size_t iteration = 0;
+  for (; iteration < params.max_iterations; iteration++) {
+    std::vector<std::vector<uint32_t>> news(n), olds(n), rnew(n), rold(n);
+    for (size_t v = 0; v < n; v++) {
+      Pcg32 rng(params.seed ^ (iteration * 0x9e37u) ^ v, 23);
+      size_t sampled = 0;
+      for (Entry& e : lists[v]) {
+        if (!e.is_new) {
+          olds[v].push_back(e.id);
+        } else if (sampled < max_sample &&
+                   rng.NextFloat() < params.sample_rate) {
+          news[v].push_back(e.id);
+          e.is_new = false;
+          sampled++;
+        }
+      }
+    }
+    for (size_t v = 0; v < n; v++) {
+      for (const uint32_t u : news[v]) rnew[u].push_back(v);
+      for (const uint32_t u : olds[v]) rold[u].push_back(v);
+    }
+    size_t updates = 0;
+    for (size_t v = 0; v < n; v++) {
+      Pcg32 rng(params.seed ^ (iteration * 0x85ebu) ^ (v << 1), 29);
+      std::vector<uint32_t> all_new = news[v], all_old = olds[v];
+      const auto sample_into = [&](const std::vector<uint32_t>& src,
+                                   std::vector<uint32_t>* dst) {
+        for (const uint32_t u : src) {
+          if (dst->size() >= 2 * max_sample) {
+            (*dst)[rng.NextBounded(static_cast<uint32_t>(dst->size()))] = u;
+          } else {
+            dst->push_back(u);
+          }
+        }
+      };
+      sample_into(rnew[v], &all_new);
+      sample_into(rold[v], &all_old);
+      for (size_t i = 0; i < all_new.size(); i++) {
+        const uint32_t a = all_new[i];
+        std::vector<uint32_t> partners(all_new.begin() + i + 1, all_new.end());
+        partners.insert(partners.end(), all_old.begin(), all_old.end());
+        for (const uint32_t b : partners) {
+          if (b == a) continue;
+          const float d = distance(a, b);
+          out.stats.distance_computations++;
+          updates += insert(a, d, b);
+          updates += insert(b, d, a);
+        }
+      }
+    }
+    out.stats.updates += updates;
+    if (static_cast<double>(updates) <=
+        params.termination_delta * static_cast<double>(n) *
+            static_cast<double>(k)) {
+      iteration++;
+      break;
+    }
+  }
+  out.stats.iterations = iteration;
+
+  out.edges.assign(n * params.k, FixedDegreeGraph::kInvalid);
+  for (size_t v = 0; v < n; v++) {
+    for (size_t i = 0; i < lists[v].size(); i++) {
+      out.edges[v * params.k + i] = lists[v][i].id;
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesSerial(const FixedDegreeGraph& g, const NnDescentStats& s,
+                         const SerialBuild& ref, const char* where) {
+  EXPECT_EQ(g.edges(), ref.edges) << where;
+  EXPECT_EQ(s.iterations, ref.stats.iterations) << where;
+  EXPECT_EQ(s.distance_computations, ref.stats.distance_computations)
+      << where;
+  EXPECT_EQ(s.updates, ref.stats.updates) << where;
+}
+
+/// The parallel build against the one-thread oracle's result `ref`:
+/// alone, two builds at once, and two builds nested in pool tasks (the
+/// sharded build's shape). Matching `updates` catches offers applied out
+/// of order, which the final lists alone may not show.
+void CheckAgainstSerial(const Matrix<float>& base,
+                        const NnDescentParams& params, Metric metric,
+                        const SerialBuild& ref) {
+  ASSERT_GT(ref.stats.updates, 0u);
+
+  NnDescentStats alone;
+  const FixedDegreeGraph g = BuildKnnGraphNnDescent(base, params, metric,
+                                                    &alone);
+  ExpectMatchesSerial(g, alone, ref, "alone");
+
+  FixedDegreeGraph builds[2];
+  NnDescentStats stats[2];
+  std::thread other([&] {
+    builds[1] = BuildKnnGraphNnDescent(base, params, metric, &stats[1]);
+  });
+  builds[0] = BuildKnnGraphNnDescent(base, params, metric, &stats[0]);
+  other.join();
+  for (int i = 0; i < 2; i++) {
+    ExpectMatchesSerial(builds[i], stats[i], ref, "two at once");
+  }
+
+  GlobalThreadPool().ParallelFor(0, 2, [&](size_t i) {
+    builds[i] = BuildKnnGraphNnDescent(base, params, metric, &stats[i]);
+  });
+  for (int i = 0; i < 2; i++) {
+    ExpectMatchesSerial(builds[i], stats[i], ref, "nested in the pool");
+  }
+}
+
+TEST(NnDescentTest, MatchesSerialJoinOnDeep) {
+  // 400 rows at k = 48 join 16-node blocks, one node per task; 2000
+  // rows at k = 32 join 126-node blocks in 7-node tasks.
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  const std::pair<size_t, size_t> shapes[] = {{2000, 32}, {400, 48}};
+  for (const auto& [rows, k] : shapes) {
+    auto data = GenerateDataset(*p, rows, 1, 47);
+    NnDescentParams params;
+    params.k = k;
+    CheckAgainstSerial(data.base, params, p->metric,
+                       SerialNnDescent(data.base, params, p->metric));
+  }
+}
+
+TEST(NnDescentTest, MatchesSerialJoinOnTiedRows) {
+  NnDescentParams params;
+  params.k = 16;
+  params.seed = 42;
+  const Matrix<float> tied = TiedSiftRows();
+  const Metric metric = FindProfile("SIFT-1M")->metric;
+  CheckAgainstSerial(tied, params, metric,
+                     SerialNnDescent(tied, params, metric));
+}
+
+TEST(NnDescentTest, MatchesSerialJoinStoppingOnThreshold) {
+  // A delta at which the update count, not max_iterations, ends the run,
+  // so a miscounted update could move the last iteration.
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  auto data = GenerateDataset(*p, 1500, 1, 53);
+  NnDescentParams params;
+  params.k = 24;
+  params.termination_delta = 0.02;
+  params.max_iterations = 50;
+  const SerialBuild ref = SerialNnDescent(data.base, params, p->metric);
+  ASSERT_LT(ref.stats.iterations, params.max_iterations);
+  ASSERT_GT(ref.stats.iterations, 1u);
+  CheckAgainstSerial(data.base, params, p->metric, ref);
 }
 
 TEST(NnDescentTest, TinyDatasetDegreeClamped) {
