@@ -1,8 +1,10 @@
 // Dispatch bench: scalar vs SIMD distance-kernel throughput (fp32/fp16
 // one-row kernels, int8 one-vs-many vs the per-element QuantizedDistance
-// baseline, multi-row batch vs one-row-per-call loops) and batch-search
-// QPS at widths 1/2/4/8 (each row reports the width it ran, clamped to
-// the global pool), emitted as one JSON object for the bench trajectory.
+// baseline, PQ ADC scans, multi-row batch vs one-row-per-call loops) and
+// batch-search QPS at widths 1/2/4/8 (each row reports the width it ran,
+// clamped to the global pool), emitted as one JSON object for the bench
+// trajectory. The fp16, int8 and PQ one-vs-many rows time the gather
+// kernels over sequential ids; only fp32 has a contiguous batch call.
 // Not a google-benchmark binary on purpose — the output contract is
 // machine-readable JSON on stdout; CI uploads it as a build artifact.
 #include <cstdio>
@@ -15,7 +17,6 @@
 #include "core/search.h"
 #include "dataset/pq.h"
 #include "dataset/quantize.h"
-#include "distance/pq_fastscan.h"
 #include "distance/simd.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -90,13 +91,20 @@ double MeasureBatchFn(size_t rows_per_call, const Fn& fn,
   return static_cast<double>(reps) / timer.Seconds() / 1e6;
 }
 
+/// Ids 0..n-1: the gather kernels over sequential rows.
+std::vector<uint32_t> SequentialIds(size_t n) {
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; i++) ids[i] = static_cast<uint32_t>(i);
+  return ids;
+}
+
 struct Int8Sample {
   size_t dim;
   double baseline_mdps;  ///< per-element QuantizedDistance, one row/call
-  double active_mdps;    ///< dispatched int8 one-vs-many batch
+  double active_mdps;    ///< dispatched int8 gather over sequential ids
 };
 
-/// int8 one-vs-many: the dispatched batch path (vector-register decode,
+/// int8 one-vs-many: the dispatched gather (vector-register decode,
 /// multi-row kernels) against the per-element QuantizedDistance loop the
 /// quantized search used before the int8 kernel tier existed.
 std::vector<Int8Sample> BenchInt8() {
@@ -119,10 +127,11 @@ std::vector<Int8Sample> BenchInt8() {
       sink = sink + acc;
     });
     std::vector<float> out(kRows);
+    const std::vector<uint32_t> ids = SequentialIds(kRows);
     const double active = MeasureBatchFn(kRows, [&] {
-      ComputeDistanceBatch(Metric::kL2, query.data(), q.codes.data().data(),
-                           q.scale.data(), q.offset.data(), kRows, dim,
-                           out.data());
+      ComputeDistanceGather(Metric::kL2, query.data(), q.codes.data().data(),
+                            q.scale.data(), q.offset.data(), dim, ids.data(),
+                            kRows, out.data());
       sink = sink + out[0];
     });
     (void)sink;
@@ -135,10 +144,11 @@ struct MultiRowSample {
   size_t dim;
   const char* elem;
   double single_mdps;  ///< one-row-per-call loop over the active kernel
-  double multi_mdps;   ///< ComputeDistanceBatch (x4 multi-row inside)
+  double multi_mdps;   ///< batch (fp32) or gather (x4 multi-row inside)
 };
 
-/// Multi-row scan: ComputeDistanceBatch (4 rows per kernel call, shared
+/// Multi-row scan: ComputeDistanceBatch for fp32 and ComputeDistanceGather
+/// over sequential ids for fp16/int8 (4 rows per kernel call, shared
 /// query stream) against the one-row-per-call loop the bruteforce scan
 /// used before — same active tier on both sides, so the delta is purely
 /// the multi-row batching.
@@ -155,6 +165,7 @@ std::vector<MultiRowSample> BenchMultiRow() {
     const Matrix<Half> hrows = ToHalf(rows);
     const QuantizedDataset q = QuantizeInt8(rows);
     std::vector<float> out(kRows);
+    const std::vector<uint32_t> ids = SequentialIds(kRows);
 
     samples.push_back(
         {dim, "fp32", MeasureBatchFn(kRows,
@@ -177,8 +188,9 @@ std::vector<MultiRowSample> BenchMultiRow() {
                                        }
                                      }),
          MeasureBatchFn(kRows, [&] {
-           ComputeDistanceBatch(Metric::kL2, query.data(),
-                                hrows.data().data(), kRows, dim, out.data());
+           ComputeDistanceGather(Metric::kL2, query.data(),
+                                 hrows.data().data(), dim, ids.data(), kRows,
+                                 out.data());
          })});
     samples.push_back(
         {dim, "int8",
@@ -191,9 +203,10 @@ std::vector<MultiRowSample> BenchMultiRow() {
                           }
                         }),
          MeasureBatchFn(kRows, [&] {
-           ComputeDistanceBatch(Metric::kL2, query.data(),
-                                q.codes.data().data(), q.scale.data(),
-                                q.offset.data(), kRows, dim, out.data());
+           ComputeDistanceGather(Metric::kL2, query.data(),
+                                 q.codes.data().data(), q.scale.data(),
+                                 q.offset.data(), dim, ids.data(), kRows,
+                                 out.data());
          })});
   }
   return samples;
@@ -204,17 +217,16 @@ struct PqSample {
   size_t m;
   double decode_mdps;      ///< PqDistance: per-element codebook decode
   double scalar_adc_mdps;  ///< scalar LUT scan, one row per call
-  double batch_adc_mdps;   ///< dispatched ADC batch (x4 kernels inside)
-  double fastscan_mdps;    ///< vpermi2b quantized-LUT scan; 0 = unavailable
+  double batch_adc_mdps;   ///< dispatched ADC gather over sequential ids
   double cosine_twopass_mdps;  ///< retired two-scan cosine ADC (emulated)
   double cosine_fused_mdps;    ///< single-pass cosine ADC (precomputed norms)
 };
 
 /// PQ ADC scan: the gather-free scalar LUT reference against the
-/// dispatched batch path and (where the CPU has AVX512-VBMI) the
-/// quantized-LUT vpermi2b fast scan. Codebooks train on a small sample;
-/// scan throughput only depends on the code bytes, which are drawn
-/// randomly to decouple the bench from training cost.
+/// dispatched ADC gather (x4 kernels inside) over sequential ids.
+/// Codebooks train on a small sample; scan throughput only depends on
+/// the code bytes, which are drawn randomly to decouple the bench from
+/// training cost.
 std::vector<PqSample> BenchPq() {
   const KernelTable& scalar = KernelTableForLevel(SimdLevel::kScalar);
   std::vector<PqSample> samples;
@@ -258,32 +270,22 @@ std::vector<PqSample> BenchPq() {
       sink = sink + acc;
     });
     std::vector<float> out(kRows);
+    const std::vector<uint32_t> ids = SequentialIds(kRows);
     const double batch_adc = MeasureBatchFn(kRows, [&] {
-      ComputeDistanceAdcBatch(table, pq.codes.data().data(), 0, kRows,
-                              out.data());
+      ComputeDistanceAdcGather(table, pq.codes.data().data(), ids.data(),
+                               kRows, out.data());
       sink = sink + out[0];
     });
-    double fastscan = 0.0;
-    if (PqFastScanSimdAvailable()) {
-      const QuantizedAdcTable q8 = QuantizeAdcTable(table.dist.data(), m);
-      const std::vector<uint8_t> codes_col = SubspaceMajorCodes(pq);
-      std::vector<uint32_t> acc(kRows);
-      fastscan = MeasureBatchFn(kRows, [&] {
-        PqFastScan(q8.lut.data(), codes_col.data(), kRows, kRows, m,
-                   acc.data());
-        sink = sink + static_cast<float>(acc[0]);
-      });
-    }
 
     // Cosine ADC: the fused single pass (per-row precomputed norms)
     // against an emulation of the retired two-pass form (dot scan +
     // query-independent centroid-norm scan), both through the active
-    // batch kernels.
+    // multi-row kernels.
     PqAdcTable ctable;
     BuildAdcTable(pq, query.data(), Metric::kCosine, &ctable);
     const double cosine_fused = MeasureBatchFn(kRows, [&] {
-      ComputeDistanceAdcBatch(ctable, pq.codes.data().data(), 0, kRows,
-                              out.data());
+      ComputeDistanceAdcGather(ctable, pq.codes.data().data(), ids.data(),
+                               kRows, out.data());
       sink = sink + out[0];
     });
     const KernelTable& active = ActiveKernelTable();
@@ -304,57 +306,10 @@ std::vector<PqSample> BenchPq() {
       sink = sink + out[0];
     });
     (void)sink;
-    samples.push_back({dim, m, decode, scalar_adc, batch_adc, fastscan,
-                       cosine_twopass, cosine_fused});
+    samples.push_back(
+        {dim, m, decode, scalar_adc, batch_adc, cosine_twopass, cosine_fused});
   }
   return samples;
-}
-
-struct PqBruteforceSample {
-  size_t rows;
-  size_t queries;
-  double exact_seconds;     ///< exact fp32 ADC BlockScan
-  double fastscan_seconds;  ///< quantized-LUT scan + top-r ADC rerank
-  double overlap_at_10;     ///< fast-scan top-10 overlap vs exact ADC
-};
-
-/// Bruteforce over PQ data: the exact ADC scan against the opt-in
-/// fast-scan mode (u16 ranking + fp32 rerank) at the default rerank
-/// budget — the end-to-end form of the kernel-level fastscan row above.
-PqBruteforceSample BenchPqBruteforce() {
-  const size_t kRows = 40000, kQueries = 64, kK = 10;
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), kRows, kQueries, 31);
-  PqTrainParams tp;
-  tp.kmeans_iterations = 3;
-  const PqDataset pq = TrainPq(data.base, tp);
-
-  NeighborList exact, fast;
-  Timer t_exact;
-  for (int rep = 0; rep < 3; rep++) {
-    exact = ExactSearch(pq, data.queries, kK, Metric::kL2);
-  }
-  const double exact_seconds = t_exact.Seconds() / 3;
-  PqScanOptions opts;
-  opts.approximate_scan = true;
-  Timer t_fast;
-  for (int rep = 0; rep < 3; rep++) {
-    fast = ExactSearch(pq, data.queries, kK, Metric::kL2, opts);
-  }
-  const double fastscan_seconds = t_fast.Seconds() / 3;
-
-  size_t hits = 0;
-  for (size_t q = 0; q < kQueries; q++) {
-    for (size_t a = 0; a < kK; a++) {
-      for (size_t b = 0; b < kK; b++) {
-        if (fast.ids[q * kK + a] == exact.ids[q * kK + b]) {
-          hits++;
-          break;
-        }
-      }
-    }
-  }
-  return {kRows, kQueries, exact_seconds, fastscan_seconds,
-          static_cast<double>(hits) / static_cast<double>(kQueries * kK)};
 }
 
 struct ScalingSample {
@@ -453,17 +408,12 @@ int main() {
                 "\"scalar_adc_mdist_per_sec\": %.2f, "
                 "\"batch_adc_mdist_per_sec\": %.2f, "
                 "\"batch_adc_speedup\": %.2f, "
-                "\"fastscan_mdist_per_sec\": %.2f, "
-                "\"fastscan_speedup\": %.2f, "
                 "\"cosine_twopass_mdist_per_sec\": %.2f, "
                 "\"cosine_fused_mdist_per_sec\": %.2f, "
                 "\"cosine_fused_speedup\": %.2f}%s\n",
                 s.dim, s.m, s.decode_mdps, s.scalar_adc_mdps,
                 s.batch_adc_mdps,
                 s.scalar_adc_mdps > 0 ? s.batch_adc_mdps / s.scalar_adc_mdps
-                                      : 0,
-                s.fastscan_mdps,
-                s.scalar_adc_mdps > 0 ? s.fastscan_mdps / s.scalar_adc_mdps
                                       : 0,
                 s.cosine_twopass_mdps, s.cosine_fused_mdps,
                 s.cosine_twopass_mdps > 0
@@ -472,15 +422,6 @@ int main() {
                 i + 1 < pq.size() ? "," : "");
   }
   std::printf("  ],\n");
-
-  const auto bf = BenchPqBruteforce();
-  std::printf("  \"pq_bruteforce\": {\"rows\": %zu, \"queries\": %zu, "
-              "\"exact_adc_seconds\": %.4f, \"fastscan_seconds\": %.4f, "
-              "\"fastscan_speedup\": %.2f, \"overlap_at_10\": %.4f},\n",
-              bf.rows, bf.queries, bf.exact_seconds, bf.fastscan_seconds,
-              bf.fastscan_seconds > 0 ? bf.exact_seconds / bf.fastscan_seconds
-                                      : 0,
-              bf.overlap_at_10);
 
   std::printf("  \"multirow\": [\n");
   const auto multirow = BenchMultiRow();

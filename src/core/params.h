@@ -66,7 +66,6 @@ struct SearchParams {
   size_t itopk = 0;
   size_t search_width = 1;       ///< p: parents expanded per iteration
   size_t max_iterations = 0;     ///< 0 = auto (scaled from itopk)
-  size_t min_iterations = 0;
   SearchAlgo algo = SearchAlgo::kAuto;
   size_t cta_per_query = 0;      ///< multi-CTA width; 0 = auto
   HashMode hash_mode = HashMode::kAuto;
@@ -116,14 +115,14 @@ struct SearchParams {
   /// full batch — so this, too, is purely a throughput knob.
   size_t shard_chunk_queries = 0;
   /// Cooperative cancellation/deadline token (util/cancel.h), checked
-  /// at iteration boundaries in the core search kernels, per
+  /// at iteration boundaries in the core search kernels, and per
   /// (chunk, shard) task and per straggler wait in the streaming
-  /// sharded pipeline, and per block in the bruteforce scans. When it
-  /// expires mid-search the call still returns ok() with best-effort
-  /// partial results, marked SearchResult::complete == false; rows the
-  /// search never reached carry the standard padding
-  /// (0xffffffff / +inf). nullptr (the default) disables every check —
-  /// results and hot-loop cost are exactly the token-free ones.
+  /// sharded pipeline. When it expires mid-search the call still
+  /// returns ok() with best-effort partial results, marked
+  /// SearchResult::complete == false; rows the search never reached
+  /// carry the standard padding (0xffffffff / +inf). nullptr (the
+  /// default) disables every check — results and hot-loop cost are
+  /// exactly the token-free ones.
   ///
   /// Non-owning: the token must stay alive for the duration of the
   /// Search call (detaching executors derive their own internal token

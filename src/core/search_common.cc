@@ -46,7 +46,6 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
     cfg.max_iterations = std::clamp<size_t>(
         2 * cfg.itopk / cfg.search_width, 16, 1024);
   }
-  cfg.min_iterations = std::min(params.min_iterations, cfg.max_iterations);
 
   // Hash sizing (§IV-B3): the search touches at most
   // Imax * p * d + initial-sample nodes; a standard table is sized to 2x

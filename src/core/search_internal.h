@@ -154,7 +154,6 @@ struct ResolvedConfig {
   size_t itopk;
   size_t search_width;
   size_t max_iterations;
-  size_t min_iterations;
   size_t hash_bits;
   size_t hash_reset_interval;  ///< 0 = standard table (no resets)
   bool hash_in_shared;

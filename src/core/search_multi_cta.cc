@@ -127,7 +127,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
     }
     ScoreRound(dataset, qv, scratch, counters);
     iterations++;
-    if (!any_active && iterations >= cfg.min_iterations) break;
+    if (!any_active) break;
   }
   counters->hash_probes_device += visited.stats().probes - probes_before;
 

@@ -113,7 +113,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
     }
     // Convergence: the top-M index set is stable once every entry has
     // been expanded — no further iteration can change it.
-    if (parents.empty() && iterations >= cfg.min_iterations) break;
+    if (parents.empty()) break;
 
     // --- Forgettable management (§IV-B3): periodically wipe the table
     // and re-register only the current internal top-M.

@@ -670,15 +670,4 @@ float PqDistance(Metric metric, const float* query, const PqDataset& pq,
   return 0.0f;
 }
 
-std::vector<uint8_t> SubspaceMajorCodes(const PqDataset& pq) {
-  const size_t rows = pq.rows();
-  const size_t m_subs = pq.num_subspaces();
-  std::vector<uint8_t> out(rows * m_subs);
-  for (size_t r = 0; r < rows; r++) {
-    const uint8_t* code = pq.codes.Row(r);
-    for (size_t m = 0; m < m_subs; m++) out[m * rows + r] = code[m];
-  }
-  return out;
-}
-
 }  // namespace cagra

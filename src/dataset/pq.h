@@ -125,12 +125,6 @@ void BuildAdcTable(const PqDataset& pq, const float* query, Metric metric,
 float PqDistance(Metric metric, const float* query, const PqDataset& pq,
                  size_t row);
 
-/// Subspace-major ("column") copy of the codes — out[m * rows + r] =
-/// codes[r][m] — the layout the quantized-LUT fast scan
-/// (distance/pq_fastscan.h) consumes so one subspace's codes for a
-/// block of rows load contiguously.
-std::vector<uint8_t> SubspaceMajorCodes(const PqDataset& pq);
-
 }  // namespace cagra
 
 #endif  // CAGRA_DATASET_PQ_H_

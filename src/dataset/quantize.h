@@ -37,10 +37,10 @@ QuantizedDataset QuantizeInt8(const Matrix<float>& dataset);
 /// Distance between an fp32 query and an int8-coded row, decoding one
 /// element at a time. This is the scalar reference the SIMD int8 kernels
 /// are tested (and benched) against; hot paths go through the dispatched
-/// ComputeDistance / ComputeDistanceBatch / ComputeDistanceGather int8
-/// overloads in distance/distance.h instead, which decode in vector
-/// registers. All metrics — including cosine — operate on the decoded
-/// int8 values; nothing falls back to the fp32 dataset.
+/// ComputeDistance / ComputeDistanceGather int8 overloads in
+/// distance/distance.h instead, which decode in vector registers. All
+/// metrics — including cosine — operate on the decoded int8 values;
+/// nothing falls back to the fp32 dataset.
 float QuantizedDistance(Metric metric, const float* query,
                         const QuantizedDataset& data, size_t row);
 

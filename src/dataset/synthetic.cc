@@ -139,9 +139,4 @@ SyntheticData GenerateDataset(const DatasetProfile& profile, size_t n,
   return data;
 }
 
-SyntheticData GenerateDefault(const DatasetProfile& profile,
-                              size_t num_queries, uint64_t seed) {
-  return GenerateDataset(profile, ScaledSize(profile), num_queries, seed);
-}
-
 }  // namespace cagra

@@ -28,10 +28,6 @@ struct SyntheticData {
 SyntheticData GenerateDataset(const DatasetProfile& profile, size_t n,
                               size_t num_queries, uint64_t seed = 42);
 
-/// Convenience: generate at the profile's scaled default size.
-SyntheticData GenerateDefault(const DatasetProfile& profile,
-                              size_t num_queries, uint64_t seed = 42);
-
 }  // namespace cagra
 
 #endif  // CAGRA_DATASET_SYNTHETIC_H_

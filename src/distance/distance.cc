@@ -228,64 +228,6 @@ void BatchDistanceI8(const KernelTable& k, Metric metric, const float* query,
   }
 }
 
-/// ADC variant of BatchDistance: one per-query LUT, code rows instead
-/// of vectors. Every metric is a single fused LUT pass — cosine reads
-/// the per-row reconstructed norm precomputed at encode time
-/// (PqDataset::row_norm2) through norm_row(i) instead of scanning a
-/// second query-independent LUT. Same multi-row grouping and
-/// bit-compatibility contract as the other element types.
-template <typename RowFn, typename NormRowFn>
-void BatchAdc(const KernelTable& k, const PqAdcTable& t, size_t n,
-              const RowFn& row, const NormRowFn& norm_row, float* out) {
-  const size_t m = t.num_subspaces;
-  const float* lut = t.dist.data();
-  const uint8_t* group[kMultiRowWidth];
-  const auto fill_group = [&](size_t i) {
-    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = row(i + r);
-    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
-         j++) {
-      PrefetchRow(row(j));
-    }
-  };
-  switch (t.metric) {
-    case Metric::kL2: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-      }
-      for (; i < n; i++) out[i] = k.adc(lut, row(i), m);
-      break;
-    }
-    case Metric::kInnerProduct: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) out[i + r] = -out[i + r];
-      }
-      for (; i < n; i++) out[i] = -k.adc(lut, row(i), m);
-      break;
-    }
-    case Metric::kCosine: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) {
-          out[i + r] = CosineFromParts(out[i + r], t.query_norm2,
-                                       t.row_norm2[norm_row(i + r)]);
-        }
-      }
-      for (; i < n; i++) {
-        out[i] = CosineFromParts(k.adc(lut, row(i), m), t.query_norm2,
-                                 t.row_norm2[norm_row(i)]);
-      }
-      break;
-    }
-  }
-}
-
 }  // namespace
 
 std::string MetricName(Metric metric) {
@@ -295,10 +237,6 @@ std::string MetricName(Metric metric) {
     case Metric::kCosine: return "Cosine";
   }
   return "Unknown";
-}
-
-float L2Squared(const float* a, const float* b, size_t dim) {
-  return ActiveKernelTable().l2_f32(a, b, dim);
 }
 
 float ComputeDistance(Metric metric, const float* a, const float* b,
@@ -322,20 +260,6 @@ void ComputeDistanceBatch(Metric metric, const float* query,
                           float* out) {
   BatchDistance<float>(ActiveKernelTable(), metric, query, dim, n,
                        [&](size_t i) { return rows + i * dim; }, out);
-}
-
-void ComputeDistanceBatch(Metric metric, const float* query, const Half* rows,
-                          size_t n, size_t dim, float* out) {
-  BatchDistance<Half>(ActiveKernelTable(), metric, query, dim, n,
-                      [&](size_t i) { return rows + i * dim; }, out);
-}
-
-void ComputeDistanceBatch(Metric metric, const float* query,
-                          const int8_t* rows, const float* scale,
-                          const float* offset, size_t n, size_t dim,
-                          float* out) {
-  BatchDistanceI8(ActiveKernelTable(), metric, query, scale, offset, dim, n,
-                  [&](size_t i) { return rows + i * dim; }, out);
 }
 
 void ComputeDistanceGather(Metric metric, const float* query,
@@ -376,20 +300,62 @@ float ComputeDistanceAdc(const PqAdcTable& table, const uint8_t* code,
   return 0.0f;
 }
 
-void ComputeDistanceAdcBatch(const PqAdcTable& table, const uint8_t* rows,
-                             size_t first_row, size_t n, float* out) {
-  const size_t m = table.num_subspaces;
-  BatchAdc(ActiveKernelTable(), table, n,
-           [&](size_t i) { return rows + i * m; },
-           [&](size_t i) { return first_row + i; }, out);
-}
-
 void ComputeDistanceAdcGather(const PqAdcTable& table, const uint8_t* base,
                               const uint32_t* ids, size_t n, float* out) {
+  // ADC variant of BatchDistance: one per-query LUT, code rows instead
+  // of vectors. Every metric is a single fused LUT pass — cosine reads
+  // the per-row reconstructed norm precomputed at encode time
+  // (PqDataset::row_norm2) instead of scanning a second
+  // query-independent LUT.
+  const KernelTable& k = ActiveKernelTable();
   const size_t m = table.num_subspaces;
-  BatchAdc(ActiveKernelTable(), table, n,
-           [&](size_t i) { return base + ids[i] * m; },
-           [&](size_t i) { return ids[i]; }, out);
+  const float* lut = table.dist.data();
+  const auto row = [&](size_t i) { return base + ids[i] * m; };
+  const uint8_t* group[kMultiRowWidth];
+  const auto fill_group = [&](size_t i) {
+    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = row(i + r);
+    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
+         j++) {
+      PrefetchRow(row(j));
+    }
+  };
+  switch (table.metric) {
+    case Metric::kL2: {
+      size_t i = 0;
+      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
+        fill_group(i);
+        k.adcx4(lut, group, m, out + i);
+      }
+      for (; i < n; i++) out[i] = k.adc(lut, row(i), m);
+      break;
+    }
+    case Metric::kInnerProduct: {
+      size_t i = 0;
+      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
+        fill_group(i);
+        k.adcx4(lut, group, m, out + i);
+        for (size_t r = 0; r < kMultiRowWidth; r++) out[i + r] = -out[i + r];
+      }
+      for (; i < n; i++) out[i] = -k.adc(lut, row(i), m);
+      break;
+    }
+    case Metric::kCosine: {
+      size_t i = 0;
+      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
+        fill_group(i);
+        k.adcx4(lut, group, m, out + i);
+        for (size_t r = 0; r < kMultiRowWidth; r++) {
+          out[i + r] = CosineFromParts(out[i + r], table.query_norm2,
+                                       table.row_norm2[ids[i + r]]);
+        }
+      }
+      for (; i < n; i++) {
+        out[i] = CosineFromParts(k.adc(lut, row(i), m), table.query_norm2,
+                                 table.row_norm2[ids[i]]);
+      }
+      break;
+    }
+  }
 }
 
 }  // namespace cagra

@@ -41,28 +41,21 @@ float ComputeDistance(Metric metric, const float* query, const Half* item,
 float ComputeDistance(Metric metric, const float* query, const int8_t* code,
                       const float* scale, const float* offset, size_t dim);
 
-/// Squared-L2 fast path used by inner loops.
-float L2Squared(const float* a, const float* b, size_t dim);
-
-/// One query against `n` contiguous rows (`rows` is row-major with
+/// One query against `n` contiguous fp32 rows (`rows` is row-major with
 /// stride `dim`); out[i] = distance(query, rows + i*dim). The query's
 /// norm is computed once per call for cosine, and full groups of four
 /// rows run through the multi-row kernels (shared query stream,
 /// interleaved accumulators); out[i] is bit-identical to the pairwise
-/// call either way. This is the bruteforce / ground-truth inner loop.
+/// call either way. This is the inner loop of the exhaustive
+/// ground-truth scan (knn/bruteforce.h) and of the PQ k-means.
 void ComputeDistanceBatch(Metric metric, const float* query,
                           const float* rows, size_t n, size_t dim,
                           float* out);
-void ComputeDistanceBatch(Metric metric, const float* query, const Half* rows,
-                          size_t n, size_t dim, float* out);
-void ComputeDistanceBatch(Metric metric, const float* query,
-                          const int8_t* rows, const float* scale,
-                          const float* offset, size_t n, size_t dim,
-                          float* out);
 
 /// One query against `n` rows gathered by id from a row-major `base`;
-/// out[i] = distance(query, base + ids[i]*dim). Same multi-row batching
-/// and bit-compatibility as ComputeDistanceBatch. This is the
+/// out[i] = distance(query, base + ids[i]*dim), for every storage mode.
+/// Same multi-row batching as ComputeDistanceBatch, and out[i] is
+/// bit-identical to the pairwise ComputeDistance call. This is the
 /// graph-search candidate-expansion inner loop (rows arrive as neighbor
 /// ids).
 void ComputeDistanceGather(Metric metric, const float* query,
@@ -106,16 +99,11 @@ struct PqAdcTable {
 float ComputeDistanceAdc(const PqAdcTable& table, const uint8_t* code,
                          size_t row);
 
-/// One ADC table against `n` contiguous code rows (row stride =
-/// num_subspaces) starting at dataset row `first_row`; full groups of
-/// four rows run through the multi-row adcx4 kernel and out[i] is
-/// bit-identical to the pairwise call.
-void ComputeDistanceAdcBatch(const PqAdcTable& table, const uint8_t* rows,
-                             size_t first_row, size_t n, float* out);
-
 /// One ADC table against `n` code rows gathered by id from `base`
 /// (row-major, stride num_subspaces) — the PQ candidate-expansion
 /// loop. ids are dataset row ids and double as the row_norm2 index.
+/// Full groups of four rows run through the multi-row adcx4 kernel and
+/// out[i] is bit-identical to the pairwise ComputeDistanceAdc call.
 void ComputeDistanceAdcGather(const PqAdcTable& table, const uint8_t* base,
                               const uint32_t* ids, size_t n, float* out);
 

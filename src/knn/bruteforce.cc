@@ -1,11 +1,8 @@
 #include "knn/bruteforce.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <limits>
 
-#include "distance/pq_fastscan.h"
 #include "util/bounded_heap.h"
 #include "util/thread_pool.h"
 
@@ -20,37 +17,20 @@ constexpr size_t kScanBlock = 256;
 constexpr uint32_t kNoSkip = 0xffffffffu;
 
 /// Shared body of every exhaustive scan: for each query index in
-/// [0, num_queries), builds per-query state ctx = prepare(q) (ADC
-/// tables for PQ; a throwaway value elsewhere), scores the base in
-/// kScanBlock-row blocks via score(ctx, q, i0, block, dists), keeps the
-/// k nearest ids (excluding skip(q); pass kNoSkip for none), and hands
-/// the ascending-sorted result to emit(q, sorted). Parallelized over
-/// queries.
-template <typename PrepareFn, typename ScoreFn, typename SkipFn,
-          typename EmitFn>
+/// [0, num_queries), scores the base in kScanBlock-row blocks via
+/// score(q, i0, block, dists), keeps the k nearest ids (excluding
+/// skip(q); pass kNoSkip for none), and hands the ascending-sorted
+/// result to emit(q, sorted). Parallelized over queries.
+template <typename ScoreFn, typename SkipFn, typename EmitFn>
 void BlockScan(size_t base_rows, size_t num_queries, size_t k,
-               const PrepareFn& prepare, const ScoreFn& score,
-               const SkipFn& skip, const EmitFn& emit,
-               const CancelToken* cancel = nullptr,
-               std::atomic<bool>* truncated = nullptr) {
+               const ScoreFn& score, const SkipFn& skip, const EmitFn& emit) {
   GlobalThreadPool().ParallelFor(0, num_queries, [&](size_t q) {
-    const auto ctx = prepare(q);
     BoundedHeap heap(k);
     const uint32_t skip_id = skip(q);
     float block_dists[kScanBlock];
-    // A block (kScanBlock distances) is the cancellation granularity:
-    // breaking between blocks leaves the heap a valid top-k of the
-    // prefix scanned so far.
-    CancelCheck check(cancel, /*stride=*/4);
     for (size_t i0 = 0; i0 < base_rows; i0 += kScanBlock) {
-      if (check.Expired()) {
-        if (truncated != nullptr) {
-          truncated->store(true, std::memory_order_relaxed);
-        }
-        break;
-      }
       const size_t block = std::min(kScanBlock, base_rows - i0);
-      score(ctx, q, i0, block, block_dists);
+      score(q, i0, block, block_dists);
       for (size_t j = 0; j < block; j++) {
         if (i0 + j == skip_id) continue;
         if (block_dists[j] < heap.WorstDistance()) {
@@ -62,37 +42,26 @@ void BlockScan(size_t base_rows, size_t num_queries, size_t k,
   });
 }
 
-/// prepare(q) for the scans with no per-query state.
-inline int NoPrepare(size_t) { return 0; }
-
 /// BlockScan specialization shared by the ExactSearch overloads: scan
 /// everything (no self-skip) and emit into a fresh NeighborList.
-template <typename PrepareFn, typename ScoreFn>
+template <typename ScoreFn>
 NeighborList ScanToNeighborList(size_t base_rows, size_t num_queries,
-                                size_t k, const PrepareFn& prepare,
-                                const ScoreFn& score,
-                                const CancelToken* cancel = nullptr,
-                                bool* complete = nullptr) {
+                                size_t k, const ScoreFn& score) {
   NeighborList out;
   out.k = k;
   out.ids.resize(num_queries * k, kNoSkip);
-  // +inf padding keeps short rows (cancelled scans, k > rows) sorted
-  // and unambiguous, matching the SearchResult partial contract.
+  // +inf padding keeps short rows (k > live rows) sorted and
+  // unambiguous, matching the SearchResult padding contract.
   out.distances.resize(num_queries * k,
                        std::numeric_limits<float>::infinity());
-  std::atomic<bool> truncated{false};
-  BlockScan(base_rows, num_queries, k, prepare, score,
+  BlockScan(base_rows, num_queries, k, score,
             [](size_t) { return kNoSkip; },
             [&](size_t q, const auto& sorted) {
               for (size_t i = 0; i < sorted.size(); i++) {
                 out.ids[q * k + i] = sorted[i].id;
                 out.distances[q * k + i] = sorted[i].distance;
               }
-            },
-            cancel, &truncated);
-  if (complete != nullptr) {
-    *complete = !truncated.load(std::memory_order_relaxed);
-  }
+            });
   return out;
 }
 
@@ -100,167 +69,22 @@ NeighborList ScanToNeighborList(size_t base_rows, size_t num_queries,
 
 NeighborList ExactSearch(const Matrix<float>& base,
                          const Matrix<float>& queries, size_t k,
-                         Metric metric, const CancelToken* cancel,
-                         bool* complete) {
-  return ScanToNeighborList(
-      base.rows(), queries.rows(), k, NoPrepare,
-      [&](int, size_t q, size_t i0, size_t block, float* dists) {
-        ComputeDistanceBatch(metric, queries.Row(q), base.Row(i0), block,
-                             base.dim(), dists);
-      },
-      cancel, complete);
-}
-
-NeighborList ExactSearch(const QuantizedDataset& base,
-                         const Matrix<float>& queries, size_t k,
-                         Metric metric, const CancelToken* cancel,
-                         bool* complete) {
-  return ScanToNeighborList(
-      base.rows(), queries.rows(), k, NoPrepare,
-      [&](int, size_t q, size_t i0, size_t block, float* dists) {
-        ComputeDistanceBatch(metric, queries.Row(q), base.codes.Row(i0),
-                             base.scale.data(), base.offset.data(), block,
-                             base.dim(), dists);
-      },
-      cancel, complete);
-}
-
-namespace {
-
-/// Fast-scan PQ scan: rank every row by the exact u16 accumulator of
-/// the 8-bit quantized LUT (one integer add per subspace, vpermi2b on
-/// VBMI hosts), keep the top `rerank`, rescore those with the fp32 ADC
-/// table and return the best k. Selection is approximate (8-bit LUT
-/// step), returned distances are exact ADC values.
-NeighborList FastScanSearch(const PqDataset& base,
-                            const Matrix<float>& queries, size_t k,
-                            Metric metric, size_t rerank,
-                            const CancelToken* cancel, bool* complete) {
-  const size_t rows = base.rows();
-  const size_t m = base.num_subspaces();
-  const std::vector<uint8_t> codes_col = SubspaceMajorCodes(base);
-
-  NeighborList out;
-  out.k = k;
-  out.ids.resize(queries.rows() * k, kNoSkip);
-  out.distances.resize(queries.rows() * k,
-                       std::numeric_limits<float>::infinity());
-  std::atomic<bool> truncated{false};
-  // Not the shared BlockScan: the rerank needs the per-query ADC table
-  // again after candidate selection, so the whole query runs in one
-  // lambda and the table is built exactly once.
-  GlobalThreadPool().ParallelFor(0, queries.rows(), [&](size_t q) {
-    PqAdcTable adc;
-    BuildAdcTable(base, queries.Row(q), metric, &adc);
-    QuantizedAdcTable q8;
-    if (metric == Metric::kInnerProduct) {
-      // Rank by ascending distance = ascending -dot: quantize the
-      // negated dot partials.
-      std::vector<float> neg(adc.dist.size());
-      for (size_t i = 0; i < neg.size(); i++) neg[i] = -adc.dist[i];
-      q8 = QuantizeAdcTable(neg.data(), m);
-    } else {
-      q8 = QuantizeAdcTable(adc.dist.data(), m);
-    }
-
-    BoundedHeap heap(rerank);
-    uint32_t acc[kScanBlock];
-    float rank[kScanBlock];
-    // Same per-block cancellation boundary as BlockScan; the rerank
-    // below still runs over whatever candidates were gathered, so a
-    // truncated query emits a well-formed (if shallow) top-k.
-    CancelCheck check(cancel, /*stride=*/4);
-    for (size_t i0 = 0; i0 < rows; i0 += kScanBlock) {
-      if (check.Expired()) {
-        truncated.store(true, std::memory_order_relaxed);
-        break;
-      }
-      const size_t block = std::min(kScanBlock, rows - i0);
-      PqFastScan(q8.lut.data(), codes_col.data() + i0, rows, block, m, acc);
-      if (metric == Metric::kCosine) {
-        // The integer accumulator approximates the dot product; fold
-        // in the per-row reconstructed norm so the rank key orders by
-        // (approximate) cosine distance.
-        for (size_t j = 0; j < block; j++) {
-          const float dot = q8.Dequantize(acc[j]);
-          const float denom = std::sqrt(adc.query_norm2) *
-                              std::sqrt(adc.row_norm2[i0 + j]);
-          rank[j] = denom == 0.0f ? 1.0f : 1.0f - dot / denom;
-        }
-      } else {
-        // u16 accumulators stay below 2^24, so the float conversion
-        // is exact and the heap ranking is exact integer ranking.
-        for (size_t j = 0; j < block; j++) {
-          rank[j] = static_cast<float>(acc[j]);
-        }
-      }
-      for (size_t j = 0; j < block; j++) {
-        if (rank[j] < heap.WorstDistance()) {
-          heap.Push(rank[j], static_cast<uint32_t>(i0 + j));
-        }
-      }
-    }
-
-    // Rerank the survivors with the fp32 ADC table.
-    const auto sorted = heap.ExtractSorted();
-    std::vector<uint32_t> ids(sorted.size());
-    for (size_t i = 0; i < sorted.size(); i++) ids[i] = sorted[i].id;
-    std::vector<float> exact(sorted.size());
-    ComputeDistanceAdcGather(adc, base.codes.data().data(), ids.data(),
-                             ids.size(), exact.data());
-    BoundedHeap top(k);
-    for (size_t i = 0; i < ids.size(); i++) {
-      top.Push(exact[i], ids[i]);
-    }
-    const auto best = top.ExtractSorted();
-    for (size_t i = 0; i < best.size(); i++) {
-      out.ids[q * k + i] = best[i].id;
-      out.distances[q * k + i] = best[i].distance;
-    }
-  });
-  if (complete != nullptr) {
-    *complete = !truncated.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-}  // namespace
-
-NeighborList ExactSearch(const PqDataset& base, const Matrix<float>& queries,
-                         size_t k, Metric metric,
-                         const PqScanOptions& options,
-                         const CancelToken* cancel, bool* complete) {
-  // M > 256 would overflow the fast scan's u16 lane accumulators;
-  // QuantizeAdcTable refuses, so fall back to the exact ADC scan.
-  if (options.approximate_scan && base.num_subspaces() <= 256 &&
-      base.rows() > 0) {
-    size_t rerank =
-        options.rerank != 0 ? options.rerank : std::max(4 * k, size_t{64});
-    rerank = std::min(std::max(rerank, k), base.rows());
-    return FastScanSearch(base, queries, k, metric, rerank, cancel, complete);
-  }
+                         Metric metric) {
   return ScanToNeighborList(
       base.rows(), queries.rows(), k,
-      [&](size_t q) {
-        PqAdcTable table;
-        BuildAdcTable(base, queries.Row(q), metric, &table);
-        return table;
-      },
-      [&](const PqAdcTable& table, size_t, size_t i0, size_t block,
-          float* dists) {
-        ComputeDistanceAdcBatch(table, base.codes.Row(i0), i0, block, dists);
-      },
-      cancel, complete);
+      [&](size_t q, size_t i0, size_t block, float* dists) {
+        ComputeDistanceBatch(metric, queries.Row(q), base.Row(i0), block,
+                             base.dim(), dists);
+      });
 }
 
 NeighborList ExactSearch(const IndexSnapshot& snap,
-                         const Matrix<float>& queries, size_t k,
-                         const CancelToken* cancel, bool* complete) {
+                         const Matrix<float>& queries, size_t k) {
   const float* base = snap.Fp32Data();
   const size_t dim = snap.dim();
   NeighborList out = ScanToNeighborList(
-      snap.size(), queries.rows(), k, NoPrepare,
-      [&](int, size_t q, size_t i0, size_t block, float* dists) {
+      snap.size(), queries.rows(), k,
+      [&](size_t q, size_t i0, size_t block, float* dists) {
         ComputeDistanceBatch(snap.metric, queries.Row(q), base + i0 * dim,
                              block, dim, dists);
         // Tombstoned rows become +inf so the heap's strict `<` gate
@@ -270,8 +94,7 @@ NeighborList ExactSearch(const IndexSnapshot& snap,
             dists[j] = std::numeric_limits<float>::infinity();
           }
         }
-      },
-      cancel, complete);
+      });
   // Internal row ids -> stable external ids, matching what a graph
   // Search on the same snapshot emits (padding passes through).
   if (snap.id_map != nullptr) {
@@ -296,8 +119,8 @@ FixedDegreeGraph ExactKnnGraph(const Matrix<float>& base, size_t k,
                                Metric metric) {
   FixedDegreeGraph g(base.rows(), k);
   BlockScan(
-      base.rows(), base.rows(), k, NoPrepare,
-      [&](int, size_t v, size_t i0, size_t block, float* dists) {
+      base.rows(), base.rows(), k,
+      [&](size_t v, size_t i0, size_t block, float* dists) {
         ComputeDistanceBatch(metric, base.Row(v), base.Row(i0), block,
                              base.dim(), dists);
       },

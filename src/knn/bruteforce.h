@@ -6,68 +6,19 @@
 
 #include "core/snapshot.h"
 #include "dataset/matrix.h"
-#include "dataset/pq.h"
-#include "dataset/quantize.h"
 #include "dataset/recall.h"
 #include "distance/distance.h"
 #include "graph/fixed_degree_graph.h"
-#include "util/cancel.h"
 
 namespace cagra {
 
-/// Exact k-NN by exhaustive scan — the NNS reference of Eq. (2); used to
-/// produce ground truth for every recall measurement in the benches.
-/// Parallelized over queries.
-///
-/// Cancellation (shared by every ExactSearch overload): `cancel`, when
-/// non-null, is checked once per kScanBlock-row block. An expired token
-/// stops each query's scan at its next block boundary; rows already
-/// scored still rank, so the output is a well-formed (sorted, padded)
-/// top-k of the prefix scanned — and `*complete` (when non-null) is set
-/// false. With a null or never-expiring token *complete stays true and
-/// results are the usual exact ones.
+/// Exact k-NN by exhaustive fp32 scan — the NNS reference of Eq. (2);
+/// used to produce ground truth for every recall measurement in the
+/// benches. Parallelized over queries. Rows shorter than k (k > rows)
+/// are padded with 0xffffffff / +inf.
 NeighborList ExactSearch(const Matrix<float>& base,
                          const Matrix<float>& queries, size_t k,
-                         Metric metric, const CancelToken* cancel = nullptr,
-                         bool* complete = nullptr);
-
-/// Exhaustive scan over an int8-quantized dataset (§V-E: the compressed
-/// copy is the only one resident when the fp32 dataset exceeds memory).
-/// Distances decode in vector registers via the dispatched int8 kernels;
-/// results are exact w.r.t. the decoded values.
-NeighborList ExactSearch(const QuantizedDataset& base,
-                         const Matrix<float>& queries, size_t k,
-                         Metric metric, const CancelToken* cancel = nullptr,
-                         bool* complete = nullptr);
-
-/// Opt-in scan mode for the PQ ExactSearch overload.
-struct PqScanOptions {
-  /// Route the scan through the quantized-LUT fast scan
-  /// (distance/pq_fastscan.h): the per-query fp32 ADC table is
-  /// quantized to 8 bits, every row costs M integer table adds
-  /// (vpermi2b shuffles on AVX512-VBMI hosts), candidates are ranked by
-  /// the exact u16 accumulators, and the top `rerank` survivors are
-  /// rescored with the fp32 ADC table. Returned distances are therefore
-  /// exact ADC distances; only the candidate *selection* is
-  /// approximate, bounded by the 8-bit LUT step. Falls back to the
-  /// exact scan when the table cannot be quantized (M > 256).
-  bool approximate_scan = false;
-  /// Candidates rescored with the fp32 table per query; 0 = auto
-  /// (max(4k, 64)). Clamped to [k, rows].
-  size_t rerank = 0;
-};
-
-/// Exhaustive ADC scan over a product-quantized dataset: one ADC table
-/// per query (built once, M x 256 entries), then every code row scored
-/// through the dispatched LUT-scan kernels. Results are exact w.r.t.
-/// the ADC distances (asymmetric: query stays fp32, rows decode through
-/// the codebook implicitly) — or, with options.approximate_scan,
-/// fast-scan-selected and ADC-reranked.
-NeighborList ExactSearch(const PqDataset& base, const Matrix<float>& queries,
-                         size_t k, Metric metric,
-                         const PqScanOptions& options = PqScanOptions{},
-                         const CancelToken* cancel = nullptr,
-                         bool* complete = nullptr);
+                         Metric metric);
 
 /// Exhaustive fp32 scan over one immutable index version: every live
 /// internal row is scored (tombstoned rows are skipped — they can never
@@ -79,9 +30,7 @@ NeighborList ExactSearch(const PqDataset& base, const Matrix<float>& queries,
 /// Fp32Data(), so it works on RAM-resident and out-of-core snapshots
 /// alike.
 NeighborList ExactSearch(const IndexSnapshot& snap,
-                         const Matrix<float>& queries, size_t k,
-                         const CancelToken* cancel = nullptr,
-                         bool* complete = nullptr);
+                         const Matrix<float>& queries, size_t k);
 
 /// Ground truth in the ivecs-like Matrix form consumed by ComputeRecall.
 Matrix<uint32_t> ComputeGroundTruth(const Matrix<float>& base,

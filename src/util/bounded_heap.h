@@ -57,7 +57,6 @@ class BoundedHeap {
 
   size_t Size() const { return entries_.size(); }
   bool Full() const { return entries_.size() >= capacity_; }
-  size_t Capacity() const { return capacity_; }
 
   struct Entry {
     float distance;
@@ -75,8 +74,6 @@ class BoundedHeap {
     });
     return out;
   }
-
-  void Clear() { entries_.clear(); }
 
  private:
   static constexpr float kInf = 3.402823466e+38f;

@@ -1,7 +1,7 @@
 // Deadline + cancellation semantics across the search stack: the
 // CancelToken/CancelCheck primitives, the two new status codes, the
-// partial-result contract of the graph search, the bruteforce scans,
-// and the streaming sharded pipeline. The invariant under test
+// partial-result contract of the graph search, and the streaming
+// sharded pipeline. The invariant under test
 // everywhere: cancellation degrades a search to a *well-formed*
 // partial (sorted valid prefix, 0xffffffff/+inf padding, no duplicate
 // ids, complete == false) — never a crash, a hang, or a malformed row.
@@ -20,7 +20,6 @@
 #include "core/sharded.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
-#include "knn/bruteforce.h"
 #include "util/cancel.h"
 #include "util/status.h"
 
@@ -276,47 +275,6 @@ TEST_F(SearchCancelTest, MultiCtaModeTruncatesCleanly) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->complete);
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
-}
-
-// ---------------------------------------------------------------------------
-// Bruteforce scans with a token.
-// ---------------------------------------------------------------------------
-
-TEST_F(SearchCancelTest, BruteforceUnexpiredTokenIdenticalToNone) {
-  const NeighborList ref =
-      ExactSearch(data_->base, data_->queries, 10, Metric::kL2);
-  CancelToken never;
-  bool complete = false;
-  const NeighborList got = ExactSearch(data_->base, data_->queries, 10,
-                                       Metric::kL2, &never, &complete);
-  EXPECT_TRUE(complete);
-  EXPECT_EQ(got.ids, ref.ids);
-  EXPECT_EQ(got.distances, ref.distances);
-}
-
-TEST_F(SearchCancelTest, BruteforceExpiredTokenYieldsWellFormedPartial) {
-  CancelToken expired;
-  expired.Cancel();
-  bool complete = true;
-  const NeighborList got = ExactSearch(data_->base, data_->queries, 10,
-                                       Metric::kL2, &expired, &complete);
-  EXPECT_FALSE(complete);
-  ExpectWellFormedTopK(got, data_->queries.rows(), 10);
-}
-
-TEST_F(SearchCancelTest, PqBruteforceExpiredTokenYieldsWellFormedPartial) {
-  const PqDataset pq = TrainPq(data_->base);
-  CancelToken expired;
-  expired.Cancel();
-  for (const bool approximate : {false, true}) {
-    PqScanOptions opts;
-    opts.approximate_scan = approximate;
-    bool complete = true;
-    const NeighborList got = ExactSearch(pq, data_->queries, 10, Metric::kL2,
-                                         opts, &expired, &complete);
-    EXPECT_FALSE(complete) << "approximate=" << approximate;
-    ExpectWellFormedTopK(got, data_->queries.rows(), 10);
-  }
 }
 
 // ---------------------------------------------------------------------------

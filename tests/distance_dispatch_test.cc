@@ -325,34 +325,31 @@ TEST(DispatchTest, Int8BatchAndGatherMatchPairwise) {
     RandomAffine(dim, dim * 43 + 2, &scale, &offset);
     const auto query = RandomVec(dim, dim * 43 + 3);
 
+    // Every row in order (kRows = 37 runs both the x4 groups and the
+    // tail), then out-of-order repeating ids.
+    std::vector<uint32_t> in_order(kRows);
+    for (size_t i = 0; i < kRows; i++) in_order[i] = static_cast<uint32_t>(i);
     Pcg32 rng(dim * 43 + 4);
-    std::vector<uint32_t> ids;
-    for (size_t i = 0; i < 29; i++) ids.push_back(rng.NextBounded(kRows));
+    std::vector<uint32_t> shuffled;
+    for (size_t i = 0; i < 29; i++) {
+      shuffled.push_back(rng.NextBounded(kRows));
+    }
 
     for (Metric metric :
          {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-      std::vector<float> got(kRows);
-      ComputeDistanceBatch(metric, query.data(), rows.data().data(),
-                           scale.data(), offset.data(), kRows, dim,
-                           got.data());
-      for (size_t i = 0; i < kRows; i++) {
-        EXPECT_FLOAT_EQ(got[i],
-                        ComputeDistance(metric, query.data(), rows.Row(i),
-                                        scale.data(), offset.data(), dim))
-            << MetricName(metric) << " int8 batch row=" << i
-            << " dim=" << dim;
-      }
-
-      got.resize(ids.size());
-      ComputeDistanceGather(metric, query.data(), rows.data().data(),
-                            scale.data(), offset.data(), dim, ids.data(),
-                            ids.size(), got.data());
-      for (size_t i = 0; i < ids.size(); i++) {
-        EXPECT_FLOAT_EQ(got[i],
-                        ComputeDistance(metric, query.data(),
-                                        rows.Row(ids[i]), scale.data(),
-                                        offset.data(), dim))
-            << MetricName(metric) << " int8 gather i=" << i << " dim=" << dim;
+      for (const auto* ids : {&in_order, &shuffled}) {
+        std::vector<float> got(ids->size());
+        ComputeDistanceGather(metric, query.data(), rows.data().data(),
+                              scale.data(), offset.data(), dim, ids->data(),
+                              ids->size(), got.data());
+        for (size_t i = 0; i < ids->size(); i++) {
+          EXPECT_EQ(got[i],
+                    ComputeDistance(metric, query.data(),
+                                    rows.Row((*ids)[i]), scale.data(),
+                                    offset.data(), dim))
+              << MetricName(metric) << " int8 gather i=" << i
+              << " dim=" << dim << " in_order=" << (ids == &in_order);
+        }
       }
     }
   }
@@ -387,6 +384,8 @@ TEST(DispatchTest, BatchMatchesPairwise) {
     for (auto& x : *rows.mutable_data()) x = rng.NextFloat() * 2.0f - 1.0f;
     const auto query = RandomVec(dim, dim * 13 + 6);
     const Matrix<Half> hrows = ToHalf(rows);
+    std::vector<uint32_t> ids(kRows);
+    for (size_t i = 0; i < kRows; i++) ids[i] = static_cast<uint32_t>(i);
 
     for (Metric metric :
          {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
@@ -394,18 +393,18 @@ TEST(DispatchTest, BatchMatchesPairwise) {
       ComputeDistanceBatch(metric, query.data(), rows.data().data(), kRows,
                            dim, got.data());
       for (size_t i = 0; i < kRows; i++) {
-        EXPECT_FLOAT_EQ(got[i],
-                        ComputeDistance(metric, query.data(), rows.Row(i),
-                                        dim))
+        EXPECT_EQ(got[i],
+                  ComputeDistance(metric, query.data(), rows.Row(i), dim))
             << MetricName(metric) << " fp32 row=" << i << " dim=" << dim;
       }
 
-      ComputeDistanceBatch(metric, query.data(), hrows.data().data(), kRows,
-                           dim, got.data());
+      // fp16 has no contiguous batch; the gather in row order covers
+      // the same x4 groups and tail.
+      ComputeDistanceGather(metric, query.data(), hrows.data().data(), dim,
+                            ids.data(), kRows, got.data());
       for (size_t i = 0; i < kRows; i++) {
-        EXPECT_FLOAT_EQ(got[i],
-                        ComputeDistance(metric, query.data(), hrows.Row(i),
-                                        dim))
+        EXPECT_EQ(got[i],
+                  ComputeDistance(metric, query.data(), hrows.Row(i), dim))
             << MetricName(metric) << " fp16 row=" << i << " dim=" << dim;
       }
     }
@@ -432,16 +431,16 @@ TEST(DispatchTest, GatherMatchesPairwise) {
     ComputeDistanceGather(metric, query.data(), rows.data().data(), dim,
                           ids.data(), ids.size(), got.data());
     for (size_t i = 0; i < ids.size(); i++) {
-      EXPECT_FLOAT_EQ(got[i], ComputeDistance(metric, query.data(),
-                                              rows.Row(ids[i]), dim))
+      EXPECT_EQ(got[i], ComputeDistance(metric, query.data(),
+                                        rows.Row(ids[i]), dim))
           << MetricName(metric) << " fp32 i=" << i;
     }
 
     ComputeDistanceGather(metric, query.data(), hrows.data().data(), dim,
                           ids.data(), ids.size(), got.data());
     for (size_t i = 0; i < ids.size(); i++) {
-      EXPECT_FLOAT_EQ(got[i], ComputeDistance(metric, query.data(),
-                                              hrows.Row(ids[i]), dim))
+      EXPECT_EQ(got[i], ComputeDistance(metric, query.data(),
+                                        hrows.Row(ids[i]), dim))
           << MetricName(metric) << " fp16 i=" << i;
     }
   }

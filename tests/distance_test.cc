@@ -83,13 +83,6 @@ TEST(DistanceTest, MetricNames) {
   EXPECT_EQ(MetricName(Metric::kCosine), "Cosine");
 }
 
-TEST(DistanceTest, L2SquaredFastPathMatchesGeneric) {
-  auto a = RandomVec(200, 4);
-  auto b = RandomVec(200, 5);
-  EXPECT_FLOAT_EQ(L2Squared(a.data(), b.data(), 200),
-                  ComputeDistance(Metric::kL2, a.data(), b.data(), 200));
-}
-
 TEST(DistanceTest, Fp16PathTracksFp32) {
   for (Metric metric :
        {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {

@@ -1,7 +1,6 @@
 // Product-quantization tests. CTest runs this binary twice — natively
 // and under CAGRA_FORCE_SCALAR=1 (pq_test_scalar) — so the ADC LUT-scan
-// path is covered through both the SIMD and the reference kernels, and
-// the fast-scan dispatch is exercised with and without the VBMI kernel.
+// path is covered through both the SIMD and the reference kernels.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "dataset/profile.h"
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
-#include "distance/pq_fastscan.h"
 #include "distance/simd.h"
 #include "knn/bruteforce.h"
 #include "util/rng.h"
@@ -170,75 +168,23 @@ TEST(PqAdcTest, BatchAndGatherMatchPairwise) {
        {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
     PqAdcTable t;
     BuildAdcTable(pq, data.queries.Row(0), metric, &t);
-    std::vector<float> batch(n);
-    ComputeDistanceAdcBatch(t, pq.codes.data().data(), 0, n, batch.data());
-    std::vector<uint32_t> ids(n);
-    for (size_t i = 0; i < n; i++) ids[i] = static_cast<uint32_t>(n - 1 - i);
-    std::vector<float> gathered(n);
-    ComputeDistanceAdcGather(t, pq.codes.data().data(), ids.data(), n,
-                             gathered.data());
+    // Identity order, then reversed.
+    std::vector<uint32_t> in_order(n), reversed(n);
     for (size_t i = 0; i < n; i++) {
-      EXPECT_EQ(batch[i], ComputeDistanceAdc(t, pq.codes.Row(i), i))
-          << MetricName(metric) << " batch i=" << i;
-      EXPECT_EQ(gathered[i],
-                ComputeDistanceAdc(t, pq.codes.Row(ids[i]), ids[i]))
-          << MetricName(metric) << " gather i=" << i;
+      in_order[i] = static_cast<uint32_t>(i);
+      reversed[i] = static_cast<uint32_t>(n - 1 - i);
     }
-  }
-}
-
-// ---------------------------------------------------------- fast scan
-
-TEST(PqFastScanTest, ImplementationsBitIdentical) {
-  Pcg32 rng(7);
-  for (size_t m : {1ul, 8ul, 24ul, 256ul}) {
-    for (size_t n : {1ul, 63ul, 64ul, 65ul, 200ul}) {
-      std::vector<uint8_t> lut8(m * 256);
-      for (auto& x : lut8) x = static_cast<uint8_t>(rng.NextBounded(256));
-      std::vector<uint8_t> codes_col(m * n);
-      for (auto& x : codes_col) {
-        x = static_cast<uint8_t>(rng.NextBounded(256));
-      }
-      std::vector<uint32_t> ref(n), got(n);
-      PqFastScanScalar(lut8.data(), codes_col.data(), n, n, m, ref.data());
-      PqFastScan(lut8.data(), codes_col.data(), n, n, m, got.data());
-      EXPECT_EQ(got, ref) << "m=" << m << " n=" << n;
-      // When the VBMI kernel is compiled in, pin it directly too (the
-      // dispatched path above may legitimately be the scalar one).
-      if (Avx512VbmiFastScan() != nullptr && PqFastScanSimdAvailable()) {
-        Avx512VbmiFastScan()(lut8.data(), codes_col.data(), n, n, m,
-                             got.data());
-        EXPECT_EQ(got, ref) << "vbmi m=" << m << " n=" << n;
+    for (const auto* ids : {&in_order, &reversed}) {
+      std::vector<float> gathered(n);
+      ComputeDistanceAdcGather(t, pq.codes.data().data(), ids->data(), n,
+                               gathered.data());
+      for (size_t i = 0; i < n; i++) {
+        const uint32_t id = (*ids)[i];
+        EXPECT_EQ(gathered[i], ComputeDistanceAdc(t, pq.codes.Row(id), id))
+            << MetricName(metric) << " gather i=" << i
+            << " in_order=" << (ids == &in_order);
       }
     }
-  }
-}
-
-TEST(PqFastScanTest, RejectsOversizedSubspaceCount) {
-  std::vector<float> lut(257 * 256, 0.0f);
-  EXPECT_TRUE(QuantizeAdcTable(lut.data(), 257).empty());
-  EXPECT_TRUE(QuantizeAdcTable(lut.data(), 0).empty());
-}
-
-TEST(PqFastScanTest, QuantizedScanApproximatesFloatAdc) {
-  const DatasetProfile* p = FindProfile("DEEP-1M");
-  auto data = GenerateDataset(*p, 500, 2, 29);
-  const PqDataset pq = TrainPq(data.base, FastTrain());
-  PqAdcTable t;
-  BuildAdcTable(pq, data.queries.Row(0), Metric::kL2, &t);
-  const QuantizedAdcTable q8 =
-      QuantizeAdcTable(t.dist.data(), t.num_subspaces);
-  ASSERT_FALSE(q8.empty());
-  const std::vector<uint8_t> codes_col = SubspaceMajorCodes(pq);
-  std::vector<uint32_t> acc(pq.rows());
-  PqFastScan(q8.lut.data(), codes_col.data(), pq.rows(), pq.rows(),
-             q8.num_subspaces, acc.data());
-  // 8-bit LUT quantization: error bounded by one step per subspace.
-  const float tol = q8.scale * static_cast<float>(q8.num_subspaces);
-  for (size_t r = 0; r < pq.rows(); r++) {
-    const float exact = ComputeDistanceAdc(t, pq.codes.Row(r), r);
-    EXPECT_NEAR(q8.Dequantize(acc[r]), exact, std::max(tol, 1e-3f))
-        << "r=" << r;
   }
 }
 
@@ -445,17 +391,19 @@ TEST(PqCosineTest, RowNormsMatchTheLutScanTheyReplace) {
 TEST(PqCosineTest, SinglePassMatchesTwoPassReferenceBitExact) {
   // The fused cosine ADC (one LUT scan + one precomputed-norm load)
   // must reproduce the retired two-pass form (dot scan + norm scan)
-  // exactly, pairwise and batched.
+  // exactly, pairwise and gathered.
   const KernelTable& k = ActiveKernelTable();
   auto data = GenerateDataset(*FindProfile("DEEP-1M"), 600, 4, 41);
   const PqDataset pq = TrainPq(data.base, FastTrain());
   const size_t m = pq.num_subspaces();
+  std::vector<uint32_t> ids(pq.rows());
+  for (size_t r = 0; r < ids.size(); r++) ids[r] = static_cast<uint32_t>(r);
   for (size_t q = 0; q < data.queries.rows(); q++) {
     PqAdcTable t;
     BuildAdcTable(pq, data.queries.Row(q), Metric::kCosine, &t);
     std::vector<float> fused(pq.rows());
-    ComputeDistanceAdcBatch(t, pq.codes.data().data(), 0, pq.rows(),
-                            fused.data());
+    ComputeDistanceAdcGather(t, pq.codes.data().data(), ids.data(),
+                             ids.size(), fused.data());
     for (size_t r = 0; r < pq.rows(); r++) {
       // Inline two-pass reference: dot LUT scan, then the
       // query-independent centroid-norm scan the fused path retired.
@@ -468,126 +416,6 @@ TEST(PqCosineTest, SinglePassMatchesTwoPassReferenceBitExact) {
       EXPECT_EQ(fused[r], two_pass) << "q=" << q << " r=" << r;
     }
   }
-}
-
-// --------------------------------------------------------- bruteforce
-
-TEST(PqBruteforceTest, TopKAgreesWithFp32Exact) {
-  const DatasetProfile* p = FindProfile("DEEP-1M");
-  auto data = GenerateDataset(*p, 1500, 16, 13);
-  const PqDataset pq = TrainPq(data.base, FastTrain());
-  const auto exact = ExactSearch(data.base, data.queries, 10, p->metric);
-  const auto adc = ExactSearch(pq, data.queries, 10, p->metric);
-  ASSERT_EQ(adc.ids.size(), exact.ids.size());
-  size_t hits = 0;
-  for (size_t i = 0; i < data.queries.rows(); i++) {
-    for (size_t a = 0; a < 10; a++) {
-      for (size_t b = 0; b < 10; b++) {
-        if (adc.ids[i * 10 + a] == exact.ids[i * 10 + b]) {
-          hits++;
-          break;
-        }
-      }
-    }
-  }
-  EXPECT_GT(static_cast<double>(hits) /
-                static_cast<double>(10 * data.queries.rows()),
-            0.7);
-}
-
-// ------------------------------------------- fast-scan bruteforce
-
-TEST(PqFastScanBruteforceTest, FullRerankEqualsExactAdcScan) {
-  // With rerank = rows every candidate is rescored with the fp32 ADC
-  // table, so the fast-scan path must return exactly the exact-scan
-  // result — ids and distances — for every metric.
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 700, 8, 43);
-  const PqDataset pq = TrainPq(data.base, FastTrain());
-  for (Metric metric :
-       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-    const auto exact = ExactSearch(pq, data.queries, 10, metric);
-    PqScanOptions opts;
-    opts.approximate_scan = true;
-    opts.rerank = pq.rows();
-    const auto fast = ExactSearch(pq, data.queries, 10, metric, opts);
-    EXPECT_EQ(fast.ids, exact.ids) << MetricName(metric);
-    EXPECT_EQ(fast.distances, exact.distances) << MetricName(metric);
-  }
-}
-
-TEST(PqFastScanBruteforceTest, DefaultRerankTracksExactScan) {
-  // At the default rerank budget the candidate selection is bounded by
-  // the 8-bit LUT step: overlap with the exact ADC top-10 must stay
-  // high and the returned distances must be genuine fp32 ADC values.
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 1500, 16, 13);
-  const PqDataset pq = TrainPq(data.base, FastTrain());
-  for (Metric metric : {Metric::kL2, Metric::kCosine}) {
-    const auto exact = ExactSearch(pq, data.queries, 10, metric);
-    PqScanOptions opts;
-    opts.approximate_scan = true;
-    const auto fast = ExactSearch(pq, data.queries, 10, metric, opts);
-    size_t hits = 0;
-    for (size_t q = 0; q < data.queries.rows(); q++) {
-      for (size_t a = 0; a < 10; a++) {
-        const uint32_t id = fast.ids[q * 10 + a];
-        // Every returned distance is the exact ADC distance of its row.
-        PqAdcTable t;
-        BuildAdcTable(pq, data.queries.Row(q), metric, &t);
-        EXPECT_EQ(fast.distances[q * 10 + a],
-                  ComputeDistanceAdc(t, pq.codes.Row(id), id))
-            << MetricName(metric) << " q=" << q;
-        for (size_t b = 0; b < 10; b++) {
-          if (id == exact.ids[q * 10 + b]) {
-            hits++;
-            break;
-          }
-        }
-      }
-    }
-    EXPECT_GT(static_cast<double>(hits) /
-                  static_cast<double>(10 * data.queries.rows()),
-              0.9)
-        << MetricName(metric);
-  }
-}
-
-TEST(PqFastScanBruteforceTest, RecallFloorVsFp32GroundTruth) {
-  // The acceptance pin for the opt-in mode: fast-scan bruteforce with
-  // the default rerank keeps the PQ recall floor against exact fp32
-  // ground truth, native and forced-scalar.
-  const DatasetProfile* p = FindProfile("DEEP-1M");
-  auto data = GenerateDataset(*p, 1500, 16, 13);
-  const PqDataset pq = TrainPq(data.base, FastTrain());
-  const auto gt = ComputeGroundTruth(data.base, data.queries, 10, p->metric);
-  PqScanOptions opts;
-  opts.approximate_scan = true;
-  const auto fast = ExactSearch(pq, data.queries, 10, p->metric, opts);
-  EXPECT_GT(ComputeRecall(fast, gt), 0.75);
-}
-
-TEST(PqFastScanBruteforceTest, WorksUnderOpqRotation) {
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 700, 4, 47);
-  const PqDataset opq = TrainPq(data.base, OpqTrain());
-  ASSERT_TRUE(opq.HasRotation());
-  const auto exact = ExactSearch(opq, data.queries, 5, Metric::kL2);
-  PqScanOptions opts;
-  opts.approximate_scan = true;
-  opts.rerank = opq.rows();
-  const auto fast = ExactSearch(opq, data.queries, 5, Metric::kL2, opts);
-  EXPECT_EQ(fast.ids, exact.ids);
-  EXPECT_EQ(fast.distances, exact.distances);
-}
-
-TEST(PqFastScanBruteforceTest, KBeyondRowsPadsLikeExactScan) {
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 40, 2, 53);
-  PqTrainParams tp = FastTrain();
-  const PqDataset pq = TrainPq(data.base, tp);
-  PqScanOptions opts;
-  opts.approximate_scan = true;
-  const auto exact = ExactSearch(pq, data.queries, 64, Metric::kL2);
-  const auto fast = ExactSearch(pq, data.queries, 64, Metric::kL2, opts);
-  EXPECT_EQ(fast.ids, exact.ids);
-  EXPECT_EQ(fast.distances, exact.distances);
 }
 
 // ------------------------------------------------- end-to-end search

@@ -164,31 +164,6 @@ TEST(QuantizeTest, CosineOperatesOnDecodedValuesNotFp32) {
   }
 }
 
-TEST(QuantizeTest, QuantizedBruteforceAgreesWithFp32) {
-  const DatasetProfile* p = FindProfile("DEEP-1M");
-  auto data = GenerateDataset(*p, 1000, 16, 13);
-  const QuantizedDataset q = QuantizeInt8(data.base);
-  const auto exact = ExactSearch(data.base, data.queries, 10, p->metric);
-  const auto quant = ExactSearch(q, data.queries, 10, p->metric);
-  ASSERT_EQ(quant.ids.size(), exact.ids.size());
-  // Quantization perturbs distances, so rankings may differ near ties;
-  // demand strong (not perfect) agreement of the top-10 sets.
-  size_t hits = 0;
-  for (size_t i = 0; i < data.queries.rows(); i++) {
-    for (size_t a = 0; a < 10; a++) {
-      for (size_t b = 0; b < 10; b++) {
-        if (quant.ids[i * 10 + a] == exact.ids[i * 10 + b]) {
-          hits++;
-          break;
-        }
-      }
-    }
-  }
-  EXPECT_GT(static_cast<double>(hits) /
-                static_cast<double>(10 * data.queries.rows()),
-            0.85);
-}
-
 // ------------------------------------------------- end-to-end search
 
 TEST(Int8SearchTest, RequiresEnable) {

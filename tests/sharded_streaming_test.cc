@@ -13,7 +13,6 @@
 #include "core/sharded.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
-#include "knn/bruteforce.h"
 #include "sharded_reference.h"
 
 namespace cagra {
@@ -227,30 +226,6 @@ TEST_F(StreamingDeterminismTest, OpqStreamingIdenticalToSerialBarrier) {
             << " rep=" << rep;
       }
     }
-  }
-}
-
-TEST_F(StreamingDeterminismTest, FastScanBruteforceDeterministicAcrossRuns) {
-  // The fast-scan bruteforce parallelizes over queries on the shared
-  // pool; repeated runs (different schedules) must be EXPECT_EQ —
-  // candidate ranking is exact integer ranking and the rerank is a
-  // fixed (distance, id)-ordered fold, so scheduling cannot leak in.
-  const PqDataset pq = TrainPq(data_->base);
-  PqScanOptions opts;
-  opts.approximate_scan = true;
-  const auto first = ExactSearch(pq, data_->queries, 5, Metric::kL2, opts);
-  for (int rep = 0; rep < 10; rep++) {
-    const auto again = ExactSearch(pq, data_->queries, 5, Metric::kL2, opts);
-    ASSERT_EQ(again.ids, first.ids) << "rep " << rep;
-    ASSERT_EQ(again.distances, first.distances) << "rep " << rep;
-  }
-  // And the exact path stays deterministic with the new per-row-norm
-  // cosine fold.
-  const auto cos_first = ExactSearch(pq, data_->queries, 5, Metric::kCosine);
-  for (int rep = 0; rep < 5; rep++) {
-    const auto again = ExactSearch(pq, data_->queries, 5, Metric::kCosine);
-    ASSERT_EQ(again.ids, cos_first.ids) << "rep " << rep;
-    ASSERT_EQ(again.distances, cos_first.distances) << "rep " << rep;
   }
 }
 
