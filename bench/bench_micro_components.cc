@@ -1,11 +1,12 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
 // blocks — the per-iteration candidate sort + top-M merge at the slot
 // fills the benchmark workloads' traversals see, visited-set probing,
-// distance kernels fp32 vs fp16, and NN-descent vs exact kNN-graph
-// construction.
+// distance kernels fp32 vs fp16, NN-descent vs exact kNN-graph
+// construction, and PQ codebook training plus encode (plain and OPQ).
 #include <benchmark/benchmark.h>
 
 #include "core/search_internal.h"
+#include "dataset/pq.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "distance/distance.h"
@@ -148,6 +149,20 @@ void BM_ExactKnnGraphBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ExactKnnGraphBuild)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+/// TrainPq on 10k DEEP rows with the default parameters: the subspace
+/// k-means on the pool, then the encode. Arg 1 adds the OPQ rotation
+/// (PCA init and opq_iterations more trainings).
+void BM_TrainPq(benchmark::State& state) {
+  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 10000, 1, 5);
+  PqTrainParams params;
+  params.rotate = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TrainPq(data.base, params));
+  }
+  state.SetItemsProcessed(state.iterations() * data.base.rows());
+}
+BENCHMARK(BM_TrainPq)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

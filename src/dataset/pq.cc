@@ -54,19 +54,38 @@ void MatVec(const float* r_mat, size_t dim, const float* x, float* out) {
   }
 }
 
-/// Trains one subspace's 256-centroid codebook on `sample` dsub-dim
-/// vectors with Lloyd iterations. Init wraps the sample; every round
-/// re-seeds empty clusters by splitting the cluster with the largest
-/// quantization error (FAISS-style ±eps clone), so duplicate init
-/// centroids and clusters drained mid-run turn into extra resolution
-/// for the heavy clusters instead of dead codes.
-void TrainSubspaceCodebook(const float* sub_sample, size_t sample,
-                           size_t dsub, size_t iterations, float* cent) {
-  std::vector<float> dists(kC);
-  std::vector<uint8_t> assign(sample);
-  std::vector<float> sums(kC * dsub);
-  std::vector<uint32_t> counts(kC);
-  std::vector<float> sse(kC);
+/// One subspace training's working set: the sample's column slice and
+/// the Lloyd vectors. TrainCodebooksFromRows sizes one per pool slot on
+/// the calling thread, so no pool worker allocates while training
+/// (memory a worker frees at the top of its malloc arena is never
+/// returned to the system).
+struct LloydScratch {
+  std::vector<float> sub_sample;  // sample x dsub
+  std::vector<float> dists;
+  std::vector<uint8_t> assign;
+  std::vector<float> sums;
+  std::vector<uint32_t> counts;
+  std::vector<float> sse;
+
+  LloydScratch(size_t sample, size_t dsub)
+      : sub_sample(sample * dsub), dists(kC), assign(sample),
+        sums(kC * dsub), counts(kC), sse(kC) {}
+};
+
+/// Trains one subspace's 256-centroid codebook on the `sample` dsub-dim
+/// vectors in s->sub_sample with Lloyd iterations. Init wraps the
+/// sample; every round re-seeds empty clusters by splitting the cluster
+/// with the largest quantization error (FAISS-style ±eps clone), so
+/// duplicate init centroids and clusters drained mid-run turn into
+/// extra resolution for the heavy clusters instead of dead codes.
+void TrainSubspaceCodebook(size_t sample, size_t dsub, size_t iterations,
+                           LloydScratch* s, float* cent) {
+  const float* sub_sample = s->sub_sample.data();
+  std::vector<float>& dists = s->dists;
+  std::vector<uint8_t>& assign = s->assign;
+  std::vector<float>& sums = s->sums;
+  std::vector<uint32_t>& counts = s->counts;
+  std::vector<float>& sse = s->sse;
 
   for (size_t c = 0; c < kC; c++) {
     std::copy_n(&sub_sample[(c % sample) * dsub], dsub, cent + c * dsub);
@@ -128,18 +147,24 @@ void TrainSubspaceCodebook(const float* sub_sample, size_t sample,
 }
 
 /// Trains all per-subspace codebooks from `rows` (n x dim, already in
-/// the coding space — rotated when OPQ is on).
+/// the coding space — rotated when OPQ is on), one subspace per pool
+/// task. Each task reads only its own columns and writes only its own
+/// codebook slice, so the result is byte-identical to a serial loop at
+/// any pool width and under any schedule.
 void TrainCodebooksFromRows(const float* rows, size_t n, size_t dim,
                             size_t m_subs, size_t dsub, size_t iterations,
                             float* centroids) {
-  std::vector<float> sub_sample(n * dsub);
-  for (size_t m = 0; m < m_subs; m++) {
+  std::vector<LloydScratch> scratch(GlobalThreadPool().num_slots(),
+                                    LloydScratch(n, dsub));
+  GlobalThreadPool().ParallelForSlotted(0, m_subs, [&](size_t slot,
+                                                       size_t m) {
+    LloydScratch& s = scratch[slot];
     for (size_t i = 0; i < n; i++) {
-      CopySub(rows + i * dim, dim, m, dsub, &sub_sample[i * dsub]);
+      CopySub(rows + i * dim, dim, m, dsub, &s.sub_sample[i * dsub]);
     }
-    TrainSubspaceCodebook(sub_sample.data(), n, dsub, iterations,
+    TrainSubspaceCodebook(n, dsub, iterations, &s,
                           centroids + m * kC * dsub);
-  }
+  });
 }
 
 /// Encodes n rows through the codebooks, fanned out over the pool.

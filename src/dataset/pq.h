@@ -93,6 +93,12 @@ struct PqTrainParams {
 /// the cluster with the largest quantization error, so codebooks never
 /// keep duplicate/stale centroids when the sample has fewer distinct
 /// rows than centroids.
+///
+/// Runs on the global pool: the k-means one subspace per task, the
+/// encode split by row. Each task writes only its own codebook slice or
+/// code bytes, so every output field is byte-identical to a one-thread
+/// training at any pool width, with other trainings running at once,
+/// and when called from inside a pool task (DESIGN.md §3).
 [[nodiscard]] PqDataset TrainPq(const Matrix<float>& dataset,
                   const PqTrainParams& params = PqTrainParams{});
 

@@ -3,6 +3,8 @@
 // path is covered through both the SIMD and the reference kernels.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "distance/simd.h"
 #include "knn/bruteforce.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cagra {
 namespace {
@@ -245,6 +248,61 @@ TEST(PqTrainTest, TinyDatasetGetsPerCentroidResolution) {
     for (size_t d = 0; d < dim; d++) {
       EXPECT_NEAR(pq.Decode(r, d), m.Row(r)[d], 1e-5f)
           << "r=" << r << " d=" << d;
+    }
+  }
+}
+
+// ------------------------------------------------ parallel training
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void ExpectSameBytes(const PqDataset& got, const PqDataset& ref,
+                     const char* where) {
+  EXPECT_TRUE(SameBytes(got.centroids, ref.centroids)) << where;
+  EXPECT_TRUE(SameBytes(got.centroid_norm2, ref.centroid_norm2)) << where;
+  EXPECT_TRUE(SameBytes(got.rotation, ref.rotation)) << where;
+  EXPECT_TRUE(SameBytes(got.codes.data(), ref.codes.data())) << where;
+  EXPECT_TRUE(SameBytes(got.row_norm2, ref.row_norm2)) << where;
+}
+
+// The subspace k-means runs one subspace per pool task, each on its own
+// column slice and codebook slice. Two trainings at once, and two
+// nested in pool tasks (a sharded EnablePq's shape), must produce the
+// lone training's bytes; a slice shared between tasks shows here or
+// under TSan.
+TEST(PqTrainTest, IdenticalAloneConcurrentAndNested) {
+  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 2000, 1, 41);
+  // Two Lloyd rounds (the default is six) keep the sanitizer builds
+  // quick.
+  PqTrainParams plain;
+  plain.kmeans_iterations = 2;
+  PqTrainParams opq = plain;
+  opq.rotate = true;
+  opq.opq_iterations = 1;
+  for (const PqTrainParams& params : {plain, opq}) {
+    SCOPED_TRACE(params.rotate ? "opq" : "plain");
+    const PqDataset alone = TrainPq(data.base, params);
+    ASSERT_EQ(alone.num_subspaces(), 24u);
+    ASSERT_EQ(alone.HasRotation(), params.rotate);
+
+    PqDataset trained[2];
+    std::thread other([&] { trained[1] = TrainPq(data.base, params); });
+    trained[0] = TrainPq(data.base, params);
+    other.join();
+    for (const PqDataset& pq : trained) {
+      ExpectSameBytes(pq, alone, "two at once");
+    }
+
+    GlobalThreadPool().ParallelFor(0, 2, [&](size_t i) {
+      trained[i] = TrainPq(data.base, params);
+    });
+    for (const PqDataset& pq : trained) {
+      ExpectSameBytes(pq, alone, "nested in the pool");
     }
   }
 }

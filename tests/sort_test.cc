@@ -70,8 +70,11 @@ std::vector<KeyValue> AwkwardEntries(size_t n, Pcg32* rng,
 
 bool SameEntries(const std::vector<KeyValue>& a,
                  const std::vector<KeyValue>& b) {
+  // An empty vector's data() may be null, and memcmp on null is
+  // undefined even for a zero length.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(KeyValue)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(KeyValue)) == 0);
 }
 
 /// Runs SortAndMerge on a copy of `topm` and `candidates` over
