@@ -1,11 +1,10 @@
 // Extension: multi-GPU sharding (§IV-C2 discussion / §V-E / §V-F).
-// Sweeps the shard count, modeling each shard on its own device, and
-// compares the barrier schedule (one chunk: every shard finishes the
-// whole batch, then one serial merge tail) against the streaming
-// pipeline (chunked per-shard searches with the merge overlapped) on
-// both the host wall-clock and the modeled device axis. Emits one JSON
-// object on stdout — the machine-readable bench-trajectory contract CI
-// uploads as an artifact.
+// Sweeps the shard count, modeling each shard on its own device: every
+// shard searches the whole batch, then the host merges the per-shard
+// top-k lists. Reports the build time, the host wall-clock and modeled
+// device throughput of the search, and recall per shard count. Emits
+// one JSON object on stdout — the machine-readable bench-trajectory
+// contract CI uploads as an artifact.
 #include <algorithm>
 #include <cstdio>
 
@@ -17,7 +16,7 @@ namespace {
 
 using namespace cagra;
 
-struct PathSample {
+struct Sample {
   double host_seconds = 0.0;
   double modeled_qps = 0.0;
   double recall = 0.0;
@@ -27,14 +26,13 @@ struct PathSample {
 /// Best-of-reps host wall-clock (min filters scheduler noise) plus the
 /// modeled metrics of the last successful run. A failing rep marks the
 /// sample (emitted in-band in the JSON) but keeps what was measured.
-template <typename SearchFn>
-PathSample MeasurePath(const bench::Workbench& wb, SearchFn&& search,
-                       int reps = 3) {
-  PathSample out;
+Sample Measure(const bench::Workbench& wb, const ShardedCagraIndex& index,
+               const SearchParams& sp, int reps = 3) {
+  Sample out;
   out.host_seconds = 1e30;
   for (int r = 0; r < reps; r++) {
     Timer timer;
-    auto result = search();
+    auto result = index.Search(wb.data.queries, sp);
     const double host = timer.Seconds();
     if (!result.ok()) {
       std::fprintf(stderr, "search failed: %s\n",
@@ -81,46 +79,22 @@ int main() {
     sp.k = 10;
     sp.itopk = 64;
     sp.algo = SearchAlgo::kSingleCta;
-
-    // Barrier schedule: one chunk, so every shard scans the full batch
-    // and the whole merge runs as a serial tail.
-    SearchParams one_chunk = sp;
-    one_chunk.shard_chunk_queries = wb.data.queries.rows();
-    const PathSample barrier = MeasurePath(
-        wb, [&] { return index->Search(wb.data.queries, one_chunk); });
-
-    // Streaming pipeline at the auto chunk size.
-    const PathSample streaming =
-        MeasurePath(wb, [&] { return index->Search(wb.data.queries, sp); });
+    const Sample sample = Measure(wb, *index, sp);
 
     if (!first) std::printf(",\n");
     first = false;
     std::printf("    {\"shards\": %zu, \"build_seconds\": %.3f, "
-                "\"error\": %s,\n",
-                shards, stats.total_seconds,
-                barrier.error || streaming.error ? "true" : "false");
-    std::printf("     \"barrier\": {\"host_seconds\": %.4f, "
-                "\"modeled_qps\": %.4e, \"recall_at_10\": %.4f},\n",
-                barrier.host_seconds, barrier.modeled_qps, barrier.recall);
-    std::printf("     \"streaming\": {\"host_seconds\": %.4f, "
-                "\"modeled_qps\": %.4e, \"recall_at_10\": %.4f,\n",
-                streaming.host_seconds, streaming.modeled_qps,
-                streaming.recall);
-    std::printf("                   \"host_speedup_vs_barrier\": %.3f, "
-                "\"modeled_speedup_vs_barrier\": %.3f}}",
-                streaming.host_seconds > 0
-                    ? barrier.host_seconds / streaming.host_seconds
-                    : 0.0,
-                barrier.modeled_qps > 0
-                    ? streaming.modeled_qps / barrier.modeled_qps
-                    : 0.0);
+                "\"host_seconds\": %.4f, \"modeled_qps\": %.4e, "
+                "\"recall_at_10\": %.4f, \"error\": %s}",
+                shards, stats.total_seconds, sample.host_seconds,
+                sample.modeled_qps, sample.recall,
+                sample.error ? "true" : "false");
   }
   std::printf("\n  ],\n");
   std::printf(
       "  \"notes\": \"recall holds across shard counts (every shard is "
-      "searched at full breadth); streaming overlaps the host merge with "
-      "still-running chunk scans, so its modeled time drops the full-batch "
-      "merge tail to the final chunk's\"\n");
+      "searched at full breadth); modeled time is the slowest shard plus "
+      "the host merge of every (query, shard) list\"\n");
   std::printf("}\n");
   return 0;
 }

@@ -980,53 +980,4 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
   return index;
 }
 
-Status CagraIndex::EnableOutOfCore(const std::string& path) {
-  MutexLock lock(core_->writer_mu);
-  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
-  if (cur->out_of_core()) {
-    if (path == cur->mmap->path()) return Status::Ok();  // idempotent
-    return Status::InvalidArgument(
-        "index is already out-of-core over " + cur->mmap->path());
-  }
-  if (cur->dataset == nullptr || cur->dataset->empty()) {
-    return Status::InvalidArgument(
-        "index has no resident fp32 dataset to replace");
-  }
-  if (cur->num_dead != 0) {
-    // Save() writes the compacted form, so the file's rows cannot line
-    // up with this index's internal ids while tombstones are pending.
-    return Status::FailedPrecondition(
-        "index has tombstoned rows: Compact() before EnableOutOfCore so "
-        "the mapped rows line up with the live internal ids");
-  }
-  // `path` must hold Save() output for *this* index: check the header
-  // against the live shape/metric before trusting the mapped rows. A
-  // stale or foreign file fails here instead of silently serving wrong
-  // vectors to the rerank.
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open " + path);
-  uint64_t header[5];
-  if (std::fread(header, sizeof(header), 1, f.get()) != 1) {
-    return Status::IoError(path + ": header read failed");
-  }
-  if (header[0] != kIndexMagic) {
-    return Status::IoError(path + ": not a CAGRA index file");
-  }
-  if (header[1] != cur->num_rows || header[2] != cur->num_dims ||
-      header[4] != static_cast<uint64_t>(cur->metric)) {
-    return Status::InvalidArgument(
-        path + ": saved index does not match this index's shape/metric");
-  }
-  CAGRA_ASSIGN_OR_RETURN(
-      MmapMatrix mapped,
-      MmapMatrix::Open(path, cur->num_rows, cur->num_dims, sizeof(header)));
-  auto next = std::make_shared<IndexSnapshot>(*cur);
-  next->mmap = std::make_shared<const MmapMatrix>(std::move(mapped));
-  // Release the resident fp32 copy — the whole point of the tier. The
-  // graph and any fp16/int8/PQ copies stay hot.
-  next->dataset = nullptr;
-  StoreSnapshot(std::move(next));
-  return Status::Ok();
-}
-
 }  // namespace cagra

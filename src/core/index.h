@@ -51,8 +51,8 @@ struct CompactionOptions {
 /// version of the index is an immutable IndexSnapshot published through
 /// an atomically swapped shared_ptr. Searches load the pointer once
 /// (snapshot()) and are wait-free; mutators (Add / Remove / Compact /
-/// Enable* / EnableOutOfCore) serialize behind an internal writer mutex,
-/// build a successor snapshot copy-on-write, and publish it — readers
+/// Enable*) serialize behind an internal writer mutex, build a
+/// successor snapshot copy-on-write, and publish it — readers
 /// holding an older version keep it alive by refcount and finish
 /// undisturbed. snapshot() is the only way to reach index storage: hold
 /// the returned pointer for as long as you read through it. The scalar
@@ -169,27 +169,20 @@ class CagraIndex {
   size_t degree() const { return snapshot()->degree(); }
 
   /// The out-of-core storage tier (DiskANN-shaped split, the ROADMAP's
-  /// "single biggest scale unlock"): the graph and every compressed
-  /// copy (fp16/int8/PQ) stay RAM-resident, while the fp32 rows are
-  /// served from a read-only mmap of a Save() file — touched only when
-  /// a search actually needs full precision (the top-r rerank, or an
-  /// fp32-precision traversal). EnableOutOfCore points this index at
-  /// `path` — which must hold Save() output matching this index's
-  /// shape/metric — then drops the resident fp32 copy. Enable*() calls
-  /// need the resident rows, so order them before going out-of-core
-  /// (LoadOutOfCore restores the PQ copy from the file's trailer
-  /// regardless).
+  /// "single biggest scale unlock"): the graph and the PQ copy stay
+  /// RAM-resident, while the fp32 rows are served from a read-only mmap
+  /// of a Save() file — touched only when a search actually needs full
+  /// precision (the top-r rerank, or an fp32-precision traversal).
+  /// LoadOutOfCore opens a Save() file with the fp32 rows left on disk:
+  /// header, graph, and the optional PQ trailer load as usual, the
+  /// dataset section is skipped and mapped instead — Load(path) at a
+  /// fraction of the RSS. Enable*() calls need the resident rows and do
+  /// nothing on an out-of-core index, so run EnablePq before Save().
   ///
   /// Results are bit-identical to the RAM-resident path: fp32 access
   /// reads the same bytes through the map. The file must outlive the
   /// index and must not be truncated while mapped (the usual mmap
   /// contract; Save() onto the backing file is rejected).
-  [[nodiscard]] Status EnableOutOfCore(const std::string& path);
-
-  /// Opens a Save() file with the fp32 rows left on disk: header,
-  /// graph, and the optional PQ trailer load as usual, the dataset
-  /// section is skipped and mapped instead. Equivalent to
-  /// Load(path) + EnableOutOfCore(path) at a fraction of the RSS.
   [[nodiscard]] static Result<CagraIndex> LoadOutOfCore(
       const std::string& path);
 

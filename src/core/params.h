@@ -82,7 +82,6 @@ struct SearchParams {
   /// result-identity contract: a request's result must not depend on
   /// which micro-batch it was coalesced into, so each row searches
   /// exactly as a batch-of-one would (row 0 gets `seed` either way).
-  /// Chunked execution skips its chunk-base seed offset accordingly.
   bool uniform_seed = false;
   /// r: exact-fp32 rerank depth. 0 (the default) = off. When set, the
   /// graph search runs unchanged but keeps its top-r frontier
@@ -106,23 +105,14 @@ struct SearchParams {
   /// per-query work is independent and seeded — so this is purely a
   /// throughput knob.
   size_t num_threads = 0;
-  /// Queries per chunk of the streaming sharded pipeline
-  /// (ShardedCagraIndex::Search): each shard searches the batch
-  /// chunk-by-chunk and finished chunks merge while later ones are
-  /// still in flight. 0 = auto (~4 chunks per batch, min 8 rows).
-  /// Results are byte-identical at any chunk size — the merge order is
-  /// pinned per chunk and batch-shape auto choices are resolved on the
-  /// full batch — so this, too, is purely a throughput knob.
-  size_t shard_chunk_queries = 0;
   /// Cooperative cancellation/deadline token (util/cancel.h), checked
-  /// at iteration boundaries in the core search kernels, and per
-  /// (chunk, shard) task and per straggler wait in the streaming
-  /// sharded pipeline. When it expires mid-search the call still
-  /// returns ok() with best-effort partial results, marked
-  /// SearchResult::complete == false; rows the search never reached
-  /// carry the standard padding (0xffffffff / +inf). nullptr (the
-  /// default) disables every check — results and hot-loop cost are
-  /// exactly the token-free ones.
+  /// at iteration boundaries in the core search kernels, and per shard
+  /// and per straggler wait in sharded search. When it expires
+  /// mid-search the call still returns ok() with best-effort partial
+  /// results, marked SearchResult::complete == false; rows the search
+  /// never reached carry the standard padding (0xffffffff / +inf).
+  /// nullptr (the default) disables every check — results and hot-loop
+  /// cost are exactly the token-free ones.
   ///
   /// Non-owning: the token must stay alive for the duration of the
   /// Search call (detaching executors derive their own internal token

@@ -161,8 +161,8 @@ Result<SearchResult> Search(const CagraIndex& index,
 
   // --- Mode selection (Fig. 7 rule; thresholds track the device).
   // ResolveBatchShape is the single owner of the batch-shape auto
-  // choices so chunked callers (streaming sharded search) pin exactly
-  // what an unchunked run would pick.
+  // choices so callers that pin them (the serving scheduler) pick
+  // exactly what this call would.
   const SearchParams shaped = ResolveBatchShape(params, device, batch);
   const SearchAlgo algo = shaped.algo;
 

@@ -38,7 +38,7 @@ struct SearchResult {
   /// Per-query dataset rows actually scored (one entry per batch row):
   /// the partial-result yardstick — a cancelled query reports how much
   /// of the search it got through, and a sharded query sums over the
-  /// shard/chunk scans that finished before the deadline.
+  /// shard scans that finished before the deadline.
   std::vector<uint64_t> rows_examined;
 };
 
@@ -68,19 +68,18 @@ struct SearchResult {
 size_t PickTeamSize(const DeviceSpec& device, size_t dim, size_t elem_bytes,
                     size_t threads_per_cta, size_t candidates_per_iter);
 
-/// Copies query rows [begin, begin + count) into a standalone matrix —
-/// the unit of work the streaming sharded pipeline hands each shard.
+/// Copies query rows [begin, begin + count) into a standalone matrix.
 /// Requires begin + count <= queries.rows().
 Matrix<float> SliceQueries(const Matrix<float>& queries, size_t begin,
                            size_t count);
 
 /// Pins the batch-shape-dependent auto choices — the Fig. 7
 /// algo rule and the multi-CTA width — as if all `batch` queries ran in
-/// one launch. Chunked execution (streaming sharded search) resolves
-/// these once on the full batch and hands every chunk the pinned
-/// params; otherwise a small final chunk could flip the execution mode
-/// and change the results relative to an unchunked run. Idempotent:
-/// explicit (non-auto) settings pass through untouched.
+/// one launch. Search resolves its own batch this way. A caller that
+/// coalesces requests pins the shape each request should search as:
+/// the serving scheduler pins batch 1, so a request searches the same
+/// whatever micro-batch it rides. Idempotent: explicit (non-auto)
+/// settings pass through untouched.
 SearchParams ResolveBatchShape(const SearchParams& params,
                                const DeviceSpec& device, size_t batch);
 

@@ -11,7 +11,7 @@ namespace cagra {
 /// request — `Search(queries, params)` with every knob (k, itopk,
 /// precision, threading) folded into SearchParams — regardless of what
 /// executes it underneath: a single CagraIndex (IndexSearcher), the
-/// streaming sharded pipeline (ShardedCagraIndex), or any future
+/// sharded search (ShardedCagraIndex), or any future
 /// backend. The serving scheduler, and every feature written on top of
 /// it, targets this interface once instead of the per-backend entry
 /// points; tests inject fakes through it to script execution timing.

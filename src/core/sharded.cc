@@ -25,27 +25,19 @@ constexpr double kMergeOverheadPerQueryShard = 2e-7;  // 200ns
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/// How long the merger waits for already-cancelling tasks after it
+/// How long the merger waits for already-cancelling shards after it
 /// observes expiry, before abandoning whoever still hasn't published.
 /// Cooperative cancellation inside a search is observed within a few
 /// iterations (tens of microseconds here), so a small grace drains every
-/// well-behaved task; only a genuinely stalled one gets abandoned.
+/// well-behaved shard; only a genuinely stalled one gets abandoned.
 constexpr std::chrono::milliseconds kCancelDrainGrace{2};
 
 /// Poll period of the merger's wait under a caller token: bounds how
-/// late a manual Cancel() from another thread is forwarded into the
-/// pipeline while no chunk arrives.
+/// late a manual Cancel() from another thread is forwarded to the
+/// helpers while no shard arrives.
 constexpr std::chrono::milliseconds kCancelPollPeriod{1};
 
-/// Effective chunk size of the streaming pipeline: the explicit request
-/// clamped to the batch, or the auto default of ~4 chunks per batch
-/// (minimum 8 rows, so tiny batches don't dissolve into per-row tasks).
-size_t ResolveShardChunk(size_t requested, size_t batch) {
-  if (requested == 0) requested = std::max<size_t>(8, (batch + 3) / 4);
-  return std::min(requested, batch);
-}
-
-/// The marker a task records when it skips its scan because the token
+/// The marker a shard records when it skips its scan because the token
 /// expired first. Not an error of the search — the merger folds the
 /// shards that did run and marks the result incomplete.
 Status CancelMarker(const CancelToken& token) {
@@ -60,33 +52,32 @@ bool IsCancelMarker(const Status& s) {
          s.code() == StatusCode::kCancelled;
 }
 
-/// Heap-owned state of one streaming pipeline run, shared (shared_ptr)
-/// between the merging caller and every pool helper. The caller may
-/// return before every task has run — abandoned helpers keep the state
-/// alive and finish against it harmlessly — so nothing here references
-/// the caller's stack: the query chunks are sliced into it up front.
+/// Heap-owned state of one sharded search, shared (shared_ptr) between
+/// the merging caller and every pool helper. The caller may return
+/// before every shard has run — abandoned helpers keep the state alive
+/// and finish against it harmlessly — so nothing here references the
+/// caller's stack: the queries are copied in up front.
 ///
-/// Synchronization contract (latch-published, not mutex-guarded — so
+/// Synchronization contract (queue-published, not mutex-guarded — so
 /// outside CAGRA_GUARDED_BY's vocabulary; the mutex+2cv protocol lives
 /// inside the annotated MpscBoundedQueue member `ready`):
-///  - Task t is (chunk t / num_shards, shard t % num_shards); `next_task`
-///    hands each t to exactly one thread, chunk-major, so early chunks
-///    finish first.
-///  - `results[t]` is written by that thread alone, which then
-///    decrements `remaining[c]` (acq_rel). The final decrement pushes c
-///    into `ready`; the consumer's pop acquires, so a popped chunk's
-///    slots are all ordered-before the read. Slots of never-popped
-///    chunks still belong to (possibly abandoned) helpers and must not
-///    be read — Search tracks popped chunks explicitly.
-///  - Everything else is set before the first task is claimed and
+///  - `next_shard` hands each shard to exactly one thread.
+///  - `results[s]` is written by that thread alone, which then pushes s
+///    into `ready`; the consumer's pop acquires, so a popped shard's
+///    slot is ordered-before the read. Slots of never-popped shards
+///    still belong to (possibly abandoned) helpers and must not be
+///    read — Search tracks popped shards explicitly.
+///  - Everything else is set before the first shard is claimed and
 ///    read-only afterwards (`token` is internally atomic).
-struct StreamState {
-  StreamState(const Matrix<float>& queries, size_t chunk_rows_in,
-              size_t num_shards_in, const CancelToken* parent)
-      : num_shards(num_shards_in),
-        chunk_rows(chunk_rows_in),
-        remaining((queries.rows() + chunk_rows_in - 1) / chunk_rows_in),
-        ready(remaining.size()),
+struct ShardedRun {
+  ShardedRun(const std::vector<CagraIndex>& shards_in,
+             const Matrix<float>& queries_in, const SearchParams& params_in,
+             const CancelToken* parent)
+      : shards(&shards_in),
+        queries(queries_in),
+        params(params_in),
+        results(shards_in.size()),
+        ready(shards_in.size()),
         // The derived token helpers consult: the caller's deadline is
         // copied in (so helpers observe it on their own clock reads), a
         // cancel that already happened is copied too, and later manual
@@ -97,88 +88,67 @@ struct StreamState {
                   ? CancelToken(parent->deadline())
                   : CancelToken()) {
     if (parent != nullptr && parent->Expired()) token.Cancel();
-    for (auto& r : remaining) r.store(num_shards, std::memory_order_relaxed);
-    chunks.reserve(remaining.size());
-    for (size_t begin = 0; begin < queries.rows(); begin += chunk_rows) {
-      chunks.push_back(SliceQueries(
-          queries, begin, std::min(chunk_rows, queries.rows() - begin)));
-    }
-    results.resize(chunks.size() * num_shards);
   }
 
-  const size_t num_shards;
-  const size_t chunk_rows;
-  const std::vector<CagraIndex>* shards = nullptr;
-  SearchParams task_params;
-  DeviceSpec device;
-  std::vector<Matrix<float>> chunks;
+  const std::vector<CagraIndex>* shards;
+  const Matrix<float> queries;
+  const SearchParams params;
   std::vector<std::optional<Result<SearchResult>>> results;
-  std::vector<std::atomic<size_t>> remaining;
-  std::atomic<size_t> next_task{0};
-  /// Carries chunk ids only (results are preallocated above), sized to
-  /// hold every chunk: a helper that finishes a chunk never blocks
-  /// behind a busy merger — and an abandoned helper's final push cannot
-  /// block either.
+  std::atomic<size_t> next_shard{0};
+  /// Carries shard ids only (results are preallocated above), sized to
+  /// hold every shard: a helper that finishes never blocks behind a
+  /// busy merger — and an abandoned helper's final push cannot block
+  /// either.
   MpscBoundedQueue<size_t> ready;
   CancelToken token;
 };
 
-/// Claims the next (chunk, shard) task and runs it under `token`: the
-/// caller's own token for tasks the caller runs, the derived one for
-/// helpers, null for a token-free search. Returns false once every task
-/// is claimed. Touches only the shared state, so it runs correctly even
-/// after a cancelled merger has returned.
-bool RunNextTask(StreamState& st, const CancelToken* token) {
-  const size_t t = st.next_task.fetch_add(1, std::memory_order_relaxed);
-  if (t >= st.results.size()) return false;
-  const size_t c = t / st.num_shards;
-  std::optional<Result<SearchResult>>& slot = st.results[t];
+/// Claims the next shard and searches the whole batch on it under
+/// `token`: the caller's own token for shards the caller runs, the
+/// derived one for helpers, null for a token-free search. Returns false
+/// once every shard is claimed. Touches only the shared state, so it
+/// runs correctly even after a cancelled merger has returned.
+bool RunNextShard(ShardedRun& run, const CancelToken* token) {
+  const size_t s = run.next_shard.fetch_add(1, std::memory_order_relaxed);
+  if (s >= run.results.size()) return false;
+  std::optional<Result<SearchResult>>& slot = run.results[s];
 
   CAGRA_FAULT_POINT("shard_scan_stall");
   Status injected = CAGRA_FAULT_STATUS("shard_scan_fail");
   if (!injected.ok()) {
     slot.emplace(injected);
   } else if (token != nullptr && token->Expired()) {
-    // Shed before scanning once the pipeline is cancelled: nobody is
-    // waiting for this chunk anymore.
+    // Shed before scanning once the search is cancelled: nobody is
+    // waiting for this shard anymore.
     slot.emplace(CancelMarker(*token));
   } else {
-    SearchParams p = st.task_params;
+    SearchParams p = run.params;
     p.cancel = token;
-    // Chunk-local row q is global row c * chunk_rows + q; offsetting the
-    // seed by the chunk base keeps every per-query seed equal to the
-    // unchunked run's (Search derives them as seed + 0x1000003 * row).
-    // Under uniform_seed every row uses the seed verbatim, so the offset
-    // must be skipped to stay identical to the unchunked run.
-    if (!p.uniform_seed) p.seed += 0x1000003ULL * (c * st.chunk_rows);
-    slot.emplace(cagra::Search((*st.shards)[t % st.num_shards], st.chunks[c],
-                               p, st.device));
+    slot.emplace(cagra::Search((*run.shards)[s], run.queries, p));
   }
-  if (st.remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    CAGRA_FAULT_POINT("queue_push_stall");
-    st.ready.Push(c);
-  }
+  CAGRA_FAULT_POINT("queue_push_stall");
+  run.ready.Push(s);
   return true;
 }
 
-/// The merger's one wait for the next finished chunk. With a caller
+/// The merger's one wait for the next finished shard. With a caller
 /// token it forwards that token into the derived one on every step, so
 /// helpers see a manual Cancel() at their next boundary; once expired it
-/// grants kCancelDrainGrace for in-flight chunks to publish, then
+/// grants kCancelDrainGrace for in-flight shards to publish, then
 /// reports nullopt — the signal to abandon the stragglers.
-std::optional<size_t> NextChunk(StreamState& st, const CancelToken* caller) {
-  if (caller == nullptr) return st.ready.Pop();
+std::optional<size_t> NextShard(ShardedRun& run, const CancelToken* caller) {
+  if (caller == nullptr) return run.ready.Pop();
   while (true) {
     if (caller->Expired()) {
-      st.token.Cancel();
-      return st.ready.PopUntil(CancelToken::Clock::now() + kCancelDrainGrace);
+      run.token.Cancel();
+      return run.ready.PopUntil(CancelToken::Clock::now() + kCancelDrainGrace);
     }
     auto until = CancelToken::Clock::now() + kCancelPollPeriod;
     if (caller->has_deadline() && caller->deadline() < until) {
       until = caller->deadline();
     }
-    std::optional<size_t> c = st.ready.PopUntil(until);
-    if (c.has_value()) return c;
+    std::optional<size_t> s = run.ready.PopUntil(until);
+    if (s.has_value()) return s;
   }
 }
 
@@ -190,13 +160,9 @@ void MergeShardTopK(const ShardMergeList* lists, size_t num_lists, size_t k,
   for (size_t l = 0; l < num_lists; l++) {
     const ShardMergeList& list = lists[l];
     for (size_t i = 0; i < list.len; i++) {
-      uint32_t id = list.ids[i];
-      if (list.id_map != nullptr) {
-        if (id >= list.id_map_size) continue;  // padding
-        id = list.id_map[id];
-      } else if (id == kInvalidShardEntry) {
-        continue;
-      }
+      const uint32_t local = list.ids[i];
+      if (local >= list.id_map_size) continue;  // padding
+      const uint32_t id = list.id_map[local];
       const float d = list.distances[i];
       // Lists are sorted ascending by distance, so once the heap is full
       // and this entry is strictly worse than the retained worst, the
@@ -433,37 +399,28 @@ std::vector<ShardedCagraIndex::IdMapPtr> ShardedCagraIndex::PinIdMaps()
 
 void ShardedCagraIndex::MergeRows(
     const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-    const std::vector<IdMapPtr>& maps, size_t begin, size_t rows, size_t k,
-    NeighborList* out) const {
+    const std::vector<IdMapPtr>& maps, size_t k, NeighborList* out) const {
   const size_t num_lists = shard_results.size();
   std::vector<ShardMergeList> lists(num_lists);
-  for (size_t q = 0; q < rows; q++) {
+  for (size_t q = 0; q < out->ids.size() / k; q++) {
     for (size_t l = 0; l < num_lists; l++) {
       const size_t s = shard_results[l].first;
       const NeighborList& n = shard_results[l].second->neighbors;
       lists[l] = {n.distances.data() + q * k, n.ids.data() + q * k, k,
                   maps[s]->data(), maps[s]->size()};
     }
-    MergeShardTopK(lists.data(), num_lists, k,
-                   out->ids.data() + (begin + q) * k,
-                   out->distances.data() + (begin + q) * k);
+    MergeShardTopK(lists.data(), num_lists, k, out->ids.data() + q * k,
+                   out->distances.data() + q * k);
   }
 }
 
 Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
                                                const SearchParams& params) const {
-  return Search(queries, params, DeviceSpec{});
-}
-
-Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
-                                               const SearchParams& params,
-                                               const DeviceSpec& device) const {
   CAGRA_RETURN_IF_ERROR(ValidateSearch(params));
 
   const size_t batch = queries.rows();
   const size_t k = params.k;
-  // Nothing to stream over (and no chunk size to divide by).
-  if (batch == 0) {
+  if (batch == 0) {  // nothing to search
     SearchResult empty;
     empty.neighbors.k = k;
     return empty;
@@ -471,165 +428,102 @@ Result<SearchResult> ShardedCagraIndex::Search(const Matrix<float>& queries,
 
   const size_t num_shards = shards_.size();
   const CancelToken* caller_token = params.cancel;
-  // Pinned once for the whole streaming run; every chunk merge
-  // translates through the same maps (see PinIdMaps).
+  // Pinned once for the whole search (see PinIdMaps).
   const std::vector<IdMapPtr> maps = PinIdMaps();
 
-  // Auto choices that depend on the batch shape (execution mode,
-  // multi-CTA width) are resolved once on the full batch: a chunk must
-  // never search differently than the same rows would in an unchunked
-  // run, or chunking would change the results.
-  const size_t chunk_rows =
-      ResolveShardChunk(params.shard_chunk_queries, batch);
   Timer host;
-  auto st = std::make_shared<StreamState>(queries, chunk_rows, num_shards,
-                                          caller_token);
-  st->shards = &shards_;
-  st->task_params = ResolveBatchShape(params, device, batch);
-  st->device = device;
-  const size_t num_chunks = st->chunks.size();
+  auto run =
+      std::make_shared<ShardedRun>(shards_, queries, params, caller_token);
 
-  SearchResult out;
-  out.neighbors.k = k;
-  out.neighbors.ids.assign(batch * k, kInvalidShardEntry);
-  out.neighbors.distances.assign(batch * k, kInf);
-  out.rows_examined.assign(batch, 0);
-
-  // Which chunks the merger has popped. A popped chunk's result slots
-  // are all written and ordered-before the pop (the latch's acq_rel
-  // decrement), so only popped chunks may be read after the loop —
-  // under abandonment the other slots still belong to live helpers.
-  std::vector<uint8_t> chunk_popped(num_chunks, 0);
-
-  auto merge_chunk = [&](size_t c) {
-    chunk_popped[c] = 1;
-    std::vector<std::pair<size_t, const SearchResult*>> shard_results;
-    shard_results.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; s++) {
-      Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok()) {
-        if (IsCancelMarker(r.status())) {
-          // This shard shed its scan at the deadline; merge the shards
-          // that did run — best-effort partial rows.
-          out.complete = false;
-          continue;
-        }
-        return;  // real error: reported after the pipeline drains
-      }
-      if (!r->complete) out.complete = false;
-      const size_t begin = c * chunk_rows;
-      const size_t rows = std::min(chunk_rows, batch - begin);
-      for (size_t q = 0; q < rows && q < r->rows_examined.size(); q++) {
-        out.rows_examined[begin + q] += r->rows_examined[q];
-      }
-      shard_results.emplace_back(s, &r.value());
+  // One schedule; the only free choice is who runs the shards. An
+  // explicit width is a total budget: no helpers, this thread runs every
+  // shard itself, each search at that width. At width 0 pool helpers run
+  // them and this thread only waits and merges — it must not run a shard
+  // itself, or a stalled shard would hold it past the deadline that
+  // abandonment guarantees.
+  if (params.num_threads != 0) {
+    while (RunNextShard(*run, caller_token)) {
     }
-    if (shard_results.empty()) return;  // fully shed chunk: padding stays
-    const size_t begin = c * chunk_rows;
-    MergeRows(shard_results, maps, begin,
-              std::min(chunk_rows, batch - begin), k, &out.neighbors);
-  };
-
-  // One schedule; the only free choice is who runs the tasks. At width 0
-  // pool helpers drain them and this thread only merges, folding each
-  // chunk into the output while later chunks are still searching. An
-  // explicit width is a total budget: no helpers, this thread runs each
-  // chunk's tasks itself with every per-chunk search at that width.
-  const bool caller_runs = params.num_threads != 0;
-  if (!caller_runs) {
+  } else {
     ThreadPool& pool = GlobalThreadPool();
     const CancelToken* helper_token =
-        caller_token != nullptr ? &st->token : nullptr;
-    const size_t helpers = std::min(pool.num_threads(), st->results.size());
+        caller_token != nullptr ? &run->token : nullptr;
+    const size_t helpers = std::min(pool.num_threads(), num_shards);
     for (size_t h = 0; h < helpers; h++) {
-      pool.Submit([st, helper_token] {
-        while (RunNextTask(*st, helper_token)) {
+      pool.Submit([run, helper_token] {
+        while (RunNextShard(*run, helper_token)) {
         }
       });
     }
   }
-  for (size_t m = 0; m < num_chunks; m++) {
-    if (caller_runs) {
-      for (size_t s = 0; s < num_shards; s++) RunNextTask(*st, caller_token);
-    }
-    std::optional<size_t> c = NextChunk(*st, caller_token);
-    if (!c.has_value()) {
+
+  // Which shards the merger has popped. A popped shard's slot is written
+  // and ordered-before the pop, so only popped shards may be read below —
+  // under abandonment the other slots still belong to live helpers.
+  SearchResult out;
+  std::vector<uint8_t> popped(num_shards, 0);
+  for (size_t m = 0; m < num_shards; m++) {
+    std::optional<size_t> s = NextShard(*run, caller_token);
+    if (!s.has_value()) {
       // Expired and the grace drain went dry: abandon the stragglers.
       // They hold the shared state (and observe the cancelled derived
       // token at their next boundary), so they finish harmlessly after
-      // we return. Unpopped chunks keep their (kInvalidShardEntry, +inf)
-      // padding — well-formed.
+      // we return.
       out.complete = false;
       break;
     }
-    merge_chunk(*c);
+    popped[*s] = 1;
   }
+
+  // Aggregation in fixed shard order, so the result (and the error a
+  // failed shard surfaces) is scheduling-independent: counters and
+  // rows_examined sum over the shards that finished, host_threads takes
+  // the widest, and the slowest shard — what the parallel devices wait
+  // for — contributes the reported cost breakdown. A shard that shed its
+  // scan at the deadline or was abandoned leaves only the others in the
+  // merge: best-effort rows.
+  std::vector<std::pair<size_t, const SearchResult*>> finished;
+  double slowest_seconds = 0.0;
+  out.host_threads = 0;
+  out.rows_examined.assign(batch, 0);
+  for (size_t s = 0; s < num_shards; s++) {
+    if (popped[s] == 0) continue;
+    const Result<SearchResult>& r = *run->results[s];
+    if (!r.ok()) {
+      if (!IsCancelMarker(r.status())) return r.status();
+      out.complete = false;
+      continue;
+    }
+    if (!r->complete) out.complete = false;
+    for (size_t q = 0; q < batch; q++) {
+      out.rows_examined[q] += r->rows_examined[q];
+    }
+    out.counters.Add(r->counters);
+    out.host_threads = std::max(out.host_threads, r->host_threads);
+    if (finished.empty() || r->cost.total > slowest_seconds) {
+      slowest_seconds = r->cost.total;
+      out.cost = r->cost;
+      out.launch = r->launch;
+      out.algo_used = r->algo_used;
+      out.team_size_used = r->team_size_used;
+    }
+    finished.emplace_back(s, &r.value());
+  }
+  out.neighbors.k = k;
+  out.neighbors.ids.resize(batch * k);
+  out.neighbors.distances.resize(batch * k);
+  MergeRows(finished, maps, k, &out.neighbors);
   out.host_seconds = host.Seconds();
   out.host_qps = out.host_seconds > 0
                      ? static_cast<double>(batch) / out.host_seconds
                      : 0.0;
 
-  // Errors surface in deterministic (chunk, shard) order, over the
-  // chunks whose results we own (all of them unless abandoned).
-  for (size_t c = 0; c < num_chunks; c++) {
-    if (chunk_popped[c] == 0) continue;
-    for (size_t s = 0; s < num_shards; s++) {
-      const Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok() && !IsCancelMarker(r.status())) return r.status();
-    }
-  }
-
-  // Metadata aggregation, in fixed (shard, chunk) order so the result
-  // is scheduling-independent: counters sum over everything and
-  // host_threads takes the widest task. Each shard's modeled time
-  // re-prices its summed chunk counters at the full-batch launch shape:
-  // the shard's device streams its chunks back-to-back (asynchronous
-  // launches overlap), so the batch fills the device exactly as an
-  // unchunked run would and the serial per-query iteration floor is
-  // paid once — only the per-launch overhead multiplies with the chunk
-  // count (already summed into counters.kernel_launches). With a single
-  // chunk this reduces to the chunk's own estimate. The slowest shard
-  // contributes the reported breakdown. Under cancellation only popped
-  // chunks' finished results contribute (partial work is still real
-  // work, but unfinished slots are unreadable).
-  double slowest_seconds = 0.0;
-  bool have_meta = false;
-  out.host_threads = 0;
-  for (size_t s = 0; s < num_shards; s++) {
-    KernelCounters shard_counters;
-    const SearchResult* first_done = nullptr;
-    for (size_t c = 0; c < num_chunks; c++) {
-      if (chunk_popped[c] == 0) continue;
-      const Result<SearchResult>& r = *st->results[c * num_shards + s];
-      if (!r.ok()) continue;  // cancel marker (errors returned above)
-      shard_counters.Add(r->counters);
-      out.host_threads = std::max(out.host_threads, r->host_threads);
-      if (first_done == nullptr) first_done = &r.value();
-    }
-    if (first_done == nullptr) continue;
-    out.counters.Add(shard_counters);
-    KernelLaunchConfig launch = first_done->launch;
-    launch.batch = batch;  // the shape every chunk shares, at full fill
-    const CostBreakdown shard_cost =
-        EstimateKernelTime(device, launch, shard_counters);
-    if (!have_meta || shard_cost.total > slowest_seconds) {
-      have_meta = true;
-      slowest_seconds = shard_cost.total;
-      out.cost = shard_cost;
-      out.launch = launch;
-      out.algo_used = first_done->algo_used;
-      out.team_size_used = first_done->team_size_used;
-    }
-  }
-
-  // Overlap model: per-chunk merges hide under still-running scans, so
-  // a batch pays the slowest shard's summed chunk time plus only the
-  // merge tail of the final chunk. A single chunk (the barrier schedule)
-  // pays the whole batch's merge after its global wait.
-  const size_t last_rows = batch - (num_chunks - 1) * chunk_rows;
+  // One launch per shard, each on its own device: the batch waits for
+  // the slowest shard, then the host gathers and merges every
+  // (query, shard) list.
   out.modeled_seconds =
       slowest_seconds + kMergeOverheadPerQueryShard *
-                            static_cast<double>(last_rows * num_shards);
+                            static_cast<double>(batch * num_shards);
   out.modeled_qps = out.modeled_seconds > 0
                         ? static_cast<double>(batch) / out.modeled_seconds
                         : 0.0;

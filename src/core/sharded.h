@@ -30,12 +30,11 @@ struct ShardedBuildStats {
 constexpr uint32_t kInvalidShardEntry = 0xffffffffu;
 
 /// One sorted candidate list entering the k-way shard merge: `len`
-/// (distance, id) pairs sorted ascending by (distance, id). When
-/// `id_map` is set, ids are shard-local rows translated through it on
-/// the way into the merge, and any id >= id_map_size is padding (the
+/// (distance, id) pairs sorted ascending by (distance, id), where the
+/// ids are shard-local rows translated through the required `id_map`
+/// on the way into the merge. Any id >= id_map_size is padding (the
 /// per-shard searches pad short results with kInvalidShardEntry, which
-/// is always out of range). Without a map, ids pass through verbatim
-/// and the kInvalidShardEntry sentinel itself marks padding.
+/// is always out of range).
 struct ShardMergeList {
   const float* distances = nullptr;
   const uint32_t* ids = nullptr;
@@ -51,8 +50,8 @@ struct ShardMergeList {
 /// valid candidates. Exactly equivalent to sorting the concatenation of
 /// the valid candidates and taking the first k (the property
 /// tests/property_test.cc pins against a std::sort reference), and
-/// independent of list arrival order, which is what lets the streaming
-/// pipeline merge chunks as they finish.
+/// independent of list order, so the merge of the shards that finished
+/// does not depend on which finished first.
 void MergeShardTopK(const ShardMergeList* lists, size_t num_lists, size_t k,
                     uint32_t* out_ids, float* out_distances);
 
@@ -119,46 +118,37 @@ class ShardedCagraIndex : public Searcher {
   size_t live_size() const;
   size_t tombstone_count() const;
 
-  /// Streaming sharded search: the batch is split into chunks of
-  /// params.shard_chunk_queries rows (0 = auto), every (chunk, shard)
-  /// pair is an independent task handed out chunk-major, and a per-chunk
-  /// completion latch hands finished chunks through a bounded queue to
-  /// the calling thread, which merges them into the output while later
-  /// chunks are still searching — the chunk-wise overlap of per-shard
-  /// execution with the host-side gather/merge from the paper's
-  /// multi-GPU evaluation (§V-F). Results are byte-identical at every
-  /// thread count and chunk size; the modeled time charges the slowest
-  /// shard plus only the merge tail of the final chunk (the rest of the
-  /// merge hides under the scans). One chunk (shard_chunk_queries >=
-  /// batch) is the barrier schedule: every shard scans the whole batch,
-  /// then the full merge runs as a serial tail. The storage mode comes
-  /// from params.precision (the Searcher front door).
+  /// Sharded search: every shard searches the whole batch as one task,
+  /// publishes its shard id through a bounded queue, and the calling
+  /// thread then merges every finished shard once — per-shard execution
+  /// followed by the host-side gather/merge of the paper's multi-GPU
+  /// evaluation (§V-F). Results are byte-identical at every thread
+  /// count. The modeled time is the slowest shard's kernel time (one
+  /// launch per shard, each on its own device) plus the host merge of
+  /// every (query, shard) list. The storage mode comes from
+  /// params.precision (the Searcher front door).
   ///
-  /// One schedule runs every width; only who runs the tasks differs. At
-  /// params.num_threads == 0, global-pool helpers drain the tasks and
-  /// the caller only merges. An explicit width is a total host budget:
-  /// the caller runs each chunk's tasks itself, in (chunk, shard) order,
-  /// with every per-chunk search capped at that width.
+  /// Only who runs the shards depends on the width. At
+  /// params.num_threads == 0, global-pool helpers run them and the
+  /// caller only waits and merges. An explicit width is a total host
+  /// budget: the caller runs every shard itself, in shard order, with
+  /// each search capped at that width.
   ///
-  /// Deadline/cancellation (params.cancel): every (chunk, shard) task
-  /// checks the token before scanning and the per-chunk searches check
-  /// it at iteration boundaries, so an expired token drains the
-  /// pipeline cooperatively; a token cancelled before the call sheds
-  /// every task. A straggler that cannot observe the token (a stalled
-  /// shard) is *abandoned*: after a short grace the call returns the
-  /// best-effort merge of every chunk that did finish, marked
-  /// SearchResult::complete == false, with untouched rows left as
-  /// padding. Helpers read a token derived from the caller's and run
-  /// against detached heap-owned state (they never reference the
-  /// caller's stack), so an abandoned helper finishes harmlessly — the
-  /// only caller obligation is that the index itself outlive it, which
-  /// cancellation bounds to roughly the stall plus one search iteration.
+  /// Deadline/cancellation (params.cancel): every shard checks the token
+  /// before scanning and the per-shard searches check it at iteration
+  /// boundaries, so an expired token drains the shards cooperatively; a
+  /// token cancelled before the call sheds every shard. A straggler that
+  /// cannot observe the token (a stalled shard) is *abandoned*: after a
+  /// short grace the call returns the best-effort merge of every shard
+  /// that did finish, marked SearchResult::complete == false. Helpers
+  /// read a token derived from the caller's and run against detached
+  /// heap-owned state (they never reference the caller's stack), so an
+  /// abandoned helper finishes harmlessly — the only caller obligation
+  /// is that the index itself outlive it, which cancellation bounds to
+  /// roughly the stall plus one search iteration.
   [[nodiscard]] Result<SearchResult> Search(
       const Matrix<float>& queries,
       const SearchParams& params) const override;
-  [[nodiscard]] Result<SearchResult> Search(const Matrix<float>& queries,
-                                            const SearchParams& params,
-                                            const DeviceSpec& device) const;
 
  private:
   /// One shard's local-external-id -> global-id translation table,
@@ -174,15 +164,13 @@ class ShardedCagraIndex : public Searcher {
   /// rows as padding (a transient freshness gap, not a fault).
   std::vector<IdMapPtr> PinIdMaps() const;
 
-  /// Merges all queries in [begin, begin + rows) from the per-shard
-  /// results `shard_results` — (shard index, result) pairs so a
-  /// cancelled search can merge the subset of shards that finished —
-  /// into `out` at global rows (query q at local row q - begin),
+  /// Merges every query row of `out` (sized batch * k) from the
+  /// per-shard results `shard_results` — (shard index, result) pairs so
+  /// a cancelled search can merge the subset of shards that finished —
   /// translating shard-local ids through the pinned `maps`.
   void MergeRows(
       const std::vector<std::pair<size_t, const SearchResult*>>& shard_results,
-      const std::vector<IdMapPtr>& maps, size_t begin, size_t rows, size_t k,
-      NeighborList* out) const;
+      const std::vector<IdMapPtr>& maps, size_t k, NeighborList* out) const;
 
   std::vector<CagraIndex> shards_;
   /// global_ids_[s]->at(local) = global id of shard s's local external

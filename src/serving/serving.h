@@ -107,8 +107,8 @@ struct ServingStats {
 /// Dynamic micro-batching front-end over any Searcher: accepts
 /// single-query requests (the shape production traffic actually has),
 /// coalesces them under a deadline into batches (the shape every fast
-/// path here wants — multi-row kernels, batched ADC gathers, streaming
-/// shards), and scatters per-query results back through futures.
+/// path here wants — multi-row kernels, batched ADC gathers, sharded
+/// search), and scatters per-query results back through futures.
 ///
 /// Request lifecycle: Submit validates, stamps, and TryPushes into a
 /// bounded MPSC queue — a full queue sheds the request immediately with

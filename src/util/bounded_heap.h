@@ -24,9 +24,9 @@ class BoundedHeap {
   ///
   /// Ordering ties by id makes retention exactly "sort every candidate
   /// by (distance, id), keep the first `capacity`" — independent of
-  /// insertion order even with duplicate distances. The streaming
-  /// sharded merge relies on this to stay byte-identical at every chunk
-  /// size (tests/property_test.cc pins it against std::sort).
+  /// insertion order even with duplicate distances. The sharded merge
+  /// relies on this to stay byte-identical whichever shard finishes
+  /// first (tests/property_test.cc pins it against std::sort).
   bool Push(float distance, uint32_t id) {
     if (entries_.size() < capacity_) {
       entries_.push_back({distance, id});

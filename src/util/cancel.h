@@ -9,7 +9,7 @@ namespace cagra {
 
 /// Cooperative cancellation token: an atomic cancel flag plus an
 /// optional steady-clock deadline. Search code checks Expired() at
-/// iteration/chunk/block boundaries and unwinds with whatever
+/// iteration/shard/block boundaries and unwinds with whatever
 /// best-effort results it has — nothing is preempted, nothing throws.
 ///
 /// A deadline, once passed, latches the flag on the first Expired()
@@ -18,8 +18,8 @@ namespace cagra {
 /// wait-free. The token is non-copyable (its identity is the shared
 /// flag); pass it by pointer through SearchParams::cancel and keep it
 /// alive for the duration of the call it governs. Detaching executors
-/// (the streaming sharded pipeline, which can abandon stalled shard
-/// tasks) derive their own token and never retain the caller's.
+/// (sharded search, which can abandon stalled shards) derive their own
+/// token and never retain the caller's.
 class CancelToken {
  public:
   using Clock = std::chrono::steady_clock;

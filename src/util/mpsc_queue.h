@@ -13,21 +13,22 @@
 namespace cagra {
 
 /// Bounded multi-producer queue with blocking push/pop, the hand-off
-/// channel of the streaming sharded pipeline: shard workers push
-/// finished chunk ids, the merger thread pops and folds while other
-/// chunks are still in flight. The bound provides backpressure when the
-/// queued items own real payloads — a producer that outruns the
-/// consumer blocks instead of buffering without limit. (The sharded
-/// pipeline queues plain chunk ids into preallocated result slots, so
-/// it sizes the queue to the chunk count and never blocks producers.)
+/// channel of sharded search (shard workers push finished shard ids,
+/// the caller pops them until every shard is in or the deadline
+/// abandons the rest) and of the serving scheduler's request intake.
+/// The bound provides backpressure when the queued items own real
+/// payloads — a producer that outruns the consumer blocks instead of
+/// buffering without limit. (Sharded search queues plain shard ids into
+/// preallocated result slots, so it sizes the queue to the shard count
+/// and never blocks producers.)
 ///
 /// Written for one consumer (Pop from a single thread at a time) but
 /// safe as MPMC: all state is guarded by one mutex — declared to the
 /// thread-safety analysis via CAGRA_GUARDED_BY, so any future path that
 /// touches `items_`/`closed_` without `mutex_` fails to compile under
 /// Clang — and there is no lock-free subtlety for TSan to distrust.
-/// Throughput is bounded by the mutex, which is fine at the pipeline's
-/// granularity (one item per completed chunk, not per row).
+/// Throughput is bounded by the mutex, which is fine at its callers'
+/// granularity (one item per finished shard or request, not per row).
 ///
 /// The mutex + two-condvar protocol: `not_full_` wakes producers
 /// (signalled on every pop and on Close), `not_empty_` wakes the

@@ -66,9 +66,9 @@ class ThreadPool {
 
   /// Enqueues a fire-and-forget task for the workers; returns
   /// immediately. Unlike ParallelFor the caller does not participate and
-  /// nothing waits for completion — the streaming sharded pipeline
-  /// submits its (chunk, shard) drainers this way and tracks completion
-  /// itself (per-chunk latch + MpscBoundedQueue). Tasks may themselves
+  /// nothing waits for completion — sharded search submits its shard
+  /// runners this way and tracks completion itself (each finished shard
+  /// pushes its id into an MpscBoundedQueue). Tasks may themselves
   /// call ParallelFor (the re-entrant caller-drains-its-own-batch rule
   /// still applies), but a submitted task must never block on another
   /// submitted task that could be queued behind it.

@@ -1,10 +1,10 @@
 // Deadline + cancellation semantics across the search stack: the
 // CancelToken/CancelCheck primitives, the two new status codes, the
-// partial-result contract of the graph search, and the streaming
-// sharded pipeline. The invariant under test
-// everywhere: cancellation degrades a search to a *well-formed*
-// partial (sorted valid prefix, 0xffffffff/+inf padding, no duplicate
-// ids, complete == false) — never a crash, a hang, or a malformed row.
+// partial-result contract of the graph search, and sharded search.
+// The invariant under test everywhere: cancellation degrades a search
+// to a *well-formed* partial (sorted valid prefix, 0xffffffff/+inf
+// padding, no duplicate ids, complete == false) — never a crash, a
+// hang, or a malformed row.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -278,7 +278,7 @@ TEST_F(SearchCancelTest, MultiCtaModeTruncatesCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming sharded search with a token.
+// Sharded search with a token.
 // ---------------------------------------------------------------------------
 
 class ShardedCancelTest : public ::testing::Test {
@@ -315,7 +315,6 @@ ShardedCagraIndex* ShardedCancelTest::index_ = nullptr;
 
 TEST_F(ShardedCancelTest, UnexpiredTokenIdenticalToTokenFreeStreaming) {
   SearchParams plain = BaseParams();
-  plain.shard_chunk_queries = 7;
   auto ref = index_->Search(data_->queries, plain);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
@@ -330,13 +329,12 @@ TEST_F(ShardedCancelTest, UnexpiredTokenIdenticalToTokenFreeStreaming) {
 }
 
 TEST_F(ShardedCancelTest, ExpiredDeadlineReturnsWellFormedPartialFast) {
-  // A deadline already in the past: every (chunk, shard) task sheds at
-  // its pre-scan check, the pipeline drains, and the call returns a
-  // well-formed (possibly fully padded) partial promptly — the
-  // fixed-cost path of the 2x-deadline acceptance bound.
+  // A deadline already in the past: every shard sheds at its pre-scan
+  // check and the call returns a well-formed (possibly fully padded)
+  // partial promptly — the fixed-cost path of the 2x-deadline
+  // acceptance bound.
   CancelToken expired(CancelToken::Clock::now() - milliseconds(5));
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   sp.cancel = &expired;
   const auto t0 = std::chrono::steady_clock::now();
   auto r = index_->Search(data_->queries, sp);
@@ -356,7 +354,6 @@ TEST_F(ShardedCancelTest, ManualCancelMidFlightYieldsPartial) {
   for (int rep = 0; rep < 5; rep++) {
     CancelToken token;
     SearchParams sp = BaseParams();
-    sp.shard_chunk_queries = 1;  // maximize cancellation boundaries
     sp.cancel = &token;
     std::thread canceller([&token] { token.Cancel(); });
     auto r = index_->Search(data_->queries, sp);
@@ -367,29 +364,26 @@ TEST_F(ShardedCancelTest, ManualCancelMidFlightYieldsPartial) {
 }
 
 TEST_F(ShardedCancelTest, PreCancelledTokenShedsEveryTask) {
-  // A token cancelled before the call: every (chunk, shard) task sheds
-  // before scanning, whoever runs it — pool helpers read the derived
-  // token, which starts cancelled, and the caller reads its own.
+  // A token cancelled before the call: every shard sheds before
+  // scanning, whoever runs it — pool helpers read the derived token,
+  // which starts cancelled, and the caller reads its own.
   CancelToken cancelled;
   cancelled.Cancel();
   const size_t batch = data_->queries.rows();
   for (size_t threads : {size_t{0}, size_t{1}, size_t{3}}) {
-    for (size_t chunk : {size_t{1}, size_t{7}, batch}) {
-      SearchParams sp = BaseParams();
-      sp.num_threads = threads;
-      sp.shard_chunk_queries = chunk;
-      sp.cancel = &cancelled;
-      auto r = index_->Search(data_->queries, sp);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_FALSE(r->complete) << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(r->rows_examined, std::vector<uint64_t>(batch, 0))
-          << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(r->neighbors.ids, std::vector<uint32_t>(batch * sp.k, kPad))
-          << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(r->neighbors.distances,
-                std::vector<float>(batch * sp.k,
-                                   std::numeric_limits<float>::infinity()));
-    }
+    SearchParams sp = BaseParams();
+    sp.num_threads = threads;
+    sp.cancel = &cancelled;
+    auto r = index_->Search(data_->queries, sp);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->complete) << "threads=" << threads;
+    EXPECT_EQ(r->rows_examined, std::vector<uint64_t>(batch, 0))
+        << "threads=" << threads;
+    EXPECT_EQ(r->neighbors.ids, std::vector<uint32_t>(batch * sp.k, kPad))
+        << "threads=" << threads;
+    EXPECT_EQ(r->neighbors.distances,
+              std::vector<float>(batch * sp.k,
+                                 std::numeric_limits<float>::infinity()));
   }
 }
 

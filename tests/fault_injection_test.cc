@@ -196,36 +196,34 @@ SyntheticData* FaultMatrixTest::data_ = nullptr;
 ShardedCagraIndex* FaultMatrixTest::sharded_ = nullptr;
 
 TEST_F(FaultMatrixTest, DisarmedPointsChangeNothing) {
-  // Fault points compiled in but nothing armed: streaming must still be
-  // EXPECT_EQ-identical to the serial per-shard reference (the
+  // Fault points compiled in but nothing armed: sharded search must
+  // still be EXPECT_EQ-identical to the serial per-shard reference (the
   // acceptance bit-identity bound holds in the fault-injection build
   // too).
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto ref = ShardedReferenceSearch(*sharded_, data_->queries, sp);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   for (int rep = 0; rep < 5; rep++) {
-    auto streamed = sharded_->Search(data_->queries, sp);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    EXPECT_TRUE(streamed->complete);
-    EXPECT_EQ(streamed->neighbors.ids, ref->ids) << rep;
-    EXPECT_EQ(streamed->neighbors.distances, ref->distances);
+    auto got = sharded_->Search(data_->queries, sp);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->complete);
+    EXPECT_EQ(got->neighbors.ids, ref->ids) << rep;
+    EXPECT_EQ(got->neighbors.distances, ref->distances);
   }
 }
 
 TEST_F(FaultMatrixTest, StalledShardWithDeadlineReturnsPartialInTime) {
-  // The headline acceptance scenario: one shard-scan task stalls 100ms,
-  // the caller holds a 10ms deadline. The pipeline must abandon the
-  // straggler and return a well-formed partial at roughly the deadline
-  // — never wait out the stall.
+  // The headline acceptance scenario: one shard scan stalls 100ms, the
+  // caller holds a 10ms deadline. The search must abandon the straggler
+  // and return a well-formed partial at roughly the deadline — never
+  // wait out the stall.
   FaultSpec stall;
   stall.delay = milliseconds(100);
-  stall.max_fires = 1;  // exactly one (chunk, shard) task stalls
+  stall.max_fires = 1;  // exactly one shard stalls
   FaultController::Instance().Arm("shard_scan_stall", stall);
 
   CancelToken token = CancelToken::WithTimeout(milliseconds(10));
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   sp.cancel = &token;
   const auto t0 = std::chrono::steady_clock::now();
   auto r = sharded_->Search(data_->queries, sp);
@@ -237,7 +235,42 @@ TEST_F(FaultMatrixTest, StalledShardWithDeadlineReturnsPartialInTime) {
   // ~2x the deadline in the model (expiry at 10ms + 2ms drain grace);
   // the hard requirement is returning well before the 100ms stall.
   EXPECT_LT(elapsed, milliseconds(60))
-      << "pipeline waited out the stalled shard instead of abandoning it";
+      << "search waited out the stalled shard instead of abandoning it";
+}
+
+TEST_F(FaultMatrixTest, StalledShardPartialKeepsFinishedShards) {
+  // The third shard claimed stalls far past the deadline, at any pool
+  // width. The search abandons it, but every row the other two shards
+  // found must survive the merge: each query keeps a real id in slot 0
+  // and counts the finished shards' scans in rows_examined. The
+  // deadline leaves the two healthy shards room to finish their
+  // 20-query scans in the Debug ASan build too (tens of ms there), and
+  // the stall is long enough that returning before it ends can only
+  // mean the straggler was abandoned.
+  FaultSpec stall;
+  stall.delay = milliseconds(1000);
+  stall.skip_first = 2;
+  stall.max_fires = 1;
+  FaultController::Instance().Arm("shard_scan_stall", stall);
+
+  CancelToken token = CancelToken::WithTimeout(milliseconds(200));
+  SearchParams sp = BaseParams();
+  sp.cancel = &token;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = sharded_->Search(data_->queries, sp);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->complete);
+  const size_t batch = data_->queries.rows();
+  ExpectWellFormedTopK(r->neighbors, batch, sp.k);
+  EXPECT_EQ(FaultController::Instance().fires("shard_scan_stall"), 1u);
+  ASSERT_EQ(r->rows_examined.size(), batch);
+  for (size_t q = 0; q < batch; q++) {
+    EXPECT_GT(r->rows_examined[q], 0u) << "query " << q;
+    EXPECT_NE(r->neighbors.ids[q * sp.k], kPad) << "query " << q;
+  }
+  EXPECT_LT(elapsed, milliseconds(500))
+      << "search waited out the stalled shard instead of abandoning it";
 }
 
 TEST_F(FaultMatrixTest, StallWithoutDeadlineWaitsAndStaysIdentical) {
@@ -248,7 +281,6 @@ TEST_F(FaultMatrixTest, StallWithoutDeadlineWaitsAndStaysIdentical) {
   stall.max_fires = 2;
   FaultController::Instance().Arm("shard_scan_stall", stall);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto slow = sharded_->Search(data_->queries, sp);
   FaultController::Instance().Reset();
   auto ref = sharded_->Search(data_->queries, sp);
@@ -265,7 +297,6 @@ TEST_F(FaultMatrixTest, QueuePushStallOnlyDelaysPublication) {
   stall.max_fires = 3;
   FaultController::Instance().Arm("queue_push_stall", stall);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto slow = sharded_->Search(data_->queries, sp);
   FaultController::Instance().Reset();
   auto ref = sharded_->Search(data_->queries, sp);
@@ -281,12 +312,11 @@ TEST_F(FaultMatrixTest, ShardScanFailureSurfacesTheInjectedStatus) {
   fail.max_fires = 1;
   FaultController::Instance().Arm("shard_scan_fail", fail);
   SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 7;
   auto r = sharded_->Search(data_->queries, sp);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   EXPECT_EQ(r.status().message(), "injected shard failure");
-  // The pipeline recovers completely once the fault clears.
+  // The search recovers completely once the fault clears.
   FaultController::Instance().Reset();
   auto again = sharded_->Search(data_->queries, sp);
   ASSERT_TRUE(again.ok()) << again.status().ToString();

@@ -122,14 +122,15 @@ TEST(MutableIndexTest, AddOnOutOfCoreIsRejected) {
   CagraIndex index = BuildIndex(data.base, 8);
   const std::string path = ::testing::TempDir() + "/mutable_ooc.cagra";
   ASSERT_TRUE(index.Save(path).ok());
-  ASSERT_TRUE(index.EnableOutOfCore(path).ok());
+  auto mapped = CagraIndex::LoadOutOfCore(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   Matrix<float> rows = SliceQueries(data.base, 0, 1);
-  const Status s = index.Add(rows);
+  const Status s = mapped->Add(rows);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(s.message().find("out-of-core"), std::string::npos)
       << s.ToString();
-  EXPECT_EQ(index.size(), 150u);  // nothing published
+  EXPECT_EQ(mapped->size(), 150u);  // nothing published
   std::remove(path.c_str());
 }
 
@@ -366,17 +367,6 @@ TEST(MutableIndexTest, OutOfCoreTombstoneAndCompactOnSave) {
   EXPECT_EQ(Top1(loaded.value(), data.base.Row(123)), 123u);
   std::remove(path.c_str());
   std::remove(path2.c_str());
-}
-
-TEST(MutableIndexTest, EnableOutOfCoreRejectsTombstonedIndex) {
-  auto data = DeepData(150);
-  CagraIndex index = BuildIndex(data.base, 8);
-  const std::string path = ::testing::TempDir() + "/mutable_ooc4.cagra";
-  ASSERT_TRUE(index.Save(path).ok());
-  ASSERT_TRUE(index.Remove(std::vector<uint32_t>{0}).ok());
-  EXPECT_EQ(index.EnableOutOfCore(path).code(),
-            StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
 }
 
 // Mutations propagate into every storage tier: after Add + Remove, each

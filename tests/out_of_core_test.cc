@@ -5,10 +5,10 @@
 // saved from, across storage precisions (fp32 traversal, PQ and OPQ
 // with exact-fp32 rerank) and dispatch tiers (the whole suite re-runs
 // as out_of_core_test_scalar under CAGRA_FORCE_SCALAR=1). Also pinned
-// here: EnableOutOfCore/LoadOutOfCore validation, clean kIoError on
-// torn mapped files, the Save-over-backing-file refusal, deadline
-// expiry mid-rerank per the SearchResult::complete contract, and the
-// serving scheduler running unchanged over the mapped tier.
+// here: LoadOutOfCore validation, clean kIoError on torn mapped files,
+// the Save-over-backing-file refusal, deadline expiry mid-rerank per
+// the SearchResult::complete contract, and the serving scheduler
+// running unchanged over the mapped tier.
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -113,9 +113,10 @@ TEST_F(OutOfCoreTest, LoadOutOfCoreMatchesResidentLoadExactly) {
   }
 }
 
-TEST_F(OutOfCoreTest, EnableOutOfCoreMatchesResidentAcrossPqVariants) {
-  // fp32 / plain PQ / OPQ, resident vs EnableOutOfCore, both execution
-  // modes: the mapped tier must be invisible to results everywhere.
+TEST_F(OutOfCoreTest, LoadOutOfCoreMatchesResidentAcrossPqVariants) {
+  // fp32 / plain PQ / OPQ, resident vs LoadOutOfCore of its Save() file,
+  // both execution modes: the mapped tier must be invisible to results
+  // everywhere.
   for (bool opq : {false, true}) {
     CagraIndex resident = *index_;
     std::string save_path = *path_;
@@ -134,8 +135,9 @@ TEST_F(OutOfCoreTest, EnableOutOfCoreMatchesResidentAcrossPqVariants) {
       save_path = TempPath("ooc_plainpq.cagra");
       ASSERT_TRUE(resident.Save(save_path).ok());
     }
-    CagraIndex mapped = resident;
-    ASSERT_TRUE(mapped.EnableOutOfCore(save_path).ok());
+    auto loaded = CagraIndex::LoadOutOfCore(save_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const CagraIndex& mapped = loaded.value();
     ASSERT_TRUE(mapped.out_of_core());
     for (Precision prec : {Precision::kFp32, Precision::kPq}) {
       for (auto algo : {SearchAlgo::kSingleCta, SearchAlgo::kMultiCta}) {
@@ -263,37 +265,6 @@ TEST_F(OutOfCoreTest, DeadlineExpiryMidRerankReturnsWellFormedPartial) {
   }
 }
 
-TEST_F(OutOfCoreTest, EnableOutOfCoreValidatesTheFile) {
-  CagraIndex copy = *index_;
-  // Nonexistent file.
-  EXPECT_EQ(copy.EnableOutOfCore("/nonexistent/nope.cagra").code(),
-            StatusCode::kIoError);
-  // A valid index file of the wrong shape.
-  auto other = GenerateDataset(*FindProfile("DEEP-1M"), 120, 1, 7);
-  BuildParams bp;
-  bp.graph_degree = 4;
-  auto small = CagraIndex::Build(other.base, bp);
-  ASSERT_TRUE(small.ok());
-  const std::string wrong = TempPath("ooc_wrong.cagra");
-  ASSERT_TRUE(small->Save(wrong).ok());
-  EXPECT_EQ(copy.EnableOutOfCore(wrong).code(),
-            StatusCode::kInvalidArgument);
-  std::remove(wrong.c_str());
-  // Not an index file at all.
-  const std::string junk = TempPath("ooc_junk.bin");
-  std::FILE* f = std::fopen(junk.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char noise[64] = {0x13};
-  ASSERT_EQ(std::fwrite(noise, 1, sizeof(noise), f), sizeof(noise));
-  std::fclose(f);
-  EXPECT_EQ(copy.EnableOutOfCore(junk).code(), StatusCode::kIoError);
-  std::remove(junk.c_str());
-  // Success is idempotent for the same path, rejected for another.
-  ASSERT_TRUE(copy.EnableOutOfCore(*path_).ok());
-  EXPECT_TRUE(copy.EnableOutOfCore(*path_).ok());
-  EXPECT_EQ(copy.EnableOutOfCore(junk).code(), StatusCode::kInvalidArgument);
-}
-
 TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
   auto mapped = CagraIndex::LoadOutOfCore(*path_);
   ASSERT_TRUE(mapped.ok());
@@ -387,8 +358,7 @@ TEST_F(OutOfCoreTest, SchedulerRunsUnchangedOverTheMappedTier) {
 #if defined(CAGRA_FAULT_INJECTION)
 TEST_F(OutOfCoreTest, InjectedMmapFaultSurfacesOnEveryEntryPoint) {
   // The io_mmap site is the mmap-path sibling of io_read: an injected
-  // map failure must surface as the injected Status from both
-  // out-of-core entry points, leaving the index untouched.
+  // map failure must surface as the injected Status from LoadOutOfCore.
   FaultController::Instance().Reset();
   FaultSpec spec;
   spec.status = Status::IoError("injected mmap failure");
@@ -396,13 +366,8 @@ TEST_F(OutOfCoreTest, InjectedMmapFaultSurfacesOnEveryEntryPoint) {
   auto loaded = CagraIndex::LoadOutOfCore(*path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  CagraIndex copy = *index_;
-  EXPECT_EQ(copy.EnableOutOfCore(*path_).code(), StatusCode::kIoError);
-  EXPECT_FALSE(copy.out_of_core());
-  // The resident rows were not dropped.
-  EXPECT_FALSE(copy.snapshot()->DatasetRef().empty());
   FaultController::Instance().Reset();
-  // Disarmed, the same calls succeed.
+  // Disarmed, the same call succeeds.
   ASSERT_TRUE(CagraIndex::LoadOutOfCore(*path_).ok());
 }
 #endif  // CAGRA_FAULT_INJECTION

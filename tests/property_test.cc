@@ -234,10 +234,16 @@ TEST(ShardMergePropertyTest, MatchesSortReference) {
     const size_t len = rng.NextBounded(4) == 0 ? k + rng.NextBounded(8) : k;
     RandomLists lists = MakeLists(&rng, num_lists, len);
 
+    // Ids are already global here, so every list maps through the
+    // identity; the padding sentinel lies past it.
+    std::vector<uint32_t> identity(lists.valid.size());
+    for (size_t i = 0; i < identity.size(); i++) {
+      identity[i] = static_cast<uint32_t>(i);
+    }
     std::vector<ShardMergeList> views(num_lists);
     for (size_t l = 0; l < num_lists; l++) {
       views[l] = {lists.distances[l].data(), lists.ids[l].data(), len,
-                  nullptr, 0};
+                  identity.data(), identity.size()};
     }
     std::vector<uint32_t> got_ids(k);
     std::vector<float> got_dist(k);
@@ -262,9 +268,8 @@ TEST(ShardMergePropertyTest, MatchesSortReference) {
 }
 
 TEST(ShardMergePropertyTest, IdMapTranslatesAndFiltersPadding) {
-  // The id_map form used by the sharded search: lists carry shard-local
-  // rows, padding is any id past the map, and the merge output must be
-  // in translated global ids.
+  // Lists carry shard-local rows, padding is any id past the map, and
+  // the merge output must be in translated global ids.
   Pcg32 rng(0xfeed);
   for (int trial = 0; trial < 100; trial++) {
     const size_t num_lists = 1 + rng.NextBounded(4);

@@ -16,7 +16,6 @@
 #include "core/sharded.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
-#include "sharded_reference.h"
 #include "util/thread_pool.h"
 
 namespace cagra {
@@ -143,24 +142,6 @@ TEST_F(SearcherTest, UniformSeedMatchesBatchOfOne) {
       EXPECT_EQ(batched->neighbors.distances[q * sp.k + i],
                 lone->neighbors.distances[i]);
     }
-  }
-}
-
-TEST_F(SearcherTest, UniformSeedStreamingMatchesBarrier) {
-  // The chunked streaming pipeline must skip its chunk-base seed offset
-  // under uniform_seed or chunking would change results.
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  sp.uniform_seed = true;
-  auto ref = ShardedReferenceSearch(*sharded_, data_->queries, sp);
-  ASSERT_TRUE(ref.ok());
-  for (size_t chunk : {size_t{1}, size_t{7}, data_->queries.rows()}) {
-    sp.shard_chunk_queries = chunk;
-    auto streaming = sharded_->Search(data_->queries, sp);
-    ASSERT_TRUE(streaming.ok());
-    EXPECT_EQ(streaming->neighbors.ids, ref->ids) << "chunk=" << chunk;
-    EXPECT_EQ(streaming->neighbors.distances, ref->distances);
   }
 }
 

@@ -10,30 +10,31 @@
 namespace cagra {
 
 /// Scheduling-free reference for ShardedCagraIndex::Search: every shard
-/// searches the whole batch on one thread, with the batch-shape auto
-/// choices pinned as the sharded search pins them, and MergeShardTopK
-/// folds the per-shard lists. Shard s's local id i is global id
-/// i * num_shards + s (the round-robin layout Build and Add keep).
-/// Only ids and distances are produced: the determinism suites compare
-/// those against every (threads, chunk size) schedule.
+/// searches the whole batch on one thread, one shard after another, and
+/// MergeShardTopK folds the per-shard lists through round-robin id maps
+/// (shard s's local id i is global id i * num_shards + s, the layout
+/// Build and Add keep). The maps cover local ids 0 .. shard size - 1,
+/// so the index must not have been mutated. Only ids and distances are
+/// produced: the determinism suites compare those against every thread
+/// count.
 inline Result<NeighborList> ShardedReferenceSearch(
     const ShardedCagraIndex& index, const Matrix<float>& queries,
     const SearchParams& params) {
   const size_t num_shards = index.num_shards();
   const size_t batch = queries.rows();
   const size_t k = params.k;
-  SearchParams shard_params = ResolveBatchShape(params, DeviceSpec{}, batch);
+  SearchParams shard_params = params;
   shard_params.num_threads = 1;
 
   std::vector<NeighborList> lists(num_shards);
+  std::vector<std::vector<uint32_t>> id_maps(num_shards);
   for (size_t s = 0; s < num_shards; s++) {
     auto r = Search(index.shard(s), queries, shard_params);
     if (!r.ok()) return r.status();
     lists[s] = std::move(r->neighbors);
-    for (uint32_t& id : lists[s].ids) {
-      if (id != kInvalidShardEntry) {
-        id = static_cast<uint32_t>(id * num_shards + s);
-      }
+    id_maps[s].resize(index.shard(s).size());
+    for (size_t i = 0; i < id_maps[s].size(); i++) {
+      id_maps[s][i] = static_cast<uint32_t>(i * num_shards + s);
     }
   }
 
@@ -45,7 +46,8 @@ inline Result<NeighborList> ShardedReferenceSearch(
   for (size_t q = 0; q < batch; q++) {
     for (size_t s = 0; s < num_shards; s++) {
       merge[s] = {lists[s].distances.data() + q * k,
-                  lists[s].ids.data() + q * k, k};
+                  lists[s].ids.data() + q * k, k, id_maps[s].data(),
+                  id_maps[s].size()};
     }
     MergeShardTopK(merge.data(), num_shards, k, out.ids.data() + q * k,
                    out.distances.data() + q * k);

@@ -1,11 +1,15 @@
-// Scheduling-determinism suite for the streaming sharded pipeline: the
-// chunked, overlapped execution must be EXPECT_EQ-identical (ids *and*
-// distances) to the serial per-shard reference (sharded_reference.h)
-// for every thread count, chunk size, storage precision, and across
-// repeated runs — streaming is purely a throughput structure, never a
-// result change. This suite is part of the TSan CI job, where the
-// repeated concurrent runs double as a race detector workload.
+// Scheduling-determinism suite for sharded search: every shard searches
+// the whole batch as its own task and the caller merges the finished
+// shards once. Whoever runs the shards — pool helpers at width 0, the
+// caller at an explicit width — the result must be EXPECT_EQ-identical
+// (ids *and* distances) to the serial per-shard reference
+// (sharded_reference.h) for every storage precision, with and without
+// uniform_seed, and across repeated runs. This suite is part of the
+// TSan CI job, where the repeated pool-scheduled runs double as a race
+// detector workload.
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,60 +68,60 @@ SyntheticData* StreamingDeterminismTest::data_ = nullptr;
 ShardedCagraIndex* StreamingDeterminismTest::index_ = nullptr;
 ShardedCagraIndex* StreamingDeterminismTest::opq_index_ = nullptr;
 
-/// Streaming must reproduce the serial per-shard reference bit-for-bit
-/// across the full (num_threads, chunk size, repetition) matrix. The
-/// chunk == batch column is the barrier schedule.
+/// Sharded search must reproduce the serial per-shard reference
+/// bit-for-bit across the (num_threads, repetition) matrix, for each
+/// (precision, uniform_seed) input. Under uniform_seed every row
+/// samples from the seed verbatim, as the serving scheduler asks.
 class StreamingMatrixTest
     : public StreamingDeterminismTest,
-      public ::testing::WithParamInterface<Precision> {};
+      public ::testing::WithParamInterface<std::tuple<Precision, bool>> {};
 
 TEST_P(StreamingMatrixTest, IdenticalToSerialBarrierReference) {
   SearchParams ref_params = BaseParams();
-  ref_params.precision = GetParam();
+  ref_params.precision = std::get<0>(GetParam());
+  ref_params.uniform_seed = std::get<1>(GetParam());
   auto ref = ShardedReferenceSearch(*index_, data_->queries, ref_params);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  const size_t batch = data_->queries.rows();
   for (size_t num_threads : {size_t{0}, size_t{1}, size_t{3}}) {
-    for (size_t chunk : {size_t{1}, size_t{7}, batch}) {
-      // Scheduling only varies on the shared pool (num_threads == 0);
-      // repeat that configuration 20 times to shake out races and
-      // arrival-order dependence. The serial schedules get a sanity
-      // repetition each.
-      const int reps = num_threads == 0 ? 20 : 2;
-      for (int rep = 0; rep < reps; rep++) {
-        SearchParams sp = ref_params;
-        sp.num_threads = num_threads;
-        sp.shard_chunk_queries = chunk;
-        auto got = index_->Search(data_->queries, sp);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(got->neighbors.ids, ref->ids)
-            << "threads=" << num_threads << " chunk=" << chunk
-            << " rep=" << rep;
-        EXPECT_EQ(got->neighbors.distances, ref->distances)
-            << "threads=" << num_threads << " chunk=" << chunk
-            << " rep=" << rep;
-      }
+    // Scheduling only varies on the shared pool (num_threads == 0);
+    // repeat that configuration 20 times to shake out races and
+    // arrival-order dependence. The caller-run schedules get a sanity
+    // repetition each.
+    const int reps = num_threads == 0 ? 20 : 2;
+    for (int rep = 0; rep < reps; rep++) {
+      SearchParams sp = ref_params;
+      sp.num_threads = num_threads;
+      auto got = index_->Search(data_->queries, sp);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->neighbors.ids, ref->ids)
+          << "threads=" << num_threads << " rep=" << rep;
+      EXPECT_EQ(got->neighbors.distances, ref->distances)
+          << "threads=" << num_threads << " rep=" << rep;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Precisions, StreamingMatrixTest,
-                         ::testing::Values(Precision::kFp32, Precision::kInt8,
-                                           Precision::kPq),
-                         [](const ::testing::TestParamInfo<Precision>& info) {
-                           switch (info.param) {
-                             case Precision::kFp32: return "fp32";
-                             case Precision::kInt8: return "int8";
-                             case Precision::kPq: return "pq";
-                             default: return "other";
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Precisions, StreamingMatrixTest,
+    ::testing::Combine(::testing::Values(Precision::kFp32, Precision::kInt8,
+                                         Precision::kPq),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Precision, bool>>& info) {
+      std::string name;
+      switch (std::get<0>(info.param)) {
+        case Precision::kFp32: name = "fp32"; break;
+        case Precision::kInt8: name = "int8"; break;
+        case Precision::kPq: name = "pq"; break;
+        default: name = "other"; break;
+      }
+      return name + (std::get<1>(info.param) ? "_uniform_seed" : "");
+    });
 
 // Interleaved Add/Remove/Search schedules must be scheduling-invariant
 // too: the same fixed mutation schedule replayed against fresh copies
 // of one pristine index yields EXPECT_EQ-identical results at every
-// search, whatever thread count or chunk size the searches use. Inserts
+// search, whatever thread count the searches use. Inserts
 // are seeded per external id and removals/compaction are deterministic,
 // so the only thing that varies across configs is scheduling — which
 // must never show through.
@@ -132,20 +136,14 @@ TEST_F(StreamingDeterminismTest,
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const ShardedCagraIndex pristine = std::move(built.value());
 
-  struct Config {
-    size_t threads;
-    size_t chunk;
-  };
-  // Serial reference first; pool-scheduled configs (threads == 0)
-  // appear twice to shake out arrival-order dependence.
-  const std::vector<Config> configs = {{1, 0},        {3, 7}, {0, 1},
-                                       {0, 1},        {0, 4}, {0, 0},
-                                       {0, 0}};
+  // Serial reference first; the pool-scheduled width (0) appears twice
+  // to shake out arrival-order dependence.
+  const std::vector<size_t> thread_counts = {1, 3, 0, 0};
   std::vector<uint32_t> ref_ids;
   std::vector<float> ref_dists;
 
-  for (size_t cfg_i = 0; cfg_i < configs.size(); cfg_i++) {
-    const Config& cfg = configs[cfg_i];
+  for (size_t cfg_i = 0; cfg_i < thread_counts.size(); cfg_i++) {
+    const size_t threads = thread_counts[cfg_i];
     ShardedCagraIndex index = pristine;  // shares snapshots, mutates apart
     CompactionOptions opt;
     opt.trigger_fraction = 2.0;  // schedule stays the only mutator
@@ -155,8 +153,7 @@ TEST_F(StreamingDeterminismTest,
     std::vector<float> got_dists;
     auto run_search = [&] {
       SearchParams sp = BaseParams();
-      sp.num_threads = cfg.threads;
-      sp.shard_chunk_queries = cfg.chunk;
+      sp.num_threads = threads;
       auto r = index.Search(churn.queries, sp);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       got_ids.insert(got_ids.end(), r->neighbors.ids.begin(),
@@ -191,114 +188,33 @@ TEST_F(StreamingDeterminismTest,
       ref_ids = std::move(got_ids);
       ref_dists = std::move(got_dists);
     } else {
-      EXPECT_EQ(got_ids, ref_ids)
-          << "threads=" << cfg.threads << " chunk=" << cfg.chunk;
-      EXPECT_EQ(got_dists, ref_dists)
-          << "threads=" << cfg.threads << " chunk=" << cfg.chunk;
+      EXPECT_EQ(got_ids, ref_ids) << "threads=" << threads;
+      EXPECT_EQ(got_dists, ref_dists) << "threads=" << threads;
     }
   }
 }
 
 TEST_F(StreamingDeterminismTest, OpqStreamingIdenticalToSerialBarrier) {
   // The OPQ determinism matrix: the rotated-codebook ADC path must be
-  // as scheduling-invariant as the plain one — streaming EXPECT_EQ to
-  // the serial per-shard reference across threads x chunk sizes x
-  // repeats.
+  // as scheduling-invariant as the plain one — EXPECT_EQ to the serial
+  // per-shard reference across threads x repeats.
   SearchParams ref_params = BaseParams();
   ref_params.precision = Precision::kPq;
   auto ref = ShardedReferenceSearch(*opq_index_, data_->queries, ref_params);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  const size_t batch = data_->queries.rows();
   for (size_t num_threads : {size_t{0}, size_t{1}, size_t{3}}) {
-    for (size_t chunk : {size_t{1}, size_t{7}, batch}) {
-      const int reps = num_threads == 0 ? 10 : 2;
-      for (int rep = 0; rep < reps; rep++) {
-        SearchParams sp = ref_params;
-        sp.num_threads = num_threads;
-        sp.shard_chunk_queries = chunk;
-        auto got = opq_index_->Search(data_->queries, sp);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(got->neighbors.ids, ref->ids)
-            << "threads=" << num_threads << " chunk=" << chunk
-            << " rep=" << rep;
-        EXPECT_EQ(got->neighbors.distances, ref->distances)
-            << "threads=" << num_threads << " chunk=" << chunk
-            << " rep=" << rep;
-      }
+    const int reps = num_threads == 0 ? 10 : 2;
+    for (int rep = 0; rep < reps; rep++) {
+      SearchParams sp = ref_params;
+      sp.num_threads = num_threads;
+      auto got = opq_index_->Search(data_->queries, sp);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->neighbors.ids, ref->ids)
+          << "threads=" << num_threads << " rep=" << rep;
+      EXPECT_EQ(got->neighbors.distances, ref->distances)
+          << "threads=" << num_threads << " rep=" << rep;
     }
   }
-}
-
-TEST_F(StreamingDeterminismTest, AutoChunkMatchesExplicitFullBatch) {
-  // shard_chunk_queries = 0 (auto) must be just another chunk size:
-  // identical results to the single-chunk run.
-  SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 0;
-  auto auto_chunk = index_->Search(data_->queries, sp);
-  sp.shard_chunk_queries = data_->queries.rows();
-  auto one_chunk = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(auto_chunk.ok());
-  ASSERT_TRUE(one_chunk.ok());
-  EXPECT_EQ(auto_chunk->neighbors.ids, one_chunk->neighbors.ids);
-  EXPECT_EQ(auto_chunk->neighbors.distances, one_chunk->neighbors.distances);
-}
-
-TEST_F(StreamingDeterminismTest, OversizedChunkClampsToBatch) {
-  SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 10 * data_->queries.rows();
-  auto got = index_->Search(data_->queries, sp);
-  sp.shard_chunk_queries = data_->queries.rows();
-  auto want = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(got->neighbors.ids, want->neighbors.ids);
-}
-
-TEST_F(StreamingDeterminismTest, SingleRowChunksUnderContention) {
-  // The "many tiny chunks" stress: 1-row chunks turn every query into
-  // its own (chunk, shard) task triple, maximizing queue and latch
-  // traffic. Results must still be identical across repeats (this is
-  // the hottest configuration the TSan job runs).
-  SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = 1;
-  auto first = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(first.ok());
-  for (int rep = 0; rep < 10; rep++) {
-    auto again = index_->Search(data_->queries, sp);
-    ASSERT_TRUE(again.ok());
-    ASSERT_EQ(again->neighbors.ids, first->neighbors.ids) << "rep " << rep;
-    ASSERT_EQ(again->neighbors.distances, first->neighbors.distances);
-  }
-}
-
-TEST_F(StreamingDeterminismTest, StreamingModelsOverlapNotFullMergeTail) {
-  // A single chunk (the barrier schedule) charges the host merge of the
-  // whole batch after the slowest shard; more chunks hide all but the
-  // final chunk's merge, while per-launch overhead grows — both must
-  // stay positive and finite.
-  SearchParams sp = BaseParams();
-  sp.shard_chunk_queries = data_->queries.rows();
-  auto one_chunk = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(one_chunk.ok());
-
-  sp.shard_chunk_queries = 7;
-  auto chunked = index_->Search(data_->queries, sp);
-  ASSERT_TRUE(chunked.ok());
-  // Both runs report modeled_seconds = cost.total (the scan estimate)
-  // plus the merge tail, so the tail is recoverable exactly. The single
-  // chunk's tail covers the whole batch; the chunked pipeline's must
-  // cover only the final chunk — same per-entry overhead, scaled by
-  // tail rows instead of batch rows.
-  const size_t batch = data_->queries.rows();
-  const size_t tail = batch % 7 == 0 ? 7 : batch % 7;
-  ASSERT_LT(tail, batch);
-  const double full_merge = one_chunk->modeled_seconds - one_chunk->cost.total;
-  const double chunked_merge = chunked->modeled_seconds - chunked->cost.total;
-  ASSERT_GT(full_merge, 0.0);
-  ASSERT_GT(chunked_merge, 0.0);
-  EXPECT_LT(chunked_merge, full_merge);
-  EXPECT_NEAR(chunked_merge / full_merge,
-              static_cast<double>(tail) / static_cast<double>(batch), 1e-9);
 }
 
 TEST_F(StreamingDeterminismTest, EmptyBatchReturnsEmptyResult) {

@@ -141,8 +141,8 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   // shard 0 alone. They must reflect the aggregate run: counters sum,
   // host_threads is the widest shard, and the modeled cost is the
   // slowest shard's breakdown (what the parallel execution waits for).
-  // A single streaming chunk makes the per-shard launches identical to
-  // standalone full-batch runs, so the aggregation pins exactly.
+  // Each shard runs the whole batch in one launch, exactly as a
+  // standalone search of that shard, so the aggregation pins exactly.
   BuildParams bp;
   bp.graph_degree = 16;
   auto index = ShardedCagraIndex::Build(data_->base, bp, 4);
@@ -150,7 +150,6 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
-  sp.shard_chunk_queries = data_->queries.rows();  // one chunk
   auto sharded = index->Search(data_->queries, sp);
   ASSERT_TRUE(sharded.ok());
 
@@ -171,38 +170,12 @@ TEST_F(ShardedTest, MetadataAggregatesOverShards) {
   // The launch config must belong to the slowest shard (whose cost was
   // reported), i.e. describe the same batch every shard ran.
   EXPECT_EQ(sharded->launch.batch, data_->queries.rows());
-}
-
-TEST_F(ShardedTest, CountersSurviveChunking) {
-  // The per-query counters are chunking-invariant, so any chunk size
-  // must report exactly the sums the single-chunk run reports.
-  BuildParams bp;
-  bp.graph_degree = 16;
-  auto index = ShardedCagraIndex::Build(data_->base, bp, 4);
-  ASSERT_TRUE(index.ok());
-  SearchParams sp;
-  sp.k = 10;
-  sp.itopk = 64;
-  sp.shard_chunk_queries = data_->queries.rows();  // one chunk
-  auto one_chunk = index->Search(data_->queries, sp);
-  ASSERT_TRUE(one_chunk.ok());
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
-    sp.shard_chunk_queries = chunk;
-    auto streamed = index->Search(data_->queries, sp);
-    ASSERT_TRUE(streamed.ok());
-    EXPECT_EQ(streamed->counters.distance_computations,
-              one_chunk->counters.distance_computations)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.queries, one_chunk->counters.queries)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed->counters.iterations, one_chunk->counters.iterations)
-        << "chunk=" << chunk;
-    // Each chunk is its own launch per shard: launches scale with the
-    // chunk count instead of collapsing to one per shard.
-    EXPECT_GE(streamed->counters.kernel_launches,
-              one_chunk->counters.kernel_launches);
-    EXPECT_GT(streamed->modeled_seconds, 0.0);
-  }
+  // The modeled time waits for the slowest shard, then pays the host
+  // merge of every (query, shard) list at 200ns each.
+  EXPECT_DOUBLE_EQ(sharded->modeled_seconds,
+                   max_cost + 2e-7 * static_cast<double>(
+                                         data_->queries.rows() *
+                                         index->num_shards()));
 }
 
 TEST_F(ShardedTest, ParallelBuildMatchesSequentialReference) {
@@ -321,10 +294,6 @@ TEST_F(ShardedTest, ModeledTimeIsMaxShardNotSum) {
   SearchParams sp;
   sp.k = 10;
   sp.itopk = 64;
-  // One chunk: per-shard launches match standalone full-batch runs, so
-  // the modeled comparison is exact (chunked runs add per-launch
-  // overhead to the model, which is correct but not what this pins).
-  sp.shard_chunk_queries = data_->queries.rows();
   auto sharded = index->Search(data_->queries, sp);
   ASSERT_TRUE(sharded.ok());
   // One shard alone, searched as a plain index, should cost roughly the
