@@ -5,8 +5,9 @@
 // the scheduler recovers, and what latency SLO it buys it with:
 //
 //   - saturation: single-query-at-a-time (max_batch=1) vs micro-batched
-//     (max_batch=64, 1 ms collect window) capacity under unbounded
-//     offered load — the acceptance number is the QPS speedup.
+//     (max_batch=64; a free worker takes whatever is queued) capacity
+//     under unbounded offered load — the acceptance number is the QPS
+//     speedup, and the backlog must fill the batches.
 //   - load sweep: offered-load fractions of the micro-batched capacity,
 //     reporting p50/p95/p99 latency, achieved QPS, mean batch size, and
 //     shed count per point — the latency/QPS curve later PRs move.
@@ -235,11 +236,9 @@ int main(int argc, char** argv) {
 
   ServingOptions single = base;
   single.max_batch = 1;  // no coalescing: one Search call per request
-  single.collect_window_us = 0;
 
   ServingOptions micro = base;
   micro.max_batch = 64;
-  micro.collect_window_us = 1000;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"serving\",\n");
@@ -248,11 +247,9 @@ int main(int argc, char** argv) {
   std::printf("  \"k\": %zu,\n", k);
   std::printf("  \"itopk\": 64,\n");
   std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::printf("  \"scheduler\": {\"collect_window_us\": %zu, "
-              "\"max_batch\": %zu, \"max_queue_depth\": %zu, "
-              "\"num_workers\": %zu},\n",
-              micro.collect_window_us, micro.max_batch, micro.max_queue_depth,
-              micro.num_workers);
+  std::printf("  \"scheduler\": {\"max_batch\": %zu, "
+              "\"max_queue_depth\": %zu, \"num_workers\": %zu},\n",
+              micro.max_batch, micro.max_queue_depth, micro.num_workers);
 
   // --- Saturation: unbounded offered load, shed what doesn't fit.
   const LoadPointSample sat_single = RunLoadPoint(
@@ -296,9 +293,9 @@ int main(int argc, char** argv) {
 
   // --- Deadline sweep: the SLO view. Each point stamps every request
   // with arrival + {1, 5, 20} ms and reports the outcome mix at two
-  // offered loads. The 1 ms column is expected to be mostly partials
-  // and sheds with the default 1 ms collect window — the documented
-  // collect_window_us x deadline interaction, measured.
+  // offered loads. No budget is spent waiting for a batch to fill, so
+  // a request's budget goes to its queue wait behind earlier batches
+  // and its own search; the 1 ms column shows where that is too tight.
   std::printf("  \"deadline_sweep\": [\n");
   const double deadline_ms[] = {1.0, 5.0, 20.0};
   const double deadline_fractions[] = {0.5, 0.9};
@@ -372,13 +369,13 @@ int main(int argc, char** argv) {
   std::printf(
       "  \"notes\": \"open-loop Poisson client; latency percentiles are "
       "scheduler-side (queue wait + batched search). single_query executes "
-      "every request as its own Search call; microbatch coalesces under a "
-      "%zu us deadline. Results are identical either way (uniform_seed + "
-      "batch-shape pinned at 1) — batching trades a bounded queue delay "
-      "for throughput. modeled_qps is the device cost model over the "
+      "every request as its own Search call; microbatch lets a free worker "
+      "take whatever is queued, up to max_batch, and search at once, so "
+      "batches grow only with the backlog and no request waits for one to "
+      "fill. Results are identical either way (uniform_seed + batch-shape "
+      "pinned at 1). modeled_qps is the device cost model over the "
       "batches the scheduler actually formed; host_wall_qps is the "
-      "functional host simulation and carries no batch effect.\"\n",
-      micro.collect_window_us);
+      "functional host simulation and carries no batch effect.\"\n");
   std::printf("}\n");
   return 0;
 }

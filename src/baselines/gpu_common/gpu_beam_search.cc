@@ -42,9 +42,9 @@ GpuBeamResult GpuBeamSearch(const Matrix<float>& dataset, Metric metric,
     return ComputeDistance(metric, query, dataset.Row(id), dataset.dim());
   };
   auto charged_insert = [&](uint32_t id) {
-    const size_t before = visited.stats().probes;
+    const size_t before = visited.probes();
     const bool fresh = visited.InsertIfAbsent(id);
-    counters->hash_probes_device += visited.stats().probes - before;
+    counters->hash_probes_device += visited.probes() - before;
     return fresh;
   };
 

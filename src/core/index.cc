@@ -1,7 +1,6 @@
 #include "core/index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -170,25 +169,6 @@ namespace {
 /// deterministic for a given index state and insertion order.
 constexpr uint64_t kInsertSeed = 0x1e55ed5eedULL;
 
-/// Encodes one fp32 row with an already-fitted int8 affine (the
-/// QuantizeInt8 formula, with the fitted range recovered from
-/// scale/offset — offset is the range center and 127*scale the half
-/// width — so appended rows clamp exactly like originals).
-void EncodeInt8Row(const QuantizedDataset& q, const float* row, size_t dim,
-                   int8_t* code) {
-  for (size_t d = 0; d < dim; d++) {
-    float v = row[d];
-    if (!std::isfinite(v)) {
-      const float half_width = 127.0f * q.scale[d];
-      v = v > 0 ? q.offset[d] + half_width
-                : (v < 0 ? q.offset[d] - half_width : q.offset[d]);
-    }
-    const float x = (v - q.offset[d]) / q.scale[d];
-    code[d] = static_cast<int8_t>(
-        std::clamp(std::lround(x), long{-127}, long{127}));
-  }
-}
-
 }  // namespace
 
 Status CagraIndex::Add(const Matrix<float>& rows,
@@ -351,8 +331,7 @@ Status CagraIndex::Add(const Matrix<float>& rows,
     std::copy(cur->int8->codes.data().begin(), cur->int8->codes.data().end(),
               int8->codes.mutable_data()->begin());
     for (size_t i = 0; i < n_new; i++) {
-      EncodeInt8Row(*int8, rows.Row(i), dim,
-                    int8->codes.MutableRow(n0 + i));
+      EncodeInt8Row(*int8, rows.Row(i), int8->codes.MutableRow(n0 + i));
     }
     next->int8 = std::move(int8);
   }

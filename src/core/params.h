@@ -106,11 +106,12 @@ struct SearchParams {
   /// throughput knob.
   size_t num_threads = 0;
   /// Cooperative cancellation/deadline token (util/cancel.h), checked
-  /// at iteration boundaries in the core search kernels, and per shard
-  /// and per straggler wait in sharded search. When it expires
-  /// mid-search the call still returns ok() with best-effort partial
-  /// results, marked SearchResult::complete == false; rows the search
-  /// never reached carry the standard padding (0xffffffff / +inf).
+  /// before each query starts and at iteration boundaries in the core
+  /// search kernels, and per shard and per straggler wait in sharded
+  /// search. When it expires mid-search the call still returns ok()
+  /// with best-effort partial results, marked SearchResult::complete ==
+  /// false; rows the search never reached carry the standard padding
+  /// (0xffffffff / +inf), and a query that never started scores 0 rows.
   /// nullptr (the default) disables every check — results and hot-loop
   /// cost are exactly the token-free ones.
   ///

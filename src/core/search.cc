@@ -129,8 +129,8 @@ Status ValidateSearchParams(const SearchParams& params) {
 
 Result<SearchResult> Search(const CagraIndex& index,
                             const Matrix<float>& queries,
-                            const SearchParams& params,
-                            const DeviceSpec& device) {
+                            const SearchParams& params) {
+  const DeviceSpec device;
   const Precision precision = params.precision;
   // The whole search consumes ONE pinned version of the index: every
   // read below — validation, kernels, rerank, id translation — goes
@@ -222,6 +222,14 @@ Result<SearchResult> Search(const CagraIndex& index,
   // are byte-identical to a serial run at any thread count.
   auto run_query = [&](SearchScratch* scratch, size_t q) {
     KernelCounters& counters = per_query[q];
+    counters.queries = 1;
+    // Once the token has expired no further query starts: one
+    // unamortized check before each query seeds. A query that never
+    // starts stays padding, scores no rows and marks the batch partial.
+    if (cfg.cancel != nullptr && cfg.cancel->Expired()) {
+      truncated[q] = 1;
+      return;
+    }
     // uniform_seed: every row samples like a batch-of-one (row 0 gets
     // cfg.seed either way) so coalescing requests into micro-batches
     // cannot change any request's result.
@@ -245,7 +253,6 @@ Result<SearchResult> Search(const CagraIndex& index,
     if (cut) truncated[q] = 1;
     counters.iterations = iters;
     counters.max_iterations = iters;
-    counters.queries = 1;
   };
 
   Timer timer;

@@ -49,18 +49,20 @@ struct SearchResult {
 /// (itopk == 0 resolves to the auto default), and hash_bits <= 32.
 [[nodiscard]] Status ValidateSearchParams(const SearchParams& params);
 
-/// Runs the CAGRA search (§IV) over a query batch. Picks the execution
-/// mode by the Fig. 7 rule when params.algo == kAuto, the team size by
-/// the §IV-B1 occupancy model when params.team_size == 0, and the hash
-/// management per Table II when params.hash_mode == kAuto. The dataset
-/// storage mode comes from params.precision; reduced precisions require
-/// the matching Enable*() call on the index. Each query's row comes back
-/// in (distance, id) order: equal distances go by ascending id.
+/// Runs the CAGRA search (§IV) over a query batch, with kernel time
+/// modeled on the default DeviceSpec (the A100 of DESIGN.md §1). Picks
+/// the execution mode by the Fig. 7 rule when params.algo == kAuto, the
+/// team size by the §IV-B1 occupancy model when params.team_size == 0,
+/// and the hash management per Table II when params.hash_mode == kAuto.
+/// The dataset storage mode comes from params.precision; reduced
+/// precisions require the matching Enable*() call on the index. Each
+/// query's row comes back in (distance, id) order: equal distances go
+/// by ascending id.
 /// Requires ValidateSearchParams(params).ok() and
 /// queries.dim() == index.dim().
-[[nodiscard]] Result<SearchResult> Search(
-    const CagraIndex& index, const Matrix<float>& queries,
-    const SearchParams& params, const DeviceSpec& device = DeviceSpec{});
+[[nodiscard]] Result<SearchResult> Search(const CagraIndex& index,
+                                          const Matrix<float>& queries,
+                                          const SearchParams& params);
 
 /// Picks the team size (2..32) maximizing modeled load efficiency x
 /// occupancy for a given vector layout — the automatic version of the

@@ -63,7 +63,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
   // Its probes are charged once, as the query's total.
   VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
   counters->hash_table_device_bytes += visited.MemoryBytes();
-  const size_t probes_before = visited.stats().probes;
+  const size_t probes_before = visited.probes();
 
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
   batch_ids.clear();
@@ -129,7 +129,7 @@ size_t SearchMultiCta(const DatasetView& dataset,
     iterations++;
     if (!any_active) break;
   }
-  counters->hash_probes_device += visited.stats().probes - probes_before;
+  counters->hash_probes_device += visited.probes() - probes_before;
 
   // --- Result merge: a k-way merge of the CTA lists, each sorted under
   // KeyValueLess, through a min-heap of their next usable entries. Entries

@@ -44,7 +44,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
     counters->hash_table_device_bytes += visited.MemoryBytes();
   }
   // Probes are charged once, as the query's total, to where it lives.
-  const size_t probes_before = visited.stats().probes;
+  const size_t probes_before = visited.probes();
   Pcg32 rng(query_seed, 0xc0ffee);
 
   // Fresh nodes awaiting their (batched) distance computation.
@@ -146,7 +146,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   }
   (cfg.hash_in_shared ? counters->hash_probes_shared
                       : counters->hash_probes_device) +=
-      visited.stats().probes - probes_before;
+      visited.probes() - probes_before;
 
   // --- Output: top-k of the internal list, parent flags stripped,
   // defensively deduplicated (duplicates are possible only after a

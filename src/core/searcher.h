@@ -26,35 +26,24 @@ class Searcher {
 
   /// Dimensionality a query row must have.
   virtual size_t dim() const = 0;
-
-  /// Device the implementation models kernel time on. Callers that pin
-  /// batch-shape auto choices (the serving scheduler's
-  /// ResolveBatchShape at batch 1) resolve against this device so their
-  /// pinned params match what a direct call would pick.
-  virtual DeviceSpec device() const { return DeviceSpec{}; }
 };
 
 /// Thin adapter making a CagraIndex a Searcher: forwards to the free
-/// Search() with the device fixed at construction. Non-owning — the
-/// index must outlive the adapter.
+/// Search(). Non-owning — the index must outlive the adapter.
 class IndexSearcher : public Searcher {
  public:
-  explicit IndexSearcher(const CagraIndex& index,
-                         const DeviceSpec& device = DeviceSpec{})
-      : index_(&index), device_(device) {}
+  explicit IndexSearcher(const CagraIndex& index) : index_(&index) {}
 
   [[nodiscard]] Result<SearchResult> Search(
       const Matrix<float>& queries,
       const SearchParams& params) const override {
-    return cagra::Search(*index_, queries, params, device_);
+    return cagra::Search(*index_, queries, params);
   }
 
   size_t dim() const override { return index_->dim(); }
-  DeviceSpec device() const override { return device_; }
 
  private:
   const CagraIndex* index_;
-  DeviceSpec device_;
 };
 
 }  // namespace cagra

@@ -13,7 +13,7 @@ QuantizedDataset QuantizeInt8(const Matrix<float>& dataset) {
   const size_t rows = dataset.rows();
   const size_t dim = dataset.dim();
   out.codes = Matrix<int8_t>(rows, dim);
-  out.scale.assign(dim, 1.0f);
+  out.scale.assign(dim, 0.0f);
   out.offset.assign(dim, 0.0f);
   if (rows == 0) return out;
 
@@ -34,28 +34,34 @@ QuantizedDataset QuantizeInt8(const Matrix<float>& dataset) {
     if (lo[d] > hi[d]) {  // no finite value in this dimension
       lo[d] = hi[d] = 0.0f;
     }
-    const float range = hi[d] - lo[d];
-    out.scale[d] = range > 0 ? range / 254.0f : 1.0f;
+    // Codes -127..127 span [lo, hi]; a zero range gets scale 0, so its
+    // one value decodes exactly.
+    out.scale[d] = (hi[d] - lo[d]) / 254.0f;
     out.offset[d] = lo[d] + 127.0f * out.scale[d];  // center the range
   }
 
   for (size_t i = 0; i < rows; i++) {
-    const float* row = dataset.Row(i);
-    int8_t* code = out.codes.MutableRow(i);
-    for (size_t d = 0; d < dim; d++) {
-      // Non-finite elements clamp into the fitted range (+Inf to the
-      // max, -Inf to the min, NaN to the center) so lround never sees
-      // them — its behavior on NaN/Inf is undefined.
-      float v = row[d];
-      if (!std::isfinite(v)) {
-        v = v > 0 ? hi[d] : (v < 0 ? lo[d] : out.offset[d]);
-      }
-      const float q = (v - out.offset[d]) / out.scale[d];
-      code[d] = static_cast<int8_t>(
-          std::clamp(std::lround(q), long{-127}, long{127}));
-    }
+    EncodeInt8Row(out, dataset.Row(i), out.codes.MutableRow(i));
   }
   return out;
+}
+
+void EncodeInt8Row(const QuantizedDataset& q, const float* row,
+                   int8_t* code) {
+  for (size_t d = 0; d < q.scale.size(); d++) {
+    const float v = row[d];
+    // NaN codes the center, and a zero-range dimension decodes every
+    // code to its constant. Everything else clamps to [-127, 127]
+    // before lround, which is undefined on NaN/Inf and out-of-range
+    // input: +Inf lands on the fitted max, -Inf on the min.
+    if (std::isnan(v) || q.scale[d] == 0.0f) {
+      code[d] = 0;
+      continue;
+    }
+    const float x =
+        std::clamp((v - q.offset[d]) / q.scale[d], -127.0f, 127.0f);
+    code[d] = static_cast<int8_t>(std::lround(x));
+  }
 }
 
 float QuantizedDistance(Metric metric, const float* query,

@@ -14,7 +14,9 @@ namespace cagra {
 /// at for datasets beyond device memory ("data compression schemes, such
 /// as product quantization, are some of the ways to address the memory
 /// capacity problem"). Quarter the bytes of fp32 with a deterministic,
-/// SIMD/GPU-friendly decode: x ~ code * scale[d] + offset[d].
+/// SIMD/GPU-friendly decode: x ~ code * scale[d] + offset[d]. A
+/// dimension whose fitted range is zero has scale 0: every code decodes
+/// to its constant, the offset.
 struct QuantizedDataset {
   Matrix<int8_t> codes;
   std::vector<float> scale;   ///< per-dimension
@@ -31,8 +33,17 @@ struct QuantizedDataset {
   }
 };
 
-/// Fits per-dimension ranges over the dataset and encodes every row.
+/// Fits per-dimension ranges over the dataset and encodes every row
+/// with EncodeInt8Row.
 QuantizedDataset QuantizeInt8(const Matrix<float>& dataset);
+
+/// Encodes one fp32 row (q.dim() floats) with the already-fitted affine
+/// of `q` — the per-row encode of QuantizeInt8, and the int8 sibling of
+/// PqEncodeAppend for rows appended later (CagraIndex::Add). Values
+/// clamp into the fitted range, +Inf to its max and -Inf to its min;
+/// NaN codes the center.
+void EncodeInt8Row(const QuantizedDataset& q, const float* row,
+                   int8_t* code);
 
 /// Distance between an fp32 query and an int8-coded row, decoding one
 /// element at a time. This is the scalar reference the SIMD int8 kernels

@@ -22,7 +22,6 @@ ServingScheduler::ServingScheduler(const Searcher& searcher,
     : searcher_(&searcher),
       options_(options),
       dim_(searcher.dim()),
-      device_(searcher.device()),
       queue_(options.max_queue_depth == 0 ? 1 : options.max_queue_depth),
       start_(Clock::now()) {
   if (options_.max_batch == 0) options_.max_batch = 1;
@@ -44,9 +43,8 @@ void ServingScheduler::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     stopping_.store(true, std::memory_order_release);
     // Close wakes blocked poppers; items already queued are still
-    // delivered, so workers drain every admitted request (flushing
-    // partially collected batches early — the timed pop returns as soon
-    // as the queue closes) before their Pop reports empty.
+    // delivered, so workers drain every admitted request before their
+    // Pop reports empty.
     queue_.Close();
     for (auto& w : workers_) w.join();
   });
@@ -54,17 +52,11 @@ void ServingScheduler::Shutdown() {
 
 std::future<Result<QueryResponse>> ServingScheduler::Submit(const float* query,
                                                             size_t k) {
-  return SubmitImpl(query, k, /*has_deadline=*/false, Clock::time_point{});
+  return Submit(query, k, Clock::time_point::max());
 }
 
 std::future<Result<QueryResponse>> ServingScheduler::Submit(
     const float* query, size_t k, Clock::time_point deadline) {
-  return SubmitImpl(query, k, /*has_deadline=*/true, deadline);
-}
-
-std::future<Result<QueryResponse>> ServingScheduler::SubmitImpl(
-    const float* query, size_t k, bool has_deadline,
-    Clock::time_point deadline) {
   auto req = std::make_shared<Request>();
   auto future = req->promise.get_future();
 
@@ -91,7 +83,6 @@ std::future<Result<QueryResponse>> ServingScheduler::SubmitImpl(
   req->k = k;
   req->enqueue = Clock::now();
   req->deadline = deadline;
-  req->has_deadline = has_deadline;
 
   // Fault sites of the admission path: whatever fires here, the
   // caller's future still resolves exactly once (below or in a worker).
@@ -139,13 +130,9 @@ void ServingScheduler::WorkerLoop() {
     batch.reserve(options_.max_batch);
     batch.push_back(std::move(*first));
 
-    // Deadline flush: admit until the window closes or the batch fills.
-    // PopUntil also returns early when the queue closes, so shutdown
-    // never waits out the window.
-    const auto deadline =
-        Clock::now() + std::chrono::microseconds(options_.collect_window_us);
+    // Greedy fill: take what is already queued, never wait for more.
     while (batch.size() < options_.max_batch) {
-      auto next = queue_.PopUntil(deadline);
+      auto next = queue_.TryPop();
       if (!next.has_value()) break;
       batch.push_back(std::move(*next));
     }
@@ -179,7 +166,7 @@ void ServingScheduler::ExecuteBatch(
   std::map<size_t, std::vector<size_t>> groups;
   for (size_t i = 0; i < batch.size(); i++) {
     const Request& req = *batch[i];
-    if (req.has_deadline && formed >= req.deadline) {
+    if (formed >= req.deadline) {
       outcomes.emplace_back(
           i, Status::DeadlineExceeded(
                  "request deadline passed while queued; shed at "
@@ -217,27 +204,19 @@ void ServingScheduler::ExecuteBatch(
     // width) as if the request ran alone: with uniform_seed this makes
     // every response EXPECT_EQ-identical to a per-query Search call,
     // whatever micro-batch it was coalesced into.
-    p = ResolveBatchShape(p, device_, 1);
+    p = ResolveBatchShape(p, DeviceSpec{}, 1);
 
     // The tightest deadline in the group drives the whole call's
     // token: a truncation hits every rider, but conservatively — no
-    // request outlives its own deadline inside the batch. The token
-    // lives on this stack, which is safe even against the sharded
-    // searcher's task abandonment (it derives its own heap-owned token
-    // and never retains this one).
-    bool group_has_deadline = false;
-    Clock::time_point tightest{};
-    for (size_t idx : rows) {
-      const Request& req = *batch[idx];
-      if (!req.has_deadline) continue;
-      if (!group_has_deadline || req.deadline < tightest) {
-        group_has_deadline = true;
-        tightest = req.deadline;
-      }
-    }
-    CancelToken token = group_has_deadline ? CancelToken(tightest)
-                                           : CancelToken();
-    if (group_has_deadline) p.cancel = &token;
+    // request outlives its own deadline inside the batch. A group with
+    // no deadline at all searches token-free. The token lives on this
+    // stack, which is safe even against the sharded searcher's task
+    // abandonment (it derives its own heap-owned token and never
+    // retains this one).
+    Clock::time_point tightest = Clock::time_point::max();
+    for (size_t idx : rows) tightest = std::min(tightest, batch[idx]->deadline);
+    CancelToken token(tightest);
+    if (tightest != Clock::time_point::max()) p.cancel = &token;
 
     Timer timer;
     // One Search per k-group; the search pins the index snapshot

@@ -21,29 +21,17 @@ namespace cagra {
 
 /// Configuration of the micro-batching request scheduler.
 struct ServingOptions {
-  /// Collection deadline: once a worker has picked up the first request
-  /// of a batch it keeps admitting more until this window elapses (or
-  /// max_batch fills). 0 = greedy — take whatever is already queued and
-  /// flush immediately.
-  ///
-  /// Interaction with per-request deadlines (Submit's deadline
-  /// overload): the window is spent *waiting*, so it eats into every
-  /// collected request's deadline budget before the search even starts.
-  /// Requests whose deadline passes while a batch collects are shed
-  /// with kDeadlineExceeded at batch-formation time; keep the window
-  /// well under the tightest deadline you intend to serve (e.g. a 1ms
-  /// window is already 10% of a 10ms deadline, and fatal to a 1ms one).
-  size_t collect_window_us = 1000;
-  /// Largest micro-batch a worker flushes; 1 disables coalescing (the
-  /// single-query-at-a-time baseline of bench_serving).
+  /// Largest micro-batch a worker takes off the queue at once; 1
+  /// disables coalescing (the single-query-at-a-time baseline of
+  /// bench_serving).
   size_t max_batch = 64;
   /// Admission bound: requests arriving while this many are already
   /// queued are shed with StatusCode::kUnavailable instead of growing
   /// the queue (and the tail latency) without limit.
   size_t max_queue_depth = 1024;
-  /// Collector/executor threads. Each worker forms its own batches from
-  /// the shared queue and runs them to completion; intra-batch
-  /// parallelism comes from the search itself (params.num_threads).
+  /// Worker threads. Each worker forms its own batches from the shared
+  /// queue and runs them to completion; intra-batch parallelism comes
+  /// from the search itself (params.num_threads).
   size_t num_workers = 1;
   /// Search parameters applied to every micro-batch. `k` comes per
   /// request from Submit; `uniform_seed` is forced on and the
@@ -88,7 +76,7 @@ struct ServingStats {
   /// the deadline truncated it to a best-effort partial top-k. Counted
   /// inside `completed` as well (the caller did get a usable response).
   size_t partial = 0;
-  size_t batches = 0;    ///< micro-batches flushed
+  size_t batches = 0;    ///< micro-batches executed
   double mean_batch_rows = 0;
   double qps = 0;        ///< completed / uptime
   /// Modeled device time (DESIGN.md §1) summed over every search call
@@ -104,20 +92,22 @@ struct ServingStats {
   double uptime_seconds = 0;
 };
 
-/// Dynamic micro-batching front-end over any Searcher: accepts
+/// Greedy micro-batching front-end over any Searcher: accepts
 /// single-query requests (the shape production traffic actually has),
-/// coalesces them under a deadline into batches (the shape every fast
+/// coalesces whatever has queued up into batches (the shape every fast
 /// path here wants — multi-row kernels, batched ADC gathers, sharded
 /// search), and scatters per-query results back through futures.
 ///
 /// Request lifecycle: Submit validates, stamps, and TryPushes into a
 /// bounded MPSC queue — a full queue sheds the request immediately with
-/// kUnavailable. Worker threads block on the queue; the first popped
-/// request opens a collect window (deadline-flush via the queue's
-/// timed pop), and the batch flushes when the window elapses or
-/// max_batch fills. Mixed-k batches execute as one Search call per
-/// distinct k (different k resolve different internal budgets, so they
-/// never share a call — the result-identity contract).
+/// kUnavailable. A worker blocks for the first request, takes whatever
+/// else is already queued (up to max_batch) without waiting, and
+/// searches at once. No timer forms batches: a lone request is searched
+/// as soon as a worker is free, and under load the backlog that builds
+/// while the workers search fills the next batches. Mixed-k batches
+/// execute as one Search call per distinct k (different k resolve
+/// different internal budgets, so they never share a call — the
+/// result-identity contract).
 ///
 /// Shutdown() closes the queue (new Submits are rejected, producers
 /// never block) and drains: queued requests still execute and every
@@ -151,7 +141,8 @@ class ServingScheduler {
   /// with the response, a validation error, or kUnavailable when the
   /// request was shed or the scheduler is shut down.
   [[nodiscard]] std::future<Result<QueryResponse>> Submit(const float* query,
-                                                          size_t k);
+                                                          size_t k)
+      CAGRA_EXCLUDES(stats_mutex_);
 
   /// Deadline-carrying Submit: the request must complete by `deadline`
   /// (steady clock). If the deadline passes while the request is still
@@ -160,11 +151,10 @@ class ServingScheduler {
   /// the response comes back with complete == false (the tightest
   /// deadline of a micro-batch drives the whole batch's CancelToken —
   /// uniform-deadline traffic never truncates anyone early, and mixed
-  /// traffic truncates conservatively). See
-  /// ServingOptions::collect_window_us for how the collect window eats
-  /// into the deadline budget.
+  /// traffic truncates conservatively).
   [[nodiscard]] std::future<Result<QueryResponse>> Submit(
-      const float* query, size_t k, Clock::time_point deadline);
+      const float* query, size_t k, Clock::time_point deadline)
+      CAGRA_EXCLUDES(stats_mutex_);
 
   /// Rejects new work, drains everything queued, and joins the workers.
   void Shutdown() CAGRA_EXCLUDES(stats_mutex_);
@@ -179,14 +169,10 @@ class ServingScheduler {
     size_t k = 0;
     std::promise<Result<QueryResponse>> promise;
     Clock::time_point enqueue;
-    Clock::time_point deadline{};
-    bool has_deadline = false;
+    /// Clock::time_point::max() when the request carries no deadline.
+    Clock::time_point deadline;
   };
 
-  std::future<Result<QueryResponse>> SubmitImpl(const float* query, size_t k,
-                                                bool has_deadline,
-                                                Clock::time_point deadline)
-      CAGRA_EXCLUDES(stats_mutex_);
   void WorkerLoop() CAGRA_EXCLUDES(stats_mutex_);
   void ExecuteBatch(std::vector<std::shared_ptr<Request>>& batch)
       CAGRA_EXCLUDES(stats_mutex_);
@@ -194,7 +180,6 @@ class ServingScheduler {
   const Searcher* searcher_;
   ServingOptions options_;
   size_t dim_ = 0;
-  DeviceSpec device_;
 
   /// Shared with TryPush so admission never blocks a producer; elements
   /// are shared_ptr so a failed push still owns the promise to reject.

@@ -74,12 +74,17 @@ class MpscBoundedQueue {
     return PopFrontLocked();
   }
 
-  /// Pop with a deadline — the flush wait of the serving scheduler's
-  /// micro-batch collector: block until an item arrives, the deadline
-  /// passes, or the queue closes. Returns nullopt on timeout and on
-  /// closed-and-drained alike; a collector treats both as "flush what
-  /// you have" (the next blocking Pop distinguishes them: it returns
-  /// nullopt only once the queue is closed and empty).
+  /// Non-blocking pop; nullopt when the queue is empty right now. The
+  /// serving scheduler fills a micro-batch this way after its blocking
+  /// Pop: it takes what is already queued and never waits for more.
+  std::optional<T> TryPop() CAGRA_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return PopFrontLocked();
+  }
+
+  /// Pop with a deadline — sharded search's drain: block until an item
+  /// arrives, the deadline passes, or the queue closes. Returns nullopt
+  /// on timeout and on closed-and-drained alike.
   template <typename Clock, typename Duration>
   std::optional<T> PopUntil(
       const std::chrono::time_point<Clock, Duration>& deadline)

@@ -28,14 +28,10 @@ bool VisitedSet::InsertIntoFull(uint32_t key) {
   const size_t limit = std::min(slots_.size(), kMaxFullProbes);
   size_t slot = Slot(key);
   for (size_t i = 0; i < limit; i++) {
-    stats_.probes++;
-    if (slots_[slot] == key) {
-      stats_.rejects++;
-      return false;
-    }
+    probes_++;
+    if (slots_[slot] == key) return false;
     slot = (slot + 1) & mask_;
   }
-  stats_.overflows++;
   return true;  // absent (as far as the capped probe saw): recompute
 }
 
@@ -53,7 +49,6 @@ bool VisitedSet::Contains(uint32_t key) const {
 void VisitedSet::Reset() {
   std::fill(slots_.begin(), slots_.end(), kEmpty);
   size_ = 0;
-  stats_.resets++;
 }
 
 }  // namespace cagra

@@ -7,25 +7,14 @@
 
 namespace cagra {
 
-/// Statistics accumulated by a visited-set hash table; consumed by the
-/// gpusim cost model (probe count drives latency, table bytes drive the
-/// shared-memory footprint and hence CTA occupancy).
-struct VisitedSetStats {
-  size_t probes = 0;     ///< Total slot inspections.
-  size_t inserts = 0;    ///< Successful insertions of new keys.
-  size_t rejects = 0;    ///< InsertIfAbsent calls that found the key present.
-  size_t resets = 0;     ///< Table wipes (forgettable management only).
-  size_t overflows = 0;  ///< Insertions dropped because the table was full.
-};
-
 /// Open-addressing hash set over node indices, modelling the visited-node
 /// list of the CAGRA search (§IV-B3, following SONG). Linear probing with
 /// a multiplicative hash; capacity is a power of two.
 ///
 /// Two management policies exist:
 ///  - *Standard*: table sized for the whole search (device memory on GPU).
-///    Never resets; insertion failure on a full table is recorded as an
-///    overflow (callers size tables at >= 2x worst-case entries, §IV-B3).
+///    Never resets; an insertion into a full table is an overflow
+///    (callers size tables at >= 2x worst-case entries, §IV-B3).
 ///  - *Forgettable*: small table (shared memory on GPU) wiped every
 ///    `reset_interval` iterations; after a wipe the caller re-registers
 ///    only the current internal top-M entries. May cause recomputed
@@ -37,24 +26,20 @@ class VisitedSet {
   explicit VisitedSet(size_t min_capacity);
 
   /// Inserts `key` if absent. Returns true when the key was newly
-  /// inserted, false when already present (or the table is full, in which
-  /// case the key is treated as unvisited and an overflow is recorded —
+  /// inserted, false when already present. On a full table an absent key
+  /// overflows: it is not stored but still reported as unvisited —
   /// matching the GPU kernel's behaviour of recomputing rather than
-  /// failing). Inline: the traversal calls it once per neighbor.
+  /// failing. Inline: the traversal calls it once per neighbor.
   bool InsertIfAbsent(uint32_t key) {
     if (size_ >= slots_.size()) return InsertIntoFull(key);
     size_t slot = Slot(key);
     while (true) {
-      stats_.probes++;
+      probes_++;
       const uint32_t occupant = slots_[slot];
-      if (occupant == key) {
-        stats_.rejects++;
-        return false;
-      }
+      if (occupant == key) return false;
       if (occupant == kEmpty) {
         slots_[slot] = key;
         size_++;
-        stats_.inserts++;
         return true;
       }
       slot = (slot + 1) & mask_;
@@ -72,8 +57,9 @@ class VisitedSet {
   /// Bytes this table would occupy on device (4 bytes per slot).
   size_t MemoryBytes() const { return slots_.size() * sizeof(uint32_t); }
 
-  const VisitedSetStats& stats() const { return stats_; }
-  VisitedSetStats* mutable_stats() { return &stats_; }
+  /// Slot inspections so far, the count the gpusim cost model prices
+  /// (probe latency); table bytes drive the shared-memory footprint.
+  size_t probes() const { return probes_; }
 
  private:
   static constexpr uint32_t kEmpty = 0xffffffffu;
@@ -89,7 +75,7 @@ class VisitedSet {
   std::vector<uint32_t> slots_;
   size_t mask_;
   size_t size_ = 0;
-  VisitedSetStats stats_;
+  size_t probes_ = 0;
 };
 
 }  // namespace cagra

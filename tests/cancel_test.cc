@@ -250,19 +250,15 @@ TEST_F(SearchCancelTest, ExpiredTokenTruncatesToWellFormedPartial) {
   sp.cancel = &expired;
   auto r = Search(*index_, data_->queries, sp);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // The search unwinds at an iteration boundary with whatever it has:
-  // an OK result flagged incomplete, never an error.
+  // An OK result flagged incomplete, never an error.
   EXPECT_FALSE(r->complete);
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
-  // A truncated search scored fewer rows than a full one.
-  auto full = Search(*index_, data_->queries, BaseParams());
-  ASSERT_TRUE(full.ok());
-  uint64_t cut_rows = 0, full_rows = 0;
-  for (size_t q = 0; q < data_->queries.rows(); q++) {
-    cut_rows += r->rows_examined[q];
-    full_rows += full->rows_examined[q];
-  }
-  EXPECT_LT(cut_rows, full_rows);
+  // A token cancelled before the call starts no query: every row is
+  // padding and scored nothing.
+  EXPECT_EQ(r->rows_examined,
+            std::vector<uint64_t>(data_->queries.rows(), 0));
+  EXPECT_EQ(r->neighbors.ids,
+            std::vector<uint32_t>(data_->queries.rows() * sp.k, kPad));
 }
 
 TEST_F(SearchCancelTest, MultiCtaModeTruncatesCleanly) {
@@ -275,6 +271,8 @@ TEST_F(SearchCancelTest, MultiCtaModeTruncatesCleanly) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->complete);
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
+  EXPECT_EQ(r->rows_examined,
+            std::vector<uint64_t>(data_->queries.rows(), 0));
 }
 
 // ---------------------------------------------------------------------------

@@ -442,7 +442,6 @@ TEST_F(ServingFaultTest, EveryFutureResolvesUnderAdmissionFailures) {
   FaultController::Instance().Arm("serving_queue_push_fail", fail);
 
   ServingOptions opt;
-  opt.collect_window_us = 200;
   opt.max_batch = 8;
   ServingScheduler sched(*sharded_, opt);
   const auto statuses = RunTraffic(&sched, data_->queries, 48, 4);
@@ -468,7 +467,6 @@ TEST_F(ServingFaultTest, EveryFutureResolvesUnderAdmissionStalls) {
   FaultController::Instance().Arm("serving_queue_push_stall", stall);
 
   ServingOptions opt;
-  opt.collect_window_us = 200;
   opt.max_batch = 8;
   ServingScheduler sched(*sharded_, opt);
   const auto statuses = RunTraffic(&sched, data_->queries, 32, 4);
@@ -483,7 +481,6 @@ TEST_F(ServingFaultTest, EveryFutureResolvesUnderBatchExecuteFailures) {
   FaultController::Instance().Arm("serving_batch_execute_fail", fail);
 
   ServingOptions opt;
-  opt.collect_window_us = 200;
   opt.max_batch = 4;
   ServingScheduler sched(*sharded_, opt);
   const auto statuses = RunTraffic(&sched, data_->queries, 32, 4);
@@ -509,7 +506,6 @@ TEST_F(ServingFaultTest, ShutdownNeverHangsUnderExecuteStalls) {
   FaultController::Instance().Arm("serving_batch_execute_stall", stall);
 
   ServingOptions opt;
-  opt.collect_window_us = 0;
   opt.max_batch = 4;
   opt.num_workers = 2;
   ServingScheduler sched(*sharded_, opt);
@@ -546,7 +542,6 @@ TEST_F(ServingFaultTest, CombinedStallAndFailureMatrixResolvesEverything) {
   fc.Arm("serving_batch_execute_fail", exec_fail);
 
   ServingOptions opt;
-  opt.collect_window_us = 300;
   opt.max_batch = 8;
   opt.num_workers = 2;
   ServingScheduler sched(*sharded_, opt);
@@ -579,7 +574,6 @@ TEST_F(ServingFaultTest, DeadlineTrafficUnderStallsShedsOrTruncates) {
   FaultController::Instance().Arm("serving_batch_execute_stall", stall);
 
   ServingOptions opt;
-  opt.collect_window_us = 0;
   opt.max_batch = 4;
   ServingScheduler sched(*sharded_, opt);
   const size_t n = 16;

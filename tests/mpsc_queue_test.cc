@@ -1,5 +1,6 @@
-// Tests for the bounded MPSC queue — the chunk hand-off channel of the
-// streaming sharded pipeline. Runs natively and under the TSan CI job.
+// Tests for the bounded MPSC queue — the hand-off channel of sharded
+// search and the serving scheduler's request intake. Runs natively and
+// under the TSan CI job.
 #include <atomic>
 #include <algorithm>
 #include <thread>
@@ -40,6 +41,20 @@ TEST(MpscQueueTest, TryPushFailsWhenFull) {
   EXPECT_FALSE(q.TryPush(3));
   EXPECT_EQ(q.Pop().value(), 1);
   EXPECT_TRUE(q.TryPush(3));
+}
+
+TEST(MpscQueueTest, TryPopNeverWaits) {
+  MpscBoundedQueue<int> q(2);
+  EXPECT_FALSE(q.TryPop().has_value());  // empty: returns at once
+  ASSERT_TRUE(q.TryPush(1));
+  ASSERT_TRUE(q.TryPush(2));
+  EXPECT_EQ(q.TryPop().value(), 1);
+  EXPECT_TRUE(q.TryPush(3));  // the pop freed a slot
+  q.Close();
+  // Items pushed before Close still drain, then it reports empty.
+  EXPECT_EQ(q.TryPop().value(), 2);
+  EXPECT_EQ(q.TryPop().value(), 3);
+  EXPECT_FALSE(q.TryPop().has_value());
 }
 
 TEST(MpscQueueTest, PushBlocksUntilPopFreesSpace) {

@@ -494,7 +494,6 @@ TEST(MutableIndexTest, ServingUnderConcurrentWrites) {
 
   ServingOptions opts;
   opts.num_workers = 2;
-  opts.collect_window_us = 100;
   opts.params = Params(5);
   IndexSearcher searcher(index);
   ServingScheduler scheduler(searcher, opts);

@@ -123,13 +123,57 @@ TEST(QuantizeTest, AllNonFiniteDimensionIsStable) {
     m.MutableRow(i)[1] = static_cast<float>(i);
   }
   const QuantizedDataset q = QuantizeInt8(m);
-  // Same convention as a zero-range dimension: unit scale, finite offset.
-  EXPECT_EQ(q.scale[0], 1.0f);
+  // Same convention as a zero-range dimension: scale 0, finite offset.
+  EXPECT_EQ(q.scale[0], 0.0f);
   EXPECT_TRUE(std::isfinite(q.offset[0]));
   for (size_t i = 0; i < 3; i++) {
     EXPECT_TRUE(std::isfinite(q.Decode(i, 0))) << i;
     EXPECT_NEAR(q.Decode(i, 1), static_cast<float>(i), q.scale[1] * 0.51f);
   }
+}
+
+TEST(QuantizeTest, AppendedRowsEncodeExactlyLikeTheFit) {
+  // Regression: CagraIndex::Add encoded appended rows with its own copy
+  // of the int8 encode, which recovered the clamp range from
+  // scale/offset. In a zero-range dimension that range came out 254
+  // wide, so +Inf coded 127 (the constant + 254) where QuantizeInt8
+  // coded the constant itself.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  auto data = GenerateDataset(*p, 200, 1, 5);
+  for (size_t i = 0; i < data.base.rows(); i++) {
+    data.base.MutableRow(i)[0] = 4.2f;  // zero range
+  }
+  BuildParams bp;
+  bp.graph_degree = 8;
+  auto index = CagraIndex::Build(data.base, bp);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  index->EnableInt8Quantization();
+
+  // Row 0 with +Inf in the constant dimension and -Inf in a spread
+  // one; non-finite values stay out of the fit, so fitting the base
+  // plus this row yields the index's own fit.
+  Matrix<float> extra = SliceQueries(data.base, 0, 1);
+  extra.MutableRow(0)[0] = kInf;
+  extra.MutableRow(0)[1] = -kInf;
+  ASSERT_TRUE(index->Add(extra).ok());
+
+  Matrix<float> all(data.base.rows() + 1, data.base.dim());
+  std::copy(data.base.data().begin(), data.base.data().end(),
+            all.mutable_data()->begin());
+  std::copy(extra.Row(0), extra.Row(0) + extra.dim(),
+            all.MutableRow(data.base.rows()));
+  const QuantizedDataset fit = QuantizeInt8(all);
+  const QuantizedDataset& appended = index->snapshot()->Int8Ref();
+  ASSERT_EQ(appended.rows(), all.rows());
+  EXPECT_EQ(appended.scale, fit.scale);
+  EXPECT_EQ(appended.offset, fit.offset);
+  const size_t row = data.base.rows();
+  for (size_t d = 0; d < all.dim(); d++) {
+    EXPECT_EQ(appended.codes.Row(row)[d], fit.codes.Row(row)[d]) << d;
+  }
+  // +Inf in the constant dimension decodes to the constant.
+  EXPECT_EQ(appended.Decode(row, 0), 4.2f);
 }
 
 TEST(QuantizeTest, CosineOperatesOnDecodedValuesNotFp32) {

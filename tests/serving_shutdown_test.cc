@@ -7,8 +7,10 @@
 // rejection — and Shutdown always returns.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -25,13 +27,21 @@ using std::chrono::milliseconds;
 
 /// Minimal instant backend: counts Search calls and records the cancel
 /// token it was handed, so tests can pin the scheduler's deadline
-/// plumbing without the noise (and cost) of a real index.
+/// plumbing without the noise (and cost) of a real index. Hold() closes
+/// a gate every later Search waits at until Release(), so a test can
+/// keep the worker busy while a backlog queues.
 class RecordingSearcher : public Searcher {
  public:
   explicit RecordingSearcher(size_t dim) : dim_(dim) {}
 
   Result<SearchResult> Search(const Matrix<float>& queries,
                               const SearchParams& params) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      gate_arrivals_++;
+      gate_cv_.notify_all();
+      gate_cv_.wait(lock, [&] { return !held_; });
+    }
     searches_.fetch_add(1, std::memory_order_relaxed);
     if (params.cancel != nullptr) {
       searches_with_token_.fetch_add(1, std::memory_order_relaxed);
@@ -66,11 +76,29 @@ class RecordingSearcher : public Searcher {
     return has_last_deadline_;
   }
 
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    held_ = true;
+  }
+  /// Blocks until a Search has reached the gate.
+  void WaitUntilHeld() const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    gate_cv_.wait(lock, [&] { return gate_arrivals_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    held_ = false;
+    gate_cv_.notify_all();
+  }
+
  private:
   size_t dim_;
   mutable std::atomic<size_t> searches_{0};
   mutable std::atomic<size_t> searches_with_token_{0};
   mutable std::mutex mutex_;
+  mutable std::condition_variable gate_cv_;
+  bool held_ = false;
+  mutable size_t gate_arrivals_ = 0;
   mutable Clock::time_point last_deadline_{};
   mutable bool has_last_deadline_ = false;
 };
@@ -93,7 +121,6 @@ void ExpectCleanOutcome(std::future<Result<QueryResponse>>& f) {
 TEST(ServingShutdownTest, ShutdownRacesConcurrentSubmitsFromManyProducers) {
   RecordingSearcher backend(kDim);
   ServingOptions opt;
-  opt.collect_window_us = 100;
   opt.max_batch = 8;
   opt.num_workers = 2;
   ServingScheduler sched(backend, opt);
@@ -146,14 +173,13 @@ TEST(ServingShutdownTest, DestructorDrainsQueuedBacklogWithoutExplicitShutdown) 
   std::vector<std::future<Result<QueryResponse>>> futures;
   {
     ServingOptions opt;
-    opt.collect_window_us = 10u * 1000u * 1000u;  // workers mid-window
     opt.max_batch = 4;
     ServingScheduler sched(backend, opt);
     for (size_t i = 0; i < 32; i++) {
       futures.push_back(sched.Submit(kQuery.data(), 4));
     }
-    // Scope exit: the destructor's implicit Shutdown must flush the
-    // half-collected batches and resolve everything before returning.
+    // Scope exit: the destructor's implicit Shutdown must drain the
+    // backlog and resolve everything before returning.
   }
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(milliseconds(0)), std::future_status::ready);
@@ -192,9 +218,7 @@ TEST(ServingShutdownTest, DestructionConcurrentWithSubmitTail) {
 
 TEST(ServingShutdownTest, ConcurrentDoubleShutdownIsIdempotent) {
   RecordingSearcher backend(kDim);
-  ServingOptions opt;
-  opt.collect_window_us = 100;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(backend, ServingOptions{});
   std::vector<std::future<Result<QueryResponse>>> futures;
   for (size_t i = 0; i < 16; i++) {
     futures.push_back(sched.Submit(kQuery.data(), 4));
@@ -227,9 +251,7 @@ TEST(ServingShutdownTest, SubmitAfterShutdownRejectsImmediately) {
 
 TEST(ServingDeadlineTest, ExpiredDeadlineShedAtFormationWithoutASearch) {
   RecordingSearcher backend(kDim);
-  ServingOptions opt;
-  opt.collect_window_us = 0;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(backend, ServingOptions{});
 
   auto f = sched.Submit(kQuery.data(), 4, Clock::now() - milliseconds(1));
   auto r = f.get();
@@ -245,9 +267,7 @@ TEST(ServingDeadlineTest, ExpiredDeadlineShedAtFormationWithoutASearch) {
 
 TEST(ServingDeadlineTest, GenerousDeadlineCompletesWithTokenPropagated) {
   RecordingSearcher backend(kDim);
-  ServingOptions opt;
-  opt.collect_window_us = 0;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(backend, ServingOptions{});
 
   const auto deadline = Clock::now() + std::chrono::seconds(30);
   auto f = sched.Submit(kQuery.data(), 4, deadline);
@@ -268,17 +288,28 @@ TEST(ServingDeadlineTest, GenerousDeadlineCompletesWithTokenPropagated) {
 TEST(ServingDeadlineTest, TightestDeadlineOfTheBatchDrivesTheToken) {
   RecordingSearcher backend(kDim);
   ServingOptions opt;
-  opt.collect_window_us = 500000;  // 500ms: both requests coalesce
   opt.max_batch = 2;
   ServingScheduler sched(backend, opt);
 
+  // A deadline-free opener holds the worker while both deadline
+  // requests queue, so they coalesce into the next batch.
+  backend.Hold();
+  auto opener = sched.Submit(kQuery.data(), 4);
+  backend.WaitUntilHeld();
   const auto loose = Clock::now() + std::chrono::seconds(60);
   const auto tight = Clock::now() + std::chrono::seconds(30);
   auto f1 = sched.Submit(kQuery.data(), 4, loose);
   auto f2 = sched.Submit(kQuery.data(), 4, tight);
-  ASSERT_TRUE(f1.get().ok());
-  ASSERT_TRUE(f2.get().ok());
-  EXPECT_EQ(backend.searches(), 1u);  // one coalesced batch
+  backend.Release();
+  ASSERT_TRUE(opener.get().ok());
+  auto r1 = f1.get();
+  auto r2 = f2.get();
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r1->batch_rows, 2u);  // one coalesced batch
+  EXPECT_EQ(r2->batch_rows, 2u);
+  EXPECT_EQ(backend.searches(), 2u);
+  EXPECT_EQ(backend.searches_with_token(), 1u);
   Clock::time_point seen;
   ASSERT_TRUE(backend.last_deadline(&seen));
   EXPECT_EQ(seen, tight);
@@ -286,31 +317,21 @@ TEST(ServingDeadlineTest, TightestDeadlineOfTheBatchDrivesTheToken) {
 
 TEST(ServingDeadlineTest, DeadlineFreeRequestsCarryNoToken) {
   RecordingSearcher backend(kDim);
-  ServingOptions opt;
-  opt.collect_window_us = 0;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(backend, ServingOptions{});
   ASSERT_TRUE(sched.Submit(kQuery.data(), 4).get().ok());
   EXPECT_EQ(backend.searches(), 1u);
   EXPECT_EQ(backend.searches_with_token(), 0u);
 }
 
 TEST(ServingDeadlineTest, PartialResponsesAreCountedAndFlagged) {
-  // An already-expired token reaching a backend that honors it yields
+  // An expired token reaching a backend that honors it yields
   // complete == false; pin the response flag and the partial counter.
-  // (Deadline just far enough that formation does not shed it, close
-  // enough that the backend sees it expired: unreliable with a real
-  // clock — so drive the backend contract directly instead. The
-  // RecordingSearcher marks results partial iff the token expired.)
+  // Whether a 2 ms deadline is shed at formation, expires mid-"search"
+  // (the RecordingSearcher marks results partial iff the token
+  // expired) or is beaten outright depends on the clock, so accept any
+  // clean outcome and assert the bookkeeping matches it.
   RecordingSearcher backend(kDim);
-  ServingOptions opt;
-  // A collect window longer than the deadline: formation happens right
-  // after the window, by which point the deadline has passed... but
-  // formation-shedding would win. Use the other ordering: a deadline
-  // comfortably past formation that expires before the (instant)
-  // search observes it is impossible to schedule deterministically, so
-  // accept either clean outcome and assert the bookkeeping matches.
-  opt.collect_window_us = 0;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(backend, ServingOptions{});
   auto f = sched.Submit(kQuery.data(), 4, Clock::now() + milliseconds(2));
   auto r = f.get();
   sched.Shutdown();

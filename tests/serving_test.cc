@@ -1,7 +1,10 @@
-// The micro-batching serving scheduler: deadline flush, max_batch
-// flush, admission control (distinct shed Status), graceful drain on
-// shutdown, and the result-identity contract — a batched request's
-// response is EXPECT_EQ-identical to a lone per-query Search call.
+// The micro-batching serving scheduler: greedy batch formation (a
+// worker takes what is already queued, up to max_batch), admission
+// control (distinct shed Status), graceful drain on shutdown, and the
+// result-identity contract — a batched request's response is
+// EXPECT_EQ-identical to a lone per-query Search call. Tests that need
+// a coalesced batch hold the workers inside a gated Searcher while the
+// backlog queues, then release them; no test waits on a clock.
 // This suite also runs under the TSan CI job: the scheduler's queue,
 // worker, and stats paths are exactly the concurrency surface it pins.
 #include <chrono>
@@ -60,13 +63,16 @@ SyntheticData* ServingTest::data_ = nullptr;
 CagraIndex* ServingTest::index_ = nullptr;
 IndexSearcher* ServingTest::searcher_ = nullptr;
 
-/// Controllable Searcher fake: Search blocks until Release(), so tests
-/// can hold the worker mid-batch and fill the queue deterministically.
-/// Injected through the same interface the real backends implement —
-/// the payoff of the unified front door.
+/// Gated Searcher: every Search blocks until Release(), so tests can
+/// hold the workers mid-batch and build a backlog deterministically.
+/// Once released it forwards to `inner` (real results) or, without
+/// one, answers zeros. Injected through the same interface the real
+/// backends implement — the payoff of the unified front door.
 class BlockingSearcher : public Searcher {
  public:
   explicit BlockingSearcher(size_t dim) : dim_(dim) {}
+  explicit BlockingSearcher(const Searcher& inner)
+      : dim_(inner.dim()), inner_(&inner) {}
 
   Result<SearchResult> Search(const Matrix<float>& queries,
                               const SearchParams& params) const override {
@@ -76,6 +82,7 @@ class BlockingSearcher : public Searcher {
       started_.notify_all();
       release_.wait(lock, [&] { return released_; });
     }
+    if (inner_ != nullptr) return inner_->Search(queries, params);
     SearchResult r;
     r.neighbors.k = params.k;
     r.neighbors.ids.assign(queries.rows() * params.k, 0u);
@@ -85,9 +92,10 @@ class BlockingSearcher : public Searcher {
 
   size_t dim() const override { return dim_; }
 
-  void WaitForSearchStart() const {
+  /// Blocks until `n` searches have started (and are held at the gate).
+  void WaitForSearchStarts(int n = 1) const {
     std::unique_lock<std::mutex> lock(mutex_);
-    started_.wait(lock, [&] { return searches_started_ > 0; });
+    started_.wait(lock, [&] { return searches_started_ >= n; });
   }
 
   void Release() const {
@@ -98,6 +106,7 @@ class BlockingSearcher : public Searcher {
 
  private:
   size_t dim_;
+  const Searcher* inner_ = nullptr;
   mutable std::mutex mutex_;
   mutable std::condition_variable started_;
   mutable std::condition_variable release_;
@@ -105,54 +114,74 @@ class BlockingSearcher : public Searcher {
   mutable bool released_ = false;
 };
 
-TEST_F(ServingTest, DeadlineFlushFiresWithPartialBatch) {
-  ServingOptions opt;
-  opt.collect_window_us = 50000;  // 50 ms — far longer than 5 submits take
-  opt.max_batch = 100;
-  ServingScheduler sched(*searcher_, opt);
+/// Holds every worker of `sched` at `gate`: worker w opens with
+/// query row w (k = 10), submitted only once the previous opener is
+/// held, so no worker can take two. Requests submitted afterwards queue
+/// up as a backlog.
+std::vector<std::future<Result<QueryResponse>>> HoldWorkers(
+    ServingScheduler* sched, const BlockingSearcher& gate,
+    const Matrix<float>& queries) {
+  std::vector<std::future<Result<QueryResponse>>> openers;
+  for (size_t w = 0; w < sched->options().num_workers; w++) {
+    openers.push_back(sched->Submit(queries.Row(w), 10));
+    gate.WaitForSearchStarts(static_cast<int>(w + 1));
+  }
+  return openers;
+}
 
+TEST_F(ServingTest, BatchTakesWhatIsQueuedWithoutWaitingToFill) {
+  BlockingSearcher gate(*searcher_);
+  ServingOptions opt;
+  opt.max_batch = 100;
+  ServingScheduler sched(gate, opt);
+
+  auto openers = HoldWorkers(&sched, gate, data_->queries);
   std::vector<std::future<Result<QueryResponse>>> futures;
   for (size_t q = 0; q < 5; q++) {
     futures.push_back(sched.Submit(data_->queries.Row(q), 10));
   }
+  gate.Release();
+  auto opener = openers[0].get();
+  ASSERT_TRUE(opener.ok()) << opener.status().ToString();
+  EXPECT_EQ(opener->batch_rows, 1u);  // searched alone, nothing queued
   for (auto& f : futures) {
     auto r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    // The batch flushed well short of max_batch: the deadline fired.
+    // The backlog rode one batch, well short of max_batch.
     EXPECT_EQ(r->batch_rows, 5u);
     EXPECT_EQ(r->ids.size(), 10u);
   }
   const ServingStats stats = sched.Snapshot();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 5.0);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 3.0);
 }
 
-TEST_F(ServingTest, MaxBatchFlushFiresBeforeDeadline) {
+TEST_F(ServingTest, MaxBatchSplitsTheBacklog) {
+  BlockingSearcher gate(*searcher_);
   ServingOptions opt;
-  opt.collect_window_us = 10u * 1000u * 1000u;  // 10 s: only size can flush
   opt.max_batch = 4;
-  ServingScheduler sched(*searcher_, opt);
+  ServingScheduler sched(gate, opt);
 
+  auto openers = HoldWorkers(&sched, gate, data_->queries);
   std::vector<std::future<Result<QueryResponse>>> futures;
   for (size_t q = 0; q < 8; q++) {
     futures.push_back(sched.Submit(data_->queries.Row(q), 10));
   }
+  gate.Release();
+  ASSERT_TRUE(openers[0].get().ok());
   for (auto& f : futures) {
-    // Resolving quickly (not after 10 s) proves the size flush fired.
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
     auto r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->batch_rows, 4u);
   }
   const ServingStats stats = sched.Snapshot();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 4.0);
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 3.0);
 }
 
 TEST_F(ServingTest, ShedsLoadPastQueueDepthWithDistinctStatus) {
   BlockingSearcher blocking(8);
   ServingOptions opt;
-  opt.collect_window_us = 0;
   opt.max_batch = 1;
   opt.max_queue_depth = 2;
   ServingScheduler sched(blocking, opt);
@@ -160,7 +189,7 @@ TEST_F(ServingTest, ShedsLoadPastQueueDepthWithDistinctStatus) {
   const std::vector<float> query(8, 0.5f);
   // First request: popped by the worker, which blocks inside Search.
   auto in_flight = sched.Submit(query.data(), 4);
-  blocking.WaitForSearchStart();
+  blocking.WaitForSearchStarts();
   // Two more fill the queue to its bound.
   auto queued1 = sched.Submit(query.data(), 4);
   auto queued2 = sched.Submit(query.data(), 4);
@@ -189,7 +218,6 @@ TEST_F(ServingTest, ShedsLoadPastQueueDepthWithDistinctStatus) {
 
 TEST_F(ServingTest, ShutdownDrainsInFlightRequests) {
   ServingOptions opt;
-  opt.collect_window_us = 10u * 1000u * 1000u;  // collectors mid-window
   opt.max_batch = 4;
   ServingScheduler sched(*searcher_, opt);
 
@@ -197,8 +225,7 @@ TEST_F(ServingTest, ShutdownDrainsInFlightRequests) {
   for (size_t q = 0; q < 10; q++) {
     futures.push_back(sched.Submit(data_->queries.Row(q), 10));
   }
-  // Shutdown must flush the partially collected batch early (no 10 s
-  // wait), execute everything queued, then join.
+  // Shutdown must execute everything queued, then join.
   sched.Shutdown();
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(milliseconds(0)), std::future_status::ready);
@@ -218,25 +245,31 @@ TEST_F(ServingTest, ShutdownDrainsInFlightRequests) {
 }
 
 TEST_F(ServingTest, BatchedResultsIdenticalToSerialSearch) {
+  BlockingSearcher gate(*searcher_);
   ServingOptions opt;
-  opt.collect_window_us = 50000;
   opt.max_batch = 8;
   opt.num_workers = 2;
-  ServingScheduler sched(*searcher_, opt);
+  ServingScheduler sched(gate, opt);
 
   const size_t n = data_->queries.rows();
   std::vector<std::future<Result<QueryResponse>>> futures(n);
+  // Queries 0 and 1 hold the two workers; the rest queue behind them.
+  auto openers = HoldWorkers(&sched, gate, data_->queries);
+  for (size_t w = 0; w < openers.size(); w++) {
+    futures[w] = std::move(openers[w]);
+  }
   // MPSC for real: several producer threads submitting concurrently.
   std::vector<std::thread> producers;
   const size_t kProducers = 4;
   for (size_t t = 0; t < kProducers; t++) {
     producers.emplace_back([&, t] {
-      for (size_t q = t; q < n; q += kProducers) {
+      for (size_t q = openers.size() + t; q < n; q += kProducers) {
         futures[q] = sched.Submit(data_->queries.Row(q), 10);
       }
     });
   }
   for (auto& p : producers) p.join();
+  gate.Release();
 
   bool any_coalesced = false;
   for (size_t q = 0; q < n; q++) {
@@ -257,11 +290,12 @@ TEST_F(ServingTest, BatchedResultsIdenticalToSerialSearch) {
 }
 
 TEST_F(ServingTest, MixedKRequestsKeepPerRequestResults) {
+  BlockingSearcher gate(*searcher_);
   ServingOptions opt;
-  opt.collect_window_us = 50000;
   opt.max_batch = 32;
-  ServingScheduler sched(*searcher_, opt);
+  ServingScheduler sched(gate, opt);
 
+  auto openers = HoldWorkers(&sched, gate, data_->queries);
   const size_t n = 16;
   std::vector<std::future<Result<QueryResponse>>> futures;
   std::vector<size_t> ks;
@@ -270,10 +304,13 @@ TEST_F(ServingTest, MixedKRequestsKeepPerRequestResults) {
     ks.push_back(k);
     futures.push_back(sched.Submit(data_->queries.Row(q), k));
   }
+  gate.Release();
+  ASSERT_TRUE(openers[0].get().ok());
   for (size_t q = 0; q < n; q++) {
     auto r = futures[q].get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->ids.size(), ks[q]);
+    EXPECT_EQ(r->batch_rows, n);  // both k groups rode one batch
     const SearchResult ref = SerialReference(q, ks[q]);
     EXPECT_EQ(r->ids, ref.neighbors.ids) << "query " << q << " k " << ks[q];
     EXPECT_EQ(r->distances, ref.neighbors.distances);
@@ -297,7 +334,6 @@ TEST_F(ServingTest, InvalidKFailsWithSharedValidationMessage) {
 
 TEST_F(ServingTest, StatsSnapshotIsConsistent) {
   ServingOptions opt;
-  opt.collect_window_us = 2000;
   opt.max_batch = 8;
   ServingScheduler sched(*searcher_, opt);
 

@@ -34,51 +34,54 @@ TEST(VisitedSetTest, ResetForgetsEverything) {
     EXPECT_FALSE(set.Contains(i)) << i;
     EXPECT_TRUE(set.InsertIfAbsent(i)) << i;
   }
-  EXPECT_EQ(set.stats().resets, 1u);
+  EXPECT_EQ(set.size(), 20u);
 }
 
-TEST(VisitedSetTest, FullTableRecordsOverflowAndTreatsAsUnvisited) {
+TEST(VisitedSetTest, FullTableTreatsAbsentKeysAsUnvisited) {
   VisitedSet set(16);  // exact capacity 16
   for (uint32_t i = 0; i < 16; i++) {
     EXPECT_TRUE(set.InsertIfAbsent(i * 1000 + 1));
   }
   // Table is full: the kernel behaviour is "recompute rather than fail".
+  // The overflowing key is not stored, so it stays unvisited.
   EXPECT_TRUE(set.InsertIfAbsent(999999));
-  EXPECT_EQ(set.stats().overflows, 1u);
+  EXPECT_FALSE(set.Contains(999999));
+  EXPECT_TRUE(set.InsertIfAbsent(999999));
+  EXPECT_EQ(set.size(), set.capacity());
 }
 
 TEST(VisitedSetTest, FullTableStillRejectsPresentKeys) {
   // Regression: once the table was full, InsertIfAbsent reported *every*
   // key as newly unvisited without probing — present keys included —
-  // inflating recomputation and recording rejects as overflows.
+  // inflating recomputation.
   VisitedSet set(16);
   for (uint32_t i = 0; i < 16; i++) {
     ASSERT_TRUE(set.InsertIfAbsent(i * 1000 + 1));
   }
   for (uint32_t i = 0; i < 16; i++) {
     EXPECT_FALSE(set.InsertIfAbsent(i * 1000 + 1)) << i;
+    EXPECT_TRUE(set.Contains(i * 1000 + 1)) << i;
   }
-  EXPECT_EQ(set.stats().rejects, 16u);
-  EXPECT_EQ(set.stats().overflows, 0u);
-  // Absent keys on a full table are the only overflow case.
-  const size_t probes_before = set.stats().probes;
+  // Absent keys on a full table are the only overflow case: reported
+  // unvisited and left unstored.
+  const size_t probes_before = set.probes();
   EXPECT_TRUE(set.InsertIfAbsent(999999));
   EXPECT_TRUE(set.InsertIfAbsent(424242));
-  EXPECT_EQ(set.stats().overflows, 2u);
+  EXPECT_FALSE(set.Contains(999999));
+  EXPECT_FALSE(set.Contains(424242));
   // The full-table probe is bounded by the capacity (no infinite loop
   // on a table with no empty stop slot).
-  EXPECT_LE(set.stats().probes - probes_before, 2 * set.capacity());
+  EXPECT_LE(set.probes() - probes_before, 2 * set.capacity());
   EXPECT_EQ(set.size(), set.capacity());
 }
 
-TEST(VisitedSetTest, StatsCountProbesInsertsRejects) {
+TEST(VisitedSetTest, InsertReportsFreshnessAndCountsProbes) {
   VisitedSet set(64);
-  set.InsertIfAbsent(1);
-  set.InsertIfAbsent(1);
-  set.InsertIfAbsent(2);
-  EXPECT_EQ(set.stats().inserts, 2u);
-  EXPECT_EQ(set.stats().rejects, 1u);
-  EXPECT_GE(set.stats().probes, 3u);
+  EXPECT_TRUE(set.InsertIfAbsent(1));
+  EXPECT_FALSE(set.InsertIfAbsent(1));
+  EXPECT_TRUE(set.InsertIfAbsent(2));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_GE(set.probes(), 3u);
 }
 
 TEST(VisitedSetTest, MemoryBytesMatchesSlots) {
