@@ -14,8 +14,9 @@
 //   - deadline sweep: the same open-loop client stamping a per-request
 //     deadline (1/5/20 ms) on every Submit, reporting what fraction of
 //     requests actually met it end-to-end, with deadline-truncated
-//     partials, formation-time sheds, and queue sheds counted
-//     separately — the SLO view of the scheduler.
+//     partials, deadline sheds (at formation, or before the query
+//     started), and queue sheds counted separately — the SLO view of
+//     the scheduler.
 //
 // Emits one JSON object on stdout (CI uploads it with the other bench
 // artifacts). `bench_serving smoke` shrinks the dataset and request
@@ -112,7 +113,7 @@ struct DeadlinePointSample {
   size_t met = 0;            ///< complete response delivered by the deadline
   size_t late_complete = 0;  ///< complete, but past the deadline
   size_t partial = 0;        ///< deadline truncated the search mid-flight
-  size_t expired_shed = 0;   ///< kDeadlineExceeded at batch formation
+  size_t expired_shed = 0;   ///< kDeadlineExceeded: shed before searching
   size_t queue_shed = 0;     ///< kUnavailable admission shed
   size_t failed = 0;         ///< anything else (should be zero)
   double met_fraction = 0;

@@ -7,6 +7,7 @@
 
 #include "core/search_internal.h"
 #include "util/bounded_heap.h"
+#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -276,6 +277,9 @@ Result<SearchResult> Search(const CagraIndex& index,
 
   // --- Exact-fp32 rerank over the emitted top-r candidates.
   if (rerank_n != 0) {
+    // Fault site between traversal and rerank: a stall here lets a
+    // deadline expire after every query has its candidates.
+    CAGRA_FAULT_POINT("search_rerank_stall");
     // Lookahead prefetch (out-of-core only): tell the kernel which
     // pages the rescore is about to fault in, one sorted+coalesced
     // MADV_WILLNEED pass per query, so the reads overlap the rescoring

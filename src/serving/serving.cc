@@ -50,11 +50,6 @@ void ServingScheduler::Shutdown() {
   });
 }
 
-std::future<Result<QueryResponse>> ServingScheduler::Submit(const float* query,
-                                                            size_t k) {
-  return Submit(query, k, Clock::time_point::max());
-}
-
 std::future<Result<QueryResponse>> ServingScheduler::Submit(
     const float* query, size_t k, Clock::time_point deadline) {
   auto req = std::make_shared<Request>();
@@ -234,6 +229,18 @@ void ServingScheduler::ExecuteBatch(
     modeled_seconds += result->modeled_seconds;
     for (size_t r = 0; r < rows.size(); r++) {
       const Request& req = *batch[rows[r]];
+      const uint64_t rows_examined =
+          r < result->rows_examined.size() ? result->rows_examined[r] : 0;
+      // A query the search never started (the token expired first) has
+      // no neighbors at all: a deadline miss, not a partial response.
+      if (!result->complete && rows_examined == 0) {
+        outcomes.emplace_back(
+            rows[r], Status::DeadlineExceeded(
+                         "batch deadline passed before the request's "
+                         "query started"));
+        deadline_expired++;
+        continue;
+      }
       QueryResponse resp;
       const uint32_t* ids = result->neighbors.ids.data() + r * k;
       const float* dists = result->neighbors.distances.data() + r * k;
@@ -247,14 +254,12 @@ void ServingScheduler::ExecuteBatch(
       // completeness is batch-level (conservative for every rider),
       // rows-examined is this request's own row.
       resp.complete = result->complete;
-      if (r < result->rows_examined.size()) {
-        resp.rows_examined = result->rows_examined[r];
-      }
+      resp.rows_examined = rows_examined;
       if (!resp.complete) partial++;
       latencies.push_back(resp.total_us);
       outcomes.emplace_back(rows[r], std::move(resp));
+      completed++;
     }
-    completed += rows.size();
   }
 
   {

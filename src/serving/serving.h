@@ -68,11 +68,12 @@ struct ServingStats {
   size_t completed = 0;  ///< responses delivered OK
   size_t shed = 0;       ///< rejected at admission (queue full)
   size_t failed = 0;     ///< rejected by validation or a failed search
-  /// Requests dropped with kDeadlineExceeded at batch-formation time:
-  /// their deadline had already passed when a worker collected them, so
-  /// no search was burned on them.
+  /// Requests failed with kDeadlineExceeded: their deadline had
+  /// already passed when a worker collected them, so no search was
+  /// burned on them, or their batch's token expired before their query
+  /// started.
   size_t deadline_expired = 0;
-  /// Responses delivered with complete == false — the search ran but
+  /// Responses delivered with complete == false — the query ran but
   /// the deadline truncated it to a best-effort partial top-k. Counted
   /// inside `completed` as well (the caller did get a usable response).
   size_t partial = 0;
@@ -140,20 +141,20 @@ class ServingScheduler {
   /// returning) asking for its k nearest neighbors. The future resolves
   /// with the response, a validation error, or kUnavailable when the
   /// request was shed or the scheduler is shut down.
-  [[nodiscard]] std::future<Result<QueryResponse>> Submit(const float* query,
-                                                          size_t k)
-      CAGRA_EXCLUDES(stats_mutex_);
-
-  /// Deadline-carrying Submit: the request must complete by `deadline`
-  /// (steady clock). If the deadline passes while the request is still
-  /// queued it is shed with kDeadlineExceeded at batch-formation time;
-  /// if it passes mid-search, the search is cooperatively truncated and
-  /// the response comes back with complete == false (the tightest
-  /// deadline of a micro-batch drives the whole batch's CancelToken —
-  /// uniform-deadline traffic never truncates anyone early, and mixed
-  /// traffic truncates conservatively).
+  ///
+  /// A request with a `deadline` (steady clock; the default max() means
+  /// none) must complete by then. If the deadline passes while the
+  /// request is still queued it is shed with kDeadlineExceeded at
+  /// batch-formation time; if it passes mid-search, the search is
+  /// cooperatively truncated and the response comes back with
+  /// complete == false. The tightest deadline of a micro-batch drives
+  /// the whole batch's CancelToken — uniform-deadline traffic never
+  /// truncates anyone early, and mixed traffic truncates conservatively
+  /// — so a request whose query had not started when that token expired
+  /// also fails with kDeadlineExceeded: it has no neighbors to return.
   [[nodiscard]] std::future<Result<QueryResponse>> Submit(
-      const float* query, size_t k, Clock::time_point deadline)
+      const float* query, size_t k,
+      Clock::time_point deadline = Clock::time_point::max())
       CAGRA_EXCLUDES(stats_mutex_);
 
   /// Rejects new work, drains everything queued, and joins the workers.

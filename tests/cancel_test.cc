@@ -17,6 +17,7 @@
 
 #include "core/index.h"
 #include "core/search.h"
+#include "core/search_internal.h"
 #include "core/sharded.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
@@ -273,6 +274,66 @@ TEST_F(SearchCancelTest, MultiCtaModeTruncatesCleanly) {
   ExpectWellFormedTopK(r->neighbors, data_->queries.rows(), sp.k);
   EXPECT_EQ(r->rows_examined,
             std::vector<uint64_t>(data_->queries.rows(), 0));
+}
+
+TEST_F(SearchCancelTest, KernelsCutAtAnIterationBoundary) {
+  // A token that expires while a query runs stops it at an iteration
+  // boundary. Search starts no query on an expired token, so the
+  // kernels are driven directly here, with a token cancelled before
+  // they start: each must seed, stop within its first checked
+  // iterations (the check is amortized over a stride of 4) and emit a
+  // well-formed partial of real ids, set *truncated, and score fewer
+  // rows than its full run.
+  const auto snap = index_->snapshot();
+  const internal_search::DatasetView dataset(*snap, Precision::kFp32);
+  for (const SearchAlgo algo : {SearchAlgo::kSingleCta,
+                                SearchAlgo::kMultiCta}) {
+    SCOPED_TRACE(algo == SearchAlgo::kMultiCta ? "multi-CTA" : "single-CTA");
+    SearchParams sp = BaseParams();
+    sp.algo = algo;
+    internal_search::ResolvedConfig cfg = internal_search::ResolveConfig(
+        sp, algo, snap->degree(), snap->size());
+    cfg.cta_per_query = algo == SearchAlgo::kMultiCta
+                            ? ResolveBatchShape(sp, DeviceSpec{}, 1)
+                                  .cta_per_query
+                            : 1;
+    struct Run {
+      NeighborList out;
+      KernelCounters counters;
+      size_t iterations = 0;
+      bool truncated = false;
+    };
+    auto run = [&](const CancelToken* token) {
+      Run r;
+      r.out.k = cfg.k;
+      r.out.ids.assign(cfg.k, kPad);
+      r.out.distances.assign(cfg.k, std::numeric_limits<float>::infinity());
+      internal_search::ResolvedConfig c = cfg;
+      c.cancel = token;
+      internal_search::SearchScratch scratch;
+      const auto kernel = algo == SearchAlgo::kMultiCta
+                              ? internal_search::SearchMultiCta
+                              : internal_search::SearchSingleCta;
+      r.iterations = kernel(dataset, snap->GraphRef(), data_->queries.Row(0),
+                            c, cfg.seed, r.out.ids.data(),
+                            r.out.distances.data(), &r.counters, &scratch,
+                            &r.truncated);
+      return r;
+    };
+    const Run full = run(nullptr);
+    EXPECT_FALSE(full.truncated);
+    CancelToken expired;
+    expired.Cancel();
+    const Run cut = run(&expired);
+    EXPECT_TRUE(cut.truncated);
+    EXPECT_LE(cut.iterations, 4u);
+    EXPECT_LT(cut.iterations, full.iterations);
+    EXPECT_GT(cut.counters.distance_computations, 0u);
+    EXPECT_LT(cut.counters.distance_computations,
+              full.counters.distance_computations);
+    ExpectWellFormedTopK(cut.out, 1, cfg.k);
+    EXPECT_NE(cut.out.ids[cfg.k - 1], kPad);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@
 // with exact-fp32 rerank) and dispatch tiers (the whole suite re-runs
 // as out_of_core_test_scalar under CAGRA_FORCE_SCALAR=1). Also pinned
 // here: LoadOutOfCore validation, clean kIoError on torn mapped files,
-// the Save-over-backing-file refusal, deadline expiry mid-rerank per
-// the SearchResult::complete contract, and the serving scheduler
-// running unchanged over the mapped tier.
+// the Save-over-backing-file refusal, the serving scheduler running
+// unchanged over the mapped tier and, in the fault-injection build,
+// deadline expiry mid-rerank per the SearchResult::complete contract.
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -225,46 +224,6 @@ TEST_F(OutOfCoreTest, RerankRecallAtLeastPlainPq) {
   EXPECT_GE(hits(*refined), hits(*raw));
 }
 
-TEST_F(OutOfCoreTest, DeadlineExpiryMidRerankReturnsWellFormedPartial) {
-  auto mapped = CagraIndex::LoadOutOfCore(*path_);
-  ASSERT_TRUE(mapped.ok());
-  // A deadline already in the past expires at the first rerank-block
-  // check; the affected queries must fall back to the approximate-
-  // ranked candidates — sorted, duplicate-free, padded — with the
-  // batch marked incomplete.
-  CancelToken token(CancelToken::Clock::now() -
-                    std::chrono::milliseconds(1));
-  SearchParams sp;
-  sp.k = 10;
-  sp.precision = Precision::kPq;
-  sp.rerank = 64;
-  sp.cancel = &token;
-  auto r = Search(*mapped, data_->queries, sp);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r->complete);
-  ASSERT_EQ(r->rows_examined.size(), data_->queries.rows());
-  for (size_t q = 0; q < data_->queries.rows(); q++) {
-    bool padding = false;
-    float prev = -1.0f;
-    for (size_t i = 0; i < sp.k; i++) {
-      const uint32_t id = r->neighbors.ids[q * sp.k + i];
-      const float dist = r->neighbors.distances[q * sp.k + i];
-      if (id == 0xffffffffu) {
-        padding = true;
-        EXPECT_EQ(dist, std::numeric_limits<float>::infinity());
-        continue;
-      }
-      EXPECT_FALSE(padding) << "valid id after padding";
-      ASSERT_LT(id, mapped->size());
-      EXPECT_GE(dist, prev);
-      prev = dist;
-      for (size_t j = i + 1; j < sp.k; j++) {
-        EXPECT_NE(id, r->neighbors.ids[q * sp.k + j]);
-      }
-    }
-  }
-}
-
 TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
   auto mapped = CagraIndex::LoadOutOfCore(*path_);
   ASSERT_TRUE(mapped.ok());
@@ -369,6 +328,50 @@ TEST_F(OutOfCoreTest, InjectedMmapFaultSurfacesOnEveryEntryPoint) {
   FaultController::Instance().Reset();
   // Disarmed, the same call succeeds.
   ASSERT_TRUE(CagraIndex::LoadOutOfCore(*path_).ok());
+}
+
+TEST_F(OutOfCoreTest, DeadlineExpiryMidRerankFallsBackToApproximateRanking) {
+  // A stall between the traversal and the rerank outlasts the deadline,
+  // so every query has its candidates and the first rerank-block check
+  // finds the token expired. Each query must fall back to its
+  // approximate-ranked candidates: exactly what the same PQ search
+  // without rerank returns (widening the emission to the rerank depth
+  // leaves the traversal unchanged), with the batch marked incomplete.
+  // The deadline leaves the 16-query traversal room to finish in the
+  // Debug ASan build too, and the stall runs far past it.
+  auto mapped = CagraIndex::LoadOutOfCore(*path_);
+  ASSERT_TRUE(mapped.ok());
+  SearchParams plain;
+  plain.k = 10;
+  plain.precision = Precision::kPq;
+  auto ref = Search(*mapped, data_->queries, plain);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+  FaultController::Instance().Reset();
+  FaultSpec stall;
+  stall.delay = std::chrono::milliseconds(600);
+  stall.max_fires = 1;
+  FaultController::Instance().Arm("search_rerank_stall", stall);
+  CancelToken token = CancelToken::WithTimeout(std::chrono::milliseconds(200));
+  SearchParams sp = plain;
+  sp.rerank = 64;
+  sp.cancel = &token;
+  auto r = Search(*mapped, data_->queries, sp);
+  EXPECT_EQ(FaultController::Instance().fires("search_rerank_stall"), 1u);
+  FaultController::Instance().Reset();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->complete);
+  // Every row holds real ids: the fallback, not padding, filled it.
+  for (size_t q = 0; q < data_->queries.rows(); q++) {
+    for (size_t i = 0; i < sp.k; i++) {
+      ASSERT_LT(r->neighbors.ids[q * sp.k + i], mapped->size())
+          << "query " << q << " slot " << i;
+    }
+  }
+  EXPECT_EQ(r->neighbors.ids, ref->neighbors.ids);
+  EXPECT_EQ(r->neighbors.distances, ref->neighbors.distances);
+  // The rerank scored nothing: each query counts its traversal alone.
+  EXPECT_EQ(r->rows_examined, ref->rows_examined);
 }
 #endif  // CAGRA_FAULT_INJECTION
 

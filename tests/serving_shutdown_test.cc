@@ -7,7 +7,6 @@
 // rejection — and Shutdown always returns.
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -16,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking_searcher.h"
 #include "core/searcher.h"
 #include "serving/serving.h"
 
@@ -27,21 +27,13 @@ using std::chrono::milliseconds;
 
 /// Minimal instant backend: counts Search calls and records the cancel
 /// token it was handed, so tests can pin the scheduler's deadline
-/// plumbing without the noise (and cost) of a real index. Hold() closes
-/// a gate every later Search waits at until Release(), so a test can
-/// keep the worker busy while a backlog queues.
+/// plumbing without the noise (and cost) of a real index.
 class RecordingSearcher : public Searcher {
  public:
   explicit RecordingSearcher(size_t dim) : dim_(dim) {}
 
   Result<SearchResult> Search(const Matrix<float>& queries,
                               const SearchParams& params) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      gate_arrivals_++;
-      gate_cv_.notify_all();
-      gate_cv_.wait(lock, [&] { return !held_; });
-    }
     searches_.fetch_add(1, std::memory_order_relaxed);
     if (params.cancel != nullptr) {
       searches_with_token_.fetch_add(1, std::memory_order_relaxed);
@@ -76,29 +68,11 @@ class RecordingSearcher : public Searcher {
     return has_last_deadline_;
   }
 
-  void Hold() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    held_ = true;
-  }
-  /// Blocks until a Search has reached the gate.
-  void WaitUntilHeld() const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    gate_cv_.wait(lock, [&] { return gate_arrivals_ > 0; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    held_ = false;
-    gate_cv_.notify_all();
-  }
-
  private:
   size_t dim_;
   mutable std::atomic<size_t> searches_{0};
   mutable std::atomic<size_t> searches_with_token_{0};
   mutable std::mutex mutex_;
-  mutable std::condition_variable gate_cv_;
-  bool held_ = false;
-  mutable size_t gate_arrivals_ = 0;
   mutable Clock::time_point last_deadline_{};
   mutable bool has_last_deadline_ = false;
 };
@@ -287,20 +261,20 @@ TEST(ServingDeadlineTest, GenerousDeadlineCompletesWithTokenPropagated) {
 
 TEST(ServingDeadlineTest, TightestDeadlineOfTheBatchDrivesTheToken) {
   RecordingSearcher backend(kDim);
+  BlockingSearcher gate(backend);
   ServingOptions opt;
   opt.max_batch = 2;
-  ServingScheduler sched(backend, opt);
+  ServingScheduler sched(gate, opt);
 
   // A deadline-free opener holds the worker while both deadline
   // requests queue, so they coalesce into the next batch.
-  backend.Hold();
   auto opener = sched.Submit(kQuery.data(), 4);
-  backend.WaitUntilHeld();
+  gate.WaitForSearchStarts();
   const auto loose = Clock::now() + std::chrono::seconds(60);
   const auto tight = Clock::now() + std::chrono::seconds(30);
   auto f1 = sched.Submit(kQuery.data(), 4, loose);
   auto f2 = sched.Submit(kQuery.data(), 4, tight);
-  backend.Release();
+  gate.Release();
   ASSERT_TRUE(opener.get().ok());
   auto r1 = f1.get();
   auto r2 = f2.get();

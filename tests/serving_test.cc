@@ -4,18 +4,17 @@
 // result-identity contract — a batched request's response is
 // EXPECT_EQ-identical to a lone per-query Search call. Tests that need
 // a coalesced batch hold the workers inside a gated Searcher while the
-// backlog queues, then release them; no test waits on a clock.
+// backlog queues, then release them; no batch waits on a clock.
 // This suite also runs under the TSan CI job: the scheduler's queue,
 // worker, and stats paths are exactly the concurrency surface it pins.
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "blocking_searcher.h"
 #include "core/searcher.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
@@ -62,57 +61,6 @@ class ServingTest : public ::testing::Test {
 SyntheticData* ServingTest::data_ = nullptr;
 CagraIndex* ServingTest::index_ = nullptr;
 IndexSearcher* ServingTest::searcher_ = nullptr;
-
-/// Gated Searcher: every Search blocks until Release(), so tests can
-/// hold the workers mid-batch and build a backlog deterministically.
-/// Once released it forwards to `inner` (real results) or, without
-/// one, answers zeros. Injected through the same interface the real
-/// backends implement — the payoff of the unified front door.
-class BlockingSearcher : public Searcher {
- public:
-  explicit BlockingSearcher(size_t dim) : dim_(dim) {}
-  explicit BlockingSearcher(const Searcher& inner)
-      : dim_(inner.dim()), inner_(&inner) {}
-
-  Result<SearchResult> Search(const Matrix<float>& queries,
-                              const SearchParams& params) const override {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      searches_started_++;
-      started_.notify_all();
-      release_.wait(lock, [&] { return released_; });
-    }
-    if (inner_ != nullptr) return inner_->Search(queries, params);
-    SearchResult r;
-    r.neighbors.k = params.k;
-    r.neighbors.ids.assign(queries.rows() * params.k, 0u);
-    r.neighbors.distances.assign(queries.rows() * params.k, 0.0f);
-    return r;
-  }
-
-  size_t dim() const override { return dim_; }
-
-  /// Blocks until `n` searches have started (and are held at the gate).
-  void WaitForSearchStarts(int n = 1) const {
-    std::unique_lock<std::mutex> lock(mutex_);
-    started_.wait(lock, [&] { return searches_started_ >= n; });
-  }
-
-  void Release() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    release_.notify_all();
-  }
-
- private:
-  size_t dim_;
-  const Searcher* inner_ = nullptr;
-  mutable std::mutex mutex_;
-  mutable std::condition_variable started_;
-  mutable std::condition_variable release_;
-  mutable int searches_started_ = 0;
-  mutable bool released_ = false;
-};
 
 /// Holds every worker of `sched` at `gate`: worker w opens with
 /// query row w (k = 10), submitted only once the previous opener is
@@ -180,22 +128,22 @@ TEST_F(ServingTest, MaxBatchSplitsTheBacklog) {
 }
 
 TEST_F(ServingTest, ShedsLoadPastQueueDepthWithDistinctStatus) {
-  BlockingSearcher blocking(8);
+  BlockingSearcher blocking(*searcher_);
   ServingOptions opt;
   opt.max_batch = 1;
   opt.max_queue_depth = 2;
   ServingScheduler sched(blocking, opt);
 
-  const std::vector<float> query(8, 0.5f);
+  const float* query = data_->queries.Row(0);
   // First request: popped by the worker, which blocks inside Search.
-  auto in_flight = sched.Submit(query.data(), 4);
+  auto in_flight = sched.Submit(query, 4);
   blocking.WaitForSearchStarts();
   // Two more fill the queue to its bound.
-  auto queued1 = sched.Submit(query.data(), 4);
-  auto queued2 = sched.Submit(query.data(), 4);
+  auto queued1 = sched.Submit(query, 4);
+  auto queued2 = sched.Submit(query, 4);
   // Past the bound: shed immediately with the distinct Status.
-  auto shed1 = sched.Submit(query.data(), 4);
-  auto shed2 = sched.Submit(query.data(), 4);
+  auto shed1 = sched.Submit(query, 4);
+  auto shed2 = sched.Submit(query, 4);
   ASSERT_EQ(shed1.wait_for(milliseconds(0)), std::future_status::ready);
   ASSERT_EQ(shed2.wait_for(milliseconds(0)), std::future_status::ready);
   auto s1 = shed1.get();
@@ -356,6 +304,30 @@ TEST_F(ServingTest, StatsSnapshotIsConsistent) {
   EXPECT_GT(stats.p50_us, 0.0);
   EXPECT_LE(stats.p50_us, stats.p95_us);
   EXPECT_LE(stats.p95_us, stats.p99_us);
+}
+
+TEST_F(ServingTest, QueryThatNeverStartedFailsWithDeadlineExceeded) {
+  // The worker takes the request before its deadline, but the search
+  // starts only after it: Search starts no query on an expired token,
+  // so the request has no neighbors, and the scheduler reports the
+  // deadline miss instead of an OK response of padding. The sleep only
+  // lets the deadline pass while the worker is held.
+  BlockingSearcher gate(*searcher_);
+  ServingScheduler sched(gate, ServingOptions{});
+  const auto deadline = ServingScheduler::Clock::now() + milliseconds(200);
+  auto f = sched.Submit(data_->queries.Row(0), 10, deadline);
+  gate.WaitForSearchStarts();  // formed, so not shed at formation
+  std::this_thread::sleep_until(deadline + milliseconds(1));
+  gate.Release();
+  auto r = f.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  sched.Shutdown();
+  const ServingStats stats = sched.Snapshot();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.deadline_expired, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.partial, 0u);
 }
 
 TEST(ServingStatusTest, UnavailableIsDistinctAndPrintable) {
