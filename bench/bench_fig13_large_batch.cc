@@ -106,9 +106,10 @@ void HnswCurve(const bench::Workbench& wb) {
 }
 
 void NssgCurve(const bench::Workbench& wb) {
-  // Fig. 13 note: NSSG is searched with the HNSW bottom-layer (flat)
-  // multi-threaded implementation for fairness; we reuse its graph with
-  // the flat ef-search.
+  // NSSG is searched with its own NssgIndex::Search (random-sample
+  // start, best-first expansion, host-parallel over the batch). This
+  // differs from the paper's §V-C setup, which runs NSSG's graph through
+  // the HNSW bottom-layer search implementation.
   NssgParams np;
   np.degree = wb.profile->cagra_degree;
   np.knn_k = wb.profile->cagra_degree;

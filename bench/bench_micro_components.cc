@@ -1,8 +1,9 @@
 // Component microbenchmarks (google-benchmark): the §IV-B building
 // blocks — the per-iteration candidate sort + top-M merge at the slot
 // fills the benchmark workloads' traversals see, visited-set probing,
-// distance kernels fp32 vs fp16, NN-descent vs exact kNN-graph
-// construction, and PQ codebook training plus encode (plain and OPQ).
+// distance kernels fp32 vs fp16, fp32 and ADC gathers of random rows,
+// NN-descent vs exact kNN-graph construction, and PQ codebook training
+// plus encode (plain and OPQ).
 #include <benchmark/benchmark.h>
 
 #include "core/search_internal.h"
@@ -122,6 +123,60 @@ void BM_DistanceFp16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim);
 }
 BENCHMARK(BM_DistanceFp16)->Arg(96)->Arg(960);
+
+/// 20k DEEP rows, their PQ codes, and batches of 64 random row ids.
+struct GatherFixture {
+  static constexpr size_t kRows = 20000;
+  static constexpr size_t kBatches = 256;
+  SyntheticData data;
+  PqDataset pq;
+  std::vector<uint32_t> ids;
+};
+
+const GatherFixture& Gather() {
+  static const GatherFixture f = [] {
+    GatherFixture g;
+    g.data =
+        GenerateDataset(*FindProfile("DEEP-1M"), GatherFixture::kRows, 1, 5);
+    g.pq = TrainPq(g.data.base);
+    Pcg32 rng(11);
+    g.ids.resize(GatherFixture::kBatches * 64);
+    for (auto& id : g.ids) id = rng.NextBounded(GatherFixture::kRows);
+    return g;
+  }();
+  return f;
+}
+
+/// One query's L2 distances to n rows gathered by random id: arg 0 picks
+/// fp32 rows (0) or PQ codes through an ADC table (1), arg 1 is n. The
+/// search's expansions and NN-descent's joins gather 7 to 64 rows a
+/// call; 7 is one group of four plus a three-row single-row tail. Each
+/// call takes the next batch of ids, so rows come from cache as they do
+/// in a traversal, not from L1.
+void BM_DistanceGather(benchmark::State& state) {
+  const GatherFixture& f = Gather();
+  const bool adc = state.range(0) != 0;
+  const size_t n = state.range(1);
+  const float* query = f.data.queries.Row(0);
+  PqAdcTable table;
+  BuildAdcTable(f.pq, query, Metric::kL2, &table);
+  std::vector<float> out(n);
+  size_t batch = 0;
+  for (auto _ : state) {
+    const uint32_t* ids = &f.ids[(batch++ % GatherFixture::kBatches) * 64];
+    if (adc) {
+      ComputeDistanceAdcGather(table, f.pq.codes.data().data(), ids, n,
+                               out.data());
+    } else {
+      ComputeDistanceGather(Metric::kL2, query, f.data.base.data().data(),
+                            f.data.base.dim(), ids, n, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DistanceGather)->ArgsProduct({{0, 1}, {7, 32, 64}});
 
 void BM_NnDescentBuild(benchmark::State& state) {
   const size_t n = state.range(0);

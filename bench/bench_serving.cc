@@ -8,7 +8,7 @@
 //     (max_batch=64; a free worker takes whatever is queued) capacity
 //     under unbounded offered load — the acceptance number is the QPS
 //     speedup, and the backlog must fill the batches.
-//   - load sweep: offered-load fractions of the micro-batched capacity,
+//   - load sweep: fixed offered rates below the micro-batched capacity,
 //     reporting p50/p95/p99 latency, achieved QPS, mean batch size, and
 //     shed count per point — the latency/QPS curve later PRs move.
 //   - deadline sweep: the same open-loop client stamping a per-request
@@ -41,8 +41,20 @@ namespace {
 
 using namespace cagra;
 
+/// Offered rates (requests/s) of the load and deadline sweeps. They are
+/// constants so that two runs, of one commit or of two, compare at equal
+/// load; a fraction of each run's own saturated rate moved with that
+/// rate. Each sits below the lowest saturated micro-batched rate the
+/// smoke profile reached in 17 runs on a 4-vCPU VM: 2484 req/s with
+/// other work on the machine, 4024 to 4842 req/s with none.
+constexpr double kSweepQps[] = {500, 1000, 1500, 2000};
+constexpr double kDeadlineQps[] = {1000, 2000};
+
 struct LoadPointSample {
   double offered_qps = 0;   ///< 0 = unbounded (saturating)
+  /// offered_qps over the run's saturated micro-batched host_wall_qps;
+  /// printed for sweep points only.
+  double offered_over_saturated = 0;
   double achieved_qps = 0;  ///< completed / wall time (host, functional)
   double modeled_qps = 0;   ///< completed / modeled device seconds
   double p50_us = 0, p95_us = 0, p99_us = 0;
@@ -109,6 +121,7 @@ LoadPointSample RunLoadPoint(const Searcher& searcher,
 struct DeadlinePointSample {
   double deadline_ms = 0;
   double offered_qps = 0;
+  double offered_over_saturated = 0;  ///< as in LoadPointSample
   size_t requests = 0;
   size_t met = 0;            ///< complete response delivered by the deadline
   size_t late_complete = 0;  ///< complete, but past the deadline
@@ -189,24 +202,29 @@ DeadlinePointSample RunDeadlinePoint(const Searcher& searcher,
 void PrintDeadlineSample(const char* indent, const DeadlinePointSample& s,
                          bool last) {
   std::printf(
-      "%s{\"deadline_ms\": %.0f, \"offered_qps\": %.1f, \"requests\": %zu, "
+      "%s{\"deadline_ms\": %.0f, \"offered_qps\": %.1f, "
+      "\"offered_over_saturated\": %.3f, \"requests\": %zu, "
       "\"met\": %zu, \"met_fraction\": %.4f, \"late_complete\": %zu, "
       "\"partial\": %zu, \"expired_shed\": %zu, \"queue_shed\": %zu, "
       "\"failed\": %zu}%s\n",
-      indent, s.deadline_ms, s.offered_qps, s.requests, s.met, s.met_fraction,
-      s.late_complete, s.partial, s.expired_shed, s.queue_shed, s.failed,
-      last ? "" : ",");
+      indent, s.deadline_ms, s.offered_qps, s.offered_over_saturated,
+      s.requests, s.met, s.met_fraction, s.late_complete, s.partial,
+      s.expired_shed, s.queue_shed, s.failed, last ? "" : ",");
 }
 
 void PrintSample(const char* indent, const LoadPointSample& s, bool last) {
+  std::printf("%s{\"offered_qps\": %.1f, ", indent, s.offered_qps);
+  if (s.offered_qps > 0) {
+    std::printf("\"offered_over_saturated\": %.3f, ",
+                s.offered_over_saturated);
+  }
   std::printf(
-      "%s{\"offered_qps\": %.1f, \"host_wall_qps\": %.1f, "
+      "\"host_wall_qps\": %.1f, "
       "\"modeled_qps\": %.1f, "
       "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
       "\"mean_batch_rows\": %.2f, \"completed\": %zu, \"shed\": %zu}%s\n",
-      indent, s.offered_qps, s.achieved_qps, s.modeled_qps, s.p50_us,
-      s.p95_us, s.p99_us, s.mean_batch_rows, s.completed, s.shed,
-      last ? "" : ",");
+      s.achieved_qps, s.modeled_qps, s.p50_us, s.p95_us, s.p99_us,
+      s.mean_batch_rows, s.completed, s.shed, last ? "" : ",");
 }
 
 }  // namespace
@@ -280,14 +298,16 @@ int main(int argc, char** argv) {
   std::printf("  },\n");
 
   // --- Open-loop Poisson sweep below the micro-batched capacity.
+  const auto over_saturated = [&](double offered) {
+    return sat_micro.achieved_qps > 0 ? offered / sat_micro.achieved_qps
+                                      : 0.0;
+  };
   std::printf("  \"load_sweep\": [\n");
-  const double fractions[] = {0.25, 0.5, 0.75, 0.9};
-  const size_t num_points = sizeof(fractions) / sizeof(fractions[0]);
+  const size_t num_points = sizeof(kSweepQps) / sizeof(kSweepQps[0]);
   for (size_t i = 0; i < num_points; i++) {
-    const double offered = fractions[i] * sat_micro.achieved_qps;
-    const LoadPointSample s =
-        RunLoadPoint(searcher, micro, wb.data.queries, k, offered,
-                     sweep_requests, 100 + i);
+    LoadPointSample s = RunLoadPoint(searcher, micro, wb.data.queries, k,
+                                     kSweepQps[i], sweep_requests, 100 + i);
+    s.offered_over_saturated = over_saturated(kSweepQps[i]);
     PrintSample("    ", s, i + 1 == num_points);
   }
   std::printf("  ],\n");
@@ -299,19 +319,17 @@ int main(int argc, char** argv) {
   // and its own search; the 1 ms column shows where that is too tight.
   std::printf("  \"deadline_sweep\": [\n");
   const double deadline_ms[] = {1.0, 5.0, 20.0};
-  const double deadline_fractions[] = {0.5, 0.9};
   const size_t num_deadlines = sizeof(deadline_ms) / sizeof(deadline_ms[0]);
-  const size_t num_loads =
-      sizeof(deadline_fractions) / sizeof(deadline_fractions[0]);
+  const size_t num_loads = sizeof(kDeadlineQps) / sizeof(kDeadlineQps[0]);
   const size_t deadline_requests = smoke ? 400 : 2000;
   for (size_t d = 0; d < num_deadlines; d++) {
     for (size_t l = 0; l < num_loads; l++) {
-      const double offered = deadline_fractions[l] * sat_micro.achieved_qps;
-      const DeadlinePointSample s = RunDeadlinePoint(
-          searcher, micro, wb.data.queries, k, offered,
+      DeadlinePointSample s = RunDeadlinePoint(
+          searcher, micro, wb.data.queries, k, kDeadlineQps[l],
           std::chrono::microseconds(
               static_cast<int64_t>(deadline_ms[d] * 1000.0)),
           deadline_requests, 200 + d * num_loads + l);
+      s.offered_over_saturated = over_saturated(kDeadlineQps[l]);
       PrintDeadlineSample("    ", s,
                           d + 1 == num_deadlines && l + 1 == num_loads);
     }

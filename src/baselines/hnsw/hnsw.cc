@@ -280,51 +280,4 @@ double HnswIndex::AverageBottomDegree() const {
   return layers_.empty() ? 0.0 : layers_[0].AverageDegree();
 }
 
-std::vector<DistId> HnswIndex::FlatSearch(const Matrix<float>& dataset,
-                                          Metric metric,
-                                          const AdjacencyGraph& graph,
-                                          const float* query, size_t k,
-                                          size_t ef, uint32_t entry,
-                                          HnswSearchStats* stats) {
-  const size_t eff_ef = std::max(ef, k);
-  VisitedSet visited(4 * eff_ef + 64);
-  visited.InsertIfAbsent(entry);
-  const float entry_dist =
-      ComputeDistance(metric, query, dataset.Row(entry), dataset.dim());
-  if (stats != nullptr) stats->distance_computations++;
-
-  MinHeap candidates;
-  MaxHeap results;
-  candidates.emplace(entry_dist, entry);
-  results.emplace(entry_dist, entry);
-
-  while (!candidates.empty()) {
-    const auto [dist, node] = candidates.top();
-    if (dist > results.top().first && results.size() >= eff_ef) break;
-    candidates.pop();
-    if (stats != nullptr) stats->hops++;
-    for (const uint32_t nbr : graph.Neighbors(node)) {
-      if (!visited.InsertIfAbsent(nbr)) continue;
-      const float d =
-          ComputeDistance(metric, query, dataset.Row(nbr), dataset.dim());
-      if (stats != nullptr) stats->distance_computations++;
-      if (results.size() < eff_ef || d < results.top().first) {
-        candidates.emplace(d, nbr);
-        results.emplace(d, nbr);
-        if (results.size() > eff_ef) results.pop();
-      }
-    }
-  }
-
-  std::vector<DistId> out;
-  out.reserve(results.size());
-  while (!results.empty()) {
-    out.push_back(results.top());
-    results.pop();
-  }
-  std::sort(out.begin(), out.end());
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
 }  // namespace cagra

@@ -62,22 +62,11 @@ class HnswIndex {
   NeighborList Search(const Matrix<float>& queries, size_t k, size_t ef,
                       HnswSearchStats* stats = nullptr) const;
 
-  /// Bottom-layer adjacency — used as the multi-threaded flat-graph
-  /// search substrate for NSSG in Fig. 13 (§V-C: "we measured the
-  /// performance of NSSG using the search implementation for the bottom
-  /// layer of the HNSW graph").
+  /// Bottom-layer adjacency (layer 0, which every Search ends on).
   const AdjacencyGraph& BottomLayer() const { return layers_[0]; }
   size_t max_level() const { return layers_.empty() ? 0 : layers_.size() - 1; }
   size_t size() const { return dataset_ == nullptr ? 0 : dataset_->rows(); }
   double AverageBottomDegree() const;
-
-  /// Runs the bottom-layer ef-search over an arbitrary flat graph: the
-  /// shared CPU search harness for NSSG and degree-matched graph-quality
-  /// studies.
-  static std::vector<std::pair<float, uint32_t>> FlatSearch(
-      const Matrix<float>& dataset, Metric metric, const AdjacencyGraph& graph,
-      const float* query, size_t k, size_t ef, uint32_t entry,
-      HnswSearchStats* stats = nullptr);
 
  private:
   void Insert(uint32_t id, size_t level, HnswBuildStats* stats);

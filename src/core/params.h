@@ -64,8 +64,9 @@ struct SearchParams {
   /// M: internal top-M list length. Must be >= k when set explicitly;
   /// 0 = auto (max(64, k), the historical default widened for large k).
   size_t itopk = 0;
-  size_t search_width = 1;       ///< p: parents expanded per iteration
-  size_t max_iterations = 0;     ///< 0 = auto (scaled from itopk)
+  /// p: parents expanded per iteration. The iteration budget follows
+  /// from it and itopk: clamp(2 * itopk / p, 16, 1024).
+  size_t search_width = 1;
   SearchAlgo algo = SearchAlgo::kAuto;
   size_t cta_per_query = 0;      ///< multi-CTA width; 0 = auto
   HashMode hash_mode = HashMode::kAuto;

@@ -38,14 +38,10 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
   cfg.search_width = std::max<size_t>(1, params.search_width);
   cfg.seed = params.seed;
 
-  // Auto iteration budget: enough to refill the top-M list several times
+  // Iteration budget: enough to refill the top-M list several times
   // over (each iteration expands `search_width` parents).
-  if (params.max_iterations != 0) {
-    cfg.max_iterations = params.max_iterations;
-  } else {
-    cfg.max_iterations = std::clamp<size_t>(
-        2 * cfg.itopk / cfg.search_width, 16, 1024);
-  }
+  cfg.max_iterations =
+      std::clamp<size_t>(2 * cfg.itopk / cfg.search_width, 16, 1024);
 
   // Hash sizing (§IV-B3): the search touches at most
   // Imax * p * d + initial-sample nodes; a standard table is sized to 2x

@@ -459,6 +459,24 @@ std::vector<float> TrainOpqRotation(const float* s_rows, size_t n,
   return r32;
 }
 
+/// Encodes `rows` through the codebooks of `pq` into `codes` (stride
+/// num_subspaces), fanned out over the pool. With OPQ each worker
+/// rotates its row into local scratch first.
+void EncodeInto(const PqDataset& pq, const Matrix<float>& rows,
+                uint8_t* codes) {
+  std::vector<std::vector<float>> rot_scratch(
+      pq.HasRotation() ? GlobalThreadPool().num_slots() : 0);
+  for (auto& s : rot_scratch) s.resize(pq.dim);
+  EncodeRows(rows.rows(), pq.dim, pq.num_subspaces(), pq.dsub,
+             pq.centroids.data(),
+             [&](size_t slot, size_t r) -> const float* {
+               if (rot_scratch.empty()) return rows.Row(r);
+               pq.RotateQuery(rows.Row(r), rot_scratch[slot].data());
+               return rot_scratch[slot].data();
+             },
+             codes, pq.num_subspaces());
+}
+
 }  // namespace
 
 void PqDataset::RotateQuery(const float* in, float* out) const {
@@ -517,25 +535,8 @@ PqDataset TrainPq(const Matrix<float>& dataset, const PqTrainParams& params) {
     }
   }
 
-  // Encode every row — the O(rows * 256 * dim) bulk of training, fanned
-  // out over the pool. With OPQ each worker rotates its row into local
-  // scratch first.
-  if (out.HasRotation()) {
-    std::vector<std::vector<float>> rot_scratch(
-        GlobalThreadPool().num_slots());
-    for (auto& s : rot_scratch) s.resize(dim);
-    EncodeRows(rows, dim, m_subs, dsub, out.centroids.data(),
-               [&](size_t slot, size_t r) {
-                 out.RotateQuery(dataset.Row(r), rot_scratch[slot].data());
-                 return rot_scratch[slot].data();
-               },
-               out.codes.mutable_data()->data(), m_subs);
-  } else {
-    EncodeRows(rows, dim, m_subs, dsub, out.centroids.data(),
-               [&](size_t, size_t r) { return dataset.Row(r); },
-               out.codes.mutable_data()->data(), m_subs);
-  }
-
+  // Encode every row — the O(rows * 256 * dim) bulk of training.
+  EncodeInto(out, dataset, out.codes.mutable_data()->data());
   RecomputePqRowNorms(&out);
   return out;
 }
@@ -553,22 +554,7 @@ PqDataset PqEncodeAppend(const PqDataset& pq, const Matrix<float>& rows) {
   out.codes = Matrix<uint8_t>(n0 + n, m_subs);
   std::copy(pq.codes.data().begin(), pq.codes.data().end(),
             out.codes.mutable_data()->begin());
-  uint8_t* new_codes = out.codes.mutable_data()->data() + n0 * m_subs;
-  if (out.HasRotation()) {
-    std::vector<std::vector<float>> rot_scratch(
-        GlobalThreadPool().num_slots());
-    for (auto& s : rot_scratch) s.resize(out.dim);
-    EncodeRows(n, out.dim, m_subs, out.dsub, out.centroids.data(),
-               [&](size_t slot, size_t r) {
-                 out.RotateQuery(rows.Row(r), rot_scratch[slot].data());
-                 return rot_scratch[slot].data();
-               },
-               new_codes, m_subs);
-  } else {
-    EncodeRows(n, out.dim, m_subs, out.dsub, out.centroids.data(),
-               [&](size_t, size_t r) { return rows.Row(r); }, new_codes,
-               m_subs);
-  }
+  EncodeInto(out, rows, out.codes.mutable_data()->data() + n0 * m_subs);
   // row_norm2 is deterministic per row from codes + centroid norms, so
   // recomputing everything reproduces the old rows' values exactly.
   RecomputePqRowNorms(&out);

@@ -1,7 +1,6 @@
 #include "distance/distance.h"
 
 #include <cmath>
-#include <type_traits>
 
 #include "distance/simd.h"
 
@@ -26,206 +25,165 @@ inline float CosineFromParts(float dot, float norm2_a, float norm2_b) {
   return 1.0f - dot / denom;
 }
 
-inline float PairDistance(const KernelTable& k, Metric metric, const float* a,
-                          const float* b, size_t dim) {
-  switch (metric) {
-    case Metric::kL2:
-      return k.l2_f32(a, b, dim);
-    case Metric::kInnerProduct:
-      return -k.dot_f32(a, b, dim);
-    case Metric::kCosine:
-      return CosineFromParts(k.dot_f32(a, b, dim), k.dot_f32(a, a, dim),
-                             k.dot_f32(b, b, dim));
-  }
-  return 0.0f;
-}
+// One struct per storage type names what the metric composition needs:
+// the rows (row `id` sits at base + id * stride; a pairwise call passes
+// its one row with stride 0), the single-row and x4 kernels that score
+// them against the query (L2 or dot), the query norm, and the row norm
+// cosine divides by.
 
-inline float PairDistance(const KernelTable& k, Metric metric,
-                          const float* query, const Half* item, size_t dim) {
-  switch (metric) {
-    case Metric::kL2:
-      return k.l2_f16(query, item, dim);
-    case Metric::kInnerProduct:
-      return -k.dot_f16(query, item, dim);
-    case Metric::kCosine:
-      return CosineFromParts(k.dot_f16(query, item, dim),
-                             k.dot_f32(query, query, dim),
-                             k.norm2_f16(item, dim));
-  }
-  return 0.0f;
-}
+struct F32Rows {
+  const KernelTable& k;
+  const float* query;
+  const float* base;
+  size_t stride;
+  size_t dim;
 
-inline float PairDistance(const KernelTable& k, Metric metric,
-                          const float* query, const int8_t* code,
-                          const float* scale, const float* offset,
-                          size_t dim) {
-  switch (metric) {
-    case Metric::kL2:
-      return k.l2_i8(query, code, scale, offset, dim);
-    case Metric::kInnerProduct:
-      return -k.dot_i8(query, code, scale, offset, dim);
-    case Metric::kCosine:
-      return CosineFromParts(k.dot_i8(query, code, scale, offset, dim),
-                             k.dot_f32(query, query, dim),
-                             k.norm2_i8(code, scale, offset, dim));
+  const float* Row(size_t id) const { return base + id * stride; }
+  float One(bool l2, const float* row) const {
+    return (l2 ? k.l2_f32 : k.dot_f32)(query, row, dim);
   }
-  return 0.0f;
-}
+  void Four(bool l2, const float* const* rows, float* out) const {
+    (l2 ? k.l2_f32x4 : k.dot_f32x4)(query, rows, dim, out);
+  }
+  float QueryNorm2() const { return k.dot_f32(query, query, dim); }
+  float RowNorm2(const float* row, size_t) const {
+    return k.dot_f32(row, row, dim);
+  }
+};
 
-/// Shared body of the batch/gather entry points: `row(i)` yields the
-/// i-th row pointer (contiguous or gathered). Full groups of
+struct F16Rows {
+  const KernelTable& k;
+  const float* query;
+  const Half* base;
+  size_t stride;
+  size_t dim;
+
+  const Half* Row(size_t id) const { return base + id * stride; }
+  float One(bool l2, const Half* row) const {
+    return (l2 ? k.l2_f16 : k.dot_f16)(query, row, dim);
+  }
+  void Four(bool l2, const Half* const* rows, float* out) const {
+    (l2 ? k.l2_f16x4 : k.dot_f16x4)(query, rows, dim, out);
+  }
+  float QueryNorm2() const { return k.dot_f32(query, query, dim); }
+  float RowNorm2(const Half* row, size_t) const {
+    return k.norm2_f16(row, dim);
+  }
+};
+
+struct I8Rows {
+  const KernelTable& k;
+  const float* query;
+  const int8_t* base;
+  size_t stride;
+  size_t dim;
+  const float* scale;
+  const float* offset;
+
+  const int8_t* Row(size_t id) const { return base + id * stride; }
+  float One(bool l2, const int8_t* row) const {
+    return (l2 ? k.l2_i8 : k.dot_i8)(query, row, scale, offset, dim);
+  }
+  void Four(bool l2, const int8_t* const* rows, float* out) const {
+    (l2 ? k.l2_i8x4 : k.dot_i8x4)(query, rows, scale, offset, dim, out);
+  }
+  float QueryNorm2() const { return k.dot_f32(query, query, dim); }
+  float RowNorm2(const int8_t* row, size_t) const {
+    return k.norm2_i8(row, scale, offset, dim);
+  }
+};
+
+/// PQ code rows scored through a per-query ADC table. The table already
+/// holds L2 or dot partials for its metric, so every metric is the same
+/// single LUT pass and `l2` is ignored; cosine reads the row's
+/// reconstructed norm, which PqDataset::row_norm2 precomputed at encode
+/// time and indexes by row id.
+struct AdcRows {
+  const KernelTable& k;
+  const float* lut;
+  size_t m;
+  float query_norm2;
+  const float* row_norm2;
+  const uint8_t* base;
+  size_t stride;
+
+  AdcRows(const PqAdcTable& t, const uint8_t* rows_base, size_t row_stride)
+      : k(ActiveKernelTable()),
+        lut(t.dist.data()),
+        m(t.num_subspaces),
+        query_norm2(t.query_norm2),
+        row_norm2(t.row_norm2),
+        base(rows_base),
+        stride(row_stride) {}
+
+  const uint8_t* Row(size_t id) const { return base + id * stride; }
+  float One(bool, const uint8_t* row) const { return k.adc(lut, row, m); }
+  void Four(bool, const uint8_t* const* rows, float* out) const {
+    k.adcx4(lut, rows, m, out);
+  }
+  float QueryNorm2() const { return query_norm2; }
+  float RowNorm2(const uint8_t*, size_t id) const { return row_norm2[id]; }
+};
+
+/// The one metric composition behind every entry point: out[i] is the
+/// distance from the query to row id(i) of `s`. Full groups of
 /// kMultiRowWidth rows run through the multi-row kernels — one shared
 /// query stream, interleaved accumulators — with the next group
-/// prefetched while the current one is scored; the remainder falls back
-/// to the single-row kernels. Both paths produce bit-identical per-row
-/// results (the x4 kernels mirror the single-row op order), so callers
-/// see one deterministic answer regardless of batch size. The metric
-/// switch and the query-norm hoisting are written once per element type.
-template <typename T, typename RowFn>
-void BatchDistance(const KernelTable& k, Metric metric, const float* query,
-                   size_t dim, size_t n, const RowFn& row, float* out) {
-  constexpr bool kIsHalf = std::is_same_v<T, Half>;
-  const T* group[kMultiRowWidth];
-  const auto fill_group = [&](size_t i) {
-    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = row(i + r);
-    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
-         j++) {
-      PrefetchRow(row(j));
+/// prefetched while the current one is scored; the remainder runs the
+/// single-row kernels. Both give bit-identical per-row results (every
+/// tier's x4 kernels run the single-row op sequence on each row), so
+/// callers see one answer whatever the batch size. The metric is a
+/// template parameter, so the L2 loop carries no metric branch.
+template <Metric M, typename S, typename IdFn>
+void Score(const S& s, size_t n, const IdFn& id, float* out) {
+  using Row = decltype(s.Row(0));
+  constexpr bool kL2 = M == Metric::kL2;
+  const float query_norm2 = M == Metric::kCosine ? s.QueryNorm2() : 0.0f;
+  const auto finish = [&](float part, Row row, size_t row_id) {
+    if constexpr (M == Metric::kL2) {
+      return part;
+    } else if constexpr (M == Metric::kInnerProduct) {
+      return -part;
+    } else {
+      return CosineFromParts(part, query_norm2, s.RowNorm2(row, row_id));
     }
   };
-  switch (metric) {
-    case Metric::kL2: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        if constexpr (kIsHalf) {
-          k.l2_f16x4(query, group, dim, out + i);
-        } else {
-          k.l2_f32x4(query, group, dim, out + i);
-        }
-      }
-      for (; i < n; i++) {
-        if constexpr (kIsHalf) {
-          out[i] = k.l2_f16(query, row(i), dim);
-        } else {
-          out[i] = k.l2_f32(query, row(i), dim);
-        }
-      }
-      break;
+  Row group[kMultiRowWidth];
+  size_t i = 0;
+  for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
+    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = s.Row(id(i + r));
+    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
+         j++) {
+      PrefetchRow(s.Row(id(j)));
     }
-    case Metric::kInnerProduct: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        if constexpr (kIsHalf) {
-          k.dot_f16x4(query, group, dim, out + i);
-        } else {
-          k.dot_f32x4(query, group, dim, out + i);
-        }
-        for (size_t r = 0; r < kMultiRowWidth; r++) out[i + r] = -out[i + r];
-      }
-      for (; i < n; i++) {
-        if constexpr (kIsHalf) {
-          out[i] = -k.dot_f16(query, row(i), dim);
-        } else {
-          out[i] = -k.dot_f32(query, row(i), dim);
-        }
-      }
-      break;
+    s.Four(kL2, group, out + i);
+    for (size_t r = 0; r < kMultiRowWidth; r++) {
+      out[i + r] = finish(out[i + r], group[r], id(i + r));
     }
-    case Metric::kCosine: {
-      const float query_norm2 = k.dot_f32(query, query, dim);
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        if constexpr (kIsHalf) {
-          k.dot_f16x4(query, group, dim, out + i);
-        } else {
-          k.dot_f32x4(query, group, dim, out + i);
-        }
-        for (size_t r = 0; r < kMultiRowWidth; r++) {
-          float norm2;
-          if constexpr (kIsHalf) {
-            norm2 = k.norm2_f16(group[r], dim);
-          } else {
-            norm2 = k.dot_f32(group[r], group[r], dim);
-          }
-          out[i + r] = CosineFromParts(out[i + r], query_norm2, norm2);
-        }
-      }
-      for (; i < n; i++) {
-        if constexpr (kIsHalf) {
-          out[i] = CosineFromParts(k.dot_f16(query, row(i), dim), query_norm2,
-                                   k.norm2_f16(row(i), dim));
-        } else {
-          out[i] = CosineFromParts(k.dot_f32(query, row(i), dim), query_norm2,
-                                   k.dot_f32(row(i), row(i), dim));
-        }
-      }
-      break;
-    }
+  }
+  for (; i < n; i++) {
+    const Row row = s.Row(id(i));
+    out[i] = finish(s.One(kL2, row), row, id(i));
   }
 }
 
-/// Int8 variant of BatchDistance: same multi-row structure, with the
-/// per-dimension scale/offset arrays threaded through to the affine
-/// decode inside the kernels.
-template <typename RowFn>
-void BatchDistanceI8(const KernelTable& k, Metric metric, const float* query,
-                     const float* scale, const float* offset, size_t dim,
-                     size_t n, const RowFn& row, float* out) {
-  const int8_t* group[kMultiRowWidth];
-  const auto fill_group = [&](size_t i) {
-    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = row(i + r);
-    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
-         j++) {
-      PrefetchRow(row(j));
-    }
-  };
+template <typename S, typename IdFn>
+void ScoreRows(Metric metric, const S& s, size_t n, const IdFn& id,
+               float* out) {
   switch (metric) {
-    case Metric::kL2: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.l2_i8x4(query, group, scale, offset, dim, out + i);
-      }
-      for (; i < n; i++) {
-        out[i] = k.l2_i8(query, row(i), scale, offset, dim);
-      }
-      break;
-    }
-    case Metric::kInnerProduct: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.dot_i8x4(query, group, scale, offset, dim, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) out[i + r] = -out[i + r];
-      }
-      for (; i < n; i++) {
-        out[i] = -k.dot_i8(query, row(i), scale, offset, dim);
-      }
-      break;
-    }
-    case Metric::kCosine: {
-      const float query_norm2 = k.dot_f32(query, query, dim);
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.dot_i8x4(query, group, scale, offset, dim, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) {
-          out[i + r] = CosineFromParts(
-              out[i + r], query_norm2,
-              k.norm2_i8(group[r], scale, offset, dim));
-        }
-      }
-      for (; i < n; i++) {
-        out[i] = CosineFromParts(k.dot_i8(query, row(i), scale, offset, dim),
-                                 query_norm2,
-                                 k.norm2_i8(row(i), scale, offset, dim));
-      }
-      break;
-    }
+    case Metric::kL2: return Score<Metric::kL2>(s, n, id, out);
+    case Metric::kInnerProduct:
+      return Score<Metric::kInnerProduct>(s, n, id, out);
+    case Metric::kCosine: return Score<Metric::kCosine>(s, n, id, out);
   }
+}
+
+/// The pairwise entry points: one row, `id`.
+template <typename S>
+float ScoreOne(Metric metric, const S& s, size_t id) {
+  float out = 0.0f;
+  ScoreRows(metric, s, 1, [id](size_t) { return id; }, &out);
+  return out;
 }
 
 }  // namespace
@@ -241,121 +199,61 @@ std::string MetricName(Metric metric) {
 
 float ComputeDistance(Metric metric, const float* a, const float* b,
                       size_t dim) {
-  return PairDistance(ActiveKernelTable(), metric, a, b, dim);
+  return ScoreOne(metric, F32Rows{ActiveKernelTable(), a, b, 0, dim}, 0);
 }
 
 float ComputeDistance(Metric metric, const float* query, const Half* item,
                       size_t dim) {
-  return PairDistance(ActiveKernelTable(), metric, query, item, dim);
+  return ScoreOne(metric, F16Rows{ActiveKernelTable(), query, item, 0, dim},
+                  0);
 }
 
 float ComputeDistance(Metric metric, const float* query, const int8_t* code,
                       const float* scale, const float* offset, size_t dim) {
-  return PairDistance(ActiveKernelTable(), metric, query, code, scale, offset,
-                      dim);
+  return ScoreOne(
+      metric,
+      I8Rows{ActiveKernelTable(), query, code, 0, dim, scale, offset}, 0);
 }
 
 void ComputeDistanceBatch(Metric metric, const float* query,
                           const float* rows, size_t n, size_t dim,
                           float* out) {
-  BatchDistance<float>(ActiveKernelTable(), metric, query, dim, n,
-                       [&](size_t i) { return rows + i * dim; }, out);
+  ScoreRows(metric, F32Rows{ActiveKernelTable(), query, rows, dim, dim}, n,
+            [](size_t i) { return i; }, out);
 }
 
 void ComputeDistanceGather(Metric metric, const float* query,
                            const float* base, size_t dim,
                            const uint32_t* ids, size_t n, float* out) {
-  BatchDistance<float>(ActiveKernelTable(), metric, query, dim, n,
-                       [&](size_t i) { return base + ids[i] * dim; }, out);
+  ScoreRows(metric, F32Rows{ActiveKernelTable(), query, base, dim, dim}, n,
+            [ids](size_t i) { return ids[i]; }, out);
 }
 
 void ComputeDistanceGather(Metric metric, const float* query,
                            const Half* base, size_t dim, const uint32_t* ids,
                            size_t n, float* out) {
-  BatchDistance<Half>(ActiveKernelTable(), metric, query, dim, n,
-                      [&](size_t i) { return base + ids[i] * dim; }, out);
+  ScoreRows(metric, F16Rows{ActiveKernelTable(), query, base, dim, dim}, n,
+            [ids](size_t i) { return ids[i]; }, out);
 }
 
 void ComputeDistanceGather(Metric metric, const float* query,
                            const int8_t* base, const float* scale,
                            const float* offset, size_t dim,
                            const uint32_t* ids, size_t n, float* out) {
-  BatchDistanceI8(ActiveKernelTable(), metric, query, scale, offset, dim, n,
-                  [&](size_t i) { return base + ids[i] * dim; }, out);
+  ScoreRows(metric,
+            I8Rows{ActiveKernelTable(), query, base, dim, dim, scale, offset},
+            n, [ids](size_t i) { return ids[i]; }, out);
 }
 
 float ComputeDistanceAdc(const PqAdcTable& table, const uint8_t* code,
                          size_t row) {
-  const KernelTable& k = ActiveKernelTable();
-  const size_t m = table.num_subspaces;
-  switch (table.metric) {
-    case Metric::kL2:
-      return k.adc(table.dist.data(), code, m);
-    case Metric::kInnerProduct:
-      return -k.adc(table.dist.data(), code, m);
-    case Metric::kCosine:
-      return CosineFromParts(k.adc(table.dist.data(), code, m),
-                             table.query_norm2, table.row_norm2[row]);
-  }
-  return 0.0f;
+  return ScoreOne(table.metric, AdcRows(table, code, 0), row);
 }
 
 void ComputeDistanceAdcGather(const PqAdcTable& table, const uint8_t* base,
                               const uint32_t* ids, size_t n, float* out) {
-  // ADC variant of BatchDistance: one per-query LUT, code rows instead
-  // of vectors. Every metric is a single fused LUT pass — cosine reads
-  // the per-row reconstructed norm precomputed at encode time
-  // (PqDataset::row_norm2) instead of scanning a second
-  // query-independent LUT.
-  const KernelTable& k = ActiveKernelTable();
-  const size_t m = table.num_subspaces;
-  const float* lut = table.dist.data();
-  const auto row = [&](size_t i) { return base + ids[i] * m; };
-  const uint8_t* group[kMultiRowWidth];
-  const auto fill_group = [&](size_t i) {
-    for (size_t r = 0; r < kMultiRowWidth; r++) group[r] = row(i + r);
-    for (size_t j = i + kMultiRowWidth; j < i + 2 * kMultiRowWidth && j < n;
-         j++) {
-      PrefetchRow(row(j));
-    }
-  };
-  switch (table.metric) {
-    case Metric::kL2: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-      }
-      for (; i < n; i++) out[i] = k.adc(lut, row(i), m);
-      break;
-    }
-    case Metric::kInnerProduct: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) out[i + r] = -out[i + r];
-      }
-      for (; i < n; i++) out[i] = -k.adc(lut, row(i), m);
-      break;
-    }
-    case Metric::kCosine: {
-      size_t i = 0;
-      for (; i + kMultiRowWidth <= n; i += kMultiRowWidth) {
-        fill_group(i);
-        k.adcx4(lut, group, m, out + i);
-        for (size_t r = 0; r < kMultiRowWidth; r++) {
-          out[i + r] = CosineFromParts(out[i + r], table.query_norm2,
-                                       table.row_norm2[ids[i + r]]);
-        }
-      }
-      for (; i < n; i++) {
-        out[i] = CosineFromParts(k.adc(lut, row(i), m), table.query_norm2,
-                                 table.row_norm2[ids[i]]);
-      }
-      break;
-    }
-  }
+  ScoreRows(table.metric, AdcRows(table, base, table.num_subspaces), n,
+            [ids](size_t i) { return ids[i]; }, out);
 }
 
 }  // namespace cagra

@@ -45,9 +45,13 @@ float ComputeDistance(Metric metric, const float* query, const int8_t* code,
 /// stride `dim`); out[i] = distance(query, rows + i*dim). The query's
 /// norm is computed once per call for cosine, and full groups of four
 /// rows run through the multi-row kernels (shared query stream,
-/// interleaved accumulators); out[i] is bit-identical to the pairwise
-/// call either way. This is the inner loop of the exhaustive
-/// ground-truth scan (knn/bruteforce.h) and of the PQ k-means.
+/// interleaved accumulators), the rest through the single-row kernels.
+/// Every entry point in this header, pairwise included, runs the same
+/// metric composition, and each tier writes its single-row and
+/// multi-row kernels from one body, so out[i] is bit-identical to the
+/// pairwise call by construction. This is the inner loop of the
+/// exhaustive ground-truth scan (knn/bruteforce.h) and of the PQ
+/// k-means.
 void ComputeDistanceBatch(Metric metric, const float* query,
                           const float* rows, size_t n, size_t dim,
                           float* out);
@@ -92,8 +96,8 @@ struct PqAdcTable {
 };
 
 /// ADC distance of one PQ code row (`num_subspaces` bytes) via the
-/// dispatched LUT-scan kernels; metric composition (inner-product
-/// negation, cosine normalization) mirrors the other storage modes.
+/// dispatched LUT-scan kernels; the metric composition (inner-product
+/// negation, cosine normalization) is the one every storage mode runs.
 /// `row` is the dataset row id of `code` — cosine reads its
 /// precomputed norm through it; other metrics ignore it.
 float ComputeDistanceAdc(const PqAdcTable& table, const uint8_t* code,
@@ -102,8 +106,8 @@ float ComputeDistanceAdc(const PqAdcTable& table, const uint8_t* code,
 /// One ADC table against `n` code rows gathered by id from `base`
 /// (row-major, stride num_subspaces) — the PQ candidate-expansion
 /// loop. ids are dataset row ids and double as the row_norm2 index.
-/// Full groups of four rows run through the multi-row adcx4 kernel and
-/// out[i] is bit-identical to the pairwise ComputeDistanceAdc call.
+/// Same multi-row batching as ComputeDistanceBatch (the adcx4 kernel),
+/// and out[i] is bit-identical to the pairwise ComputeDistanceAdc call.
 void ComputeDistanceAdcGather(const PqAdcTable& table, const uint8_t* base,
                               const uint32_t* ids, size_t n, float* out);
 

@@ -33,11 +33,15 @@ constexpr size_t kAdcTableStride = 256;
 /// through a dequantized temporary.
 ///
 /// The *x4 multi-row kernels score kMultiRowWidth rows per call with
-/// one shared query stream and interleaved accumulators. Each row's
-/// floating-point operations execute in exactly the same order as the
-/// corresponding single-row kernel of the same tier, so out[r] is
-/// bit-identical to the single-row call — the batch entry points rely
-/// on this to stay bit-compatible with the pairwise API.
+/// one shared query stream and interleaved accumulators. Each SIMD tier
+/// writes every family once, as a body templated on its row count R:
+/// the single-row slot is OneRow<Body<1>> and the x4 slot is
+/// Body<kMultiRowWidth>. Each row's floating-point operations are the
+/// same whatever R is, so out[r] is bit-identical to the single-row
+/// call by construction — the batch entry points rely on this to stay
+/// bit-compatible with the pairwise API. The scalar tier has no shared
+/// query stream to amortize; its x4 slots loop over its single-row
+/// kernels.
 struct KernelTable {
   const char* name;
 
@@ -84,6 +88,16 @@ struct KernelTable {
   void (*adcx4)(const float* lut, const uint8_t* const* rows, size_t m,
                 float* out);
 };
+
+/// The single-row slot of a kernel body that scores R rows: runs its
+/// R = 1 instantiation on `row`. Every template argument after `Body`
+/// is deduced from the slot the adapter fills.
+template <auto Body, typename Q, typename T, typename... Args>
+float OneRow(const Q* query, const T* row, Args... args) {
+  float out;
+  Body(query, &row, args..., &out);
+  return out;
+}
 
 /// Always available; the reference the SIMD tiers are tested against.
 const KernelTable* ScalarTable();

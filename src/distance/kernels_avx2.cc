@@ -1,7 +1,11 @@
 // AVX2 + FMA + F16C kernels, 8-lane fp32 with two accumulators to hide
-// FMA latency. This file is the only one compiled with -mavx2; the
-// guard below turns it into an empty tier when the compiler or target
-// lacks the ISA, and dispatch.cc checks CPUID before ever calling in.
+// FMA latency. Each kernel family is one body templated on its row
+// count R (one shared query stream, R interleaved accumulator sets);
+// the R = 1 instantiation fills the single-row slot and R =
+// kMultiRowWidth the x4 slot, so both run the same op sequence per row.
+// This file is the only one compiled with -mavx2; the guard below turns
+// it into an empty tier when the compiler or target lacks the ISA, and
+// dispatch.cc checks CPUID before ever calling in.
 #include "distance/kernels.h"
 
 #if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
@@ -30,76 +34,107 @@ __m256 LoadHalf8(const Half* p) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
 }
 
-float Avx2L2F32(const float* a, const float* b, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+template <size_t R>
+void Avx2L2F32(const float* query, const float* const* rows, size_t dim,
+               float* out) {
+  __m256 acc0[R], acc1[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    const __m256 d1 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i + 8), _mm256_loadu_ps(b + i + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    const __m256 q1 = _mm256_loadu_ps(query + i + 8);
+    for (size_t r = 0; r < R; r++) {
+      const __m256 d0 = _mm256_sub_ps(q0, _mm256_loadu_ps(rows[r] + i));
+      const __m256 d1 = _mm256_sub_ps(q1, _mm256_loadu_ps(rows[r] + i + 8));
+      acc0[r] = _mm256_fmadd_ps(d0, d0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(d1, d1, acc1[r]);
+    }
   }
   for (; i + 8 <= dim; i += 8) {
-    const __m256 d =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc0 = _mm256_fmadd_ps(d, d, acc0);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    for (size_t r = 0; r < R; r++) {
+      const __m256 d = _mm256_sub_ps(q0, _mm256_loadu_ps(rows[r] + i));
+      acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
+    }
   }
-  float acc = ReduceAdd(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; i++) {
-    const float d = a[i] - b[i];
-    acc += d * d;
+  for (size_t r = 0; r < R; r++) {
+    float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
+    for (size_t j = i; j < dim; j++) {
+      const float d = query[j] - rows[r][j];
+      acc += d * d;
+    }
+    out[r] = acc;
   }
-  return acc;
 }
 
-float Avx2DotF32(const float* a, const float* b, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+template <size_t R>
+void Avx2DotF32(const float* query, const float* const* rows, size_t dim,
+                float* out) {
+  __m256 acc0[R], acc1[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    const __m256 q1 = _mm256_loadu_ps(query + i + 8);
+    for (size_t r = 0; r < R; r++) {
+      acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(rows[r] + i), acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(q1, _mm256_loadu_ps(rows[r] + i + 8),
+                                acc1[r]);
+    }
   }
   for (; i + 8 <= dim; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    for (size_t r = 0; r < R; r++) {
+      acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(rows[r] + i), acc0[r]);
+    }
   }
-  float acc = ReduceAdd(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; i++) acc += a[i] * b[i];
-  return acc;
+  for (size_t r = 0; r < R; r++) {
+    float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
+    for (size_t j = i; j < dim; j++) acc += query[j] * rows[r][j];
+    out[r] = acc;
+  }
 }
 
-float Avx2L2F16(const float* query, const Half* item, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
+template <size_t R>
+void Avx2L2F16(const float* query, const Half* const* rows, size_t dim,
+               float* out) {
+  __m256 acc0[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 8 <= dim; i += 8) {
-    const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(query + i),
-                                   LoadHalf8(item + i));
-    acc0 = _mm256_fmadd_ps(d, d, acc0);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    for (size_t r = 0; r < R; r++) {
+      const __m256 d = _mm256_sub_ps(q0, LoadHalf8(rows[r] + i));
+      acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
+    }
   }
-  float acc = ReduceAdd(acc0);
-  for (; i < dim; i++) {
-    const float d = query[i] - item[i].ToFloat();
-    acc += d * d;
+  for (size_t r = 0; r < R; r++) {
+    float acc = ReduceAdd(acc0[r]);
+    for (size_t j = i; j < dim; j++) {
+      const float d = query[j] - rows[r][j].ToFloat();
+      acc += d * d;
+    }
+    out[r] = acc;
   }
-  return acc;
 }
 
-float Avx2DotF16(const float* query, const Half* item, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
+template <size_t R>
+void Avx2DotF16(const float* query, const Half* const* rows, size_t dim,
+                float* out) {
+  __m256 acc0[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 8 <= dim; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i), LoadHalf8(item + i),
-                           acc0);
+    const __m256 q0 = _mm256_loadu_ps(query + i);
+    for (size_t r = 0; r < R; r++) {
+      acc0[r] = _mm256_fmadd_ps(q0, LoadHalf8(rows[r] + i), acc0[r]);
+    }
   }
-  float acc = ReduceAdd(acc0);
-  for (; i < dim; i++) acc += query[i] * item[i].ToFloat();
-  return acc;
+  for (size_t r = 0; r < R; r++) {
+    float acc = ReduceAdd(acc0[r]);
+    for (size_t j = i; j < dim; j++) acc += query[j] * rows[r][j].ToFloat();
+    out[r] = acc;
+  }
 }
 
 float Avx2Norm2F16(const Half* item, size_t dim) {
@@ -119,205 +154,24 @@ float Avx2Norm2F16(const Half* item, size_t dim) {
 
 /// Loads 8 int8 codes, sign-extends to epi32, converts to fp32, and
 /// applies the per-dimension affine decode with one FMA — the §V-E
-/// dequantize-in-registers step. The variant taking preloaded
-/// scale/offset chunks is the one decode body per tier (the x4 kernels
-/// load the chunks once and reuse them across rows).
-__m256 DecodeI8x8Pre(const int8_t* code, __m256 scale, __m256 offset) {
+/// dequantize-in-registers step. The row kernels load each scale/offset
+/// chunk once and reuse it across their rows.
+__m256 DecodeI8x8(const int8_t* code, __m256 scale, __m256 offset) {
   const __m256i w = _mm256_cvtepi8_epi32(
       _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code)));
   return _mm256_fmadd_ps(_mm256_cvtepi32_ps(w), scale, offset);
-}
-
-__m256 DecodeI8x8(const int8_t* code, const float* scale,
-                  const float* offset) {
-  return DecodeI8x8Pre(code, _mm256_loadu_ps(scale), _mm256_loadu_ps(offset));
 }
 
 inline float DecodeI8Scalar(int8_t code, float scale, float offset) {
   return static_cast<float>(code) * scale + offset;
 }
 
-float Avx2L2I8(const float* query, const int8_t* code, const float* scale,
-               const float* offset, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(query + i),
-                                    DecodeI8x8(code + i, scale + i,
-                                               offset + i));
-    const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(query + i + 8),
-                                    DecodeI8x8(code + i + 8, scale + i + 8,
-                                               offset + i + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-  }
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(query + i),
-                                   DecodeI8x8(code + i, scale + i,
-                                              offset + i));
-    acc0 = _mm256_fmadd_ps(d, d, acc0);
-  }
-  float acc = ReduceAdd(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; i++) {
-    const float d = query[i] - DecodeI8Scalar(code[i], scale[i], offset[i]);
-    acc += d * d;
-  }
-  return acc;
-}
-
-float Avx2DotI8(const float* query, const int8_t* code, const float* scale,
-                const float* offset, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i),
-                           DecodeI8x8(code + i, scale + i, offset + i), acc0);
-    acc1 = _mm256_fmadd_ps(
-        _mm256_loadu_ps(query + i + 8),
-        DecodeI8x8(code + i + 8, scale + i + 8, offset + i + 8), acc1);
-  }
-  for (; i + 8 <= dim; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(query + i),
-                           DecodeI8x8(code + i, scale + i, offset + i), acc0);
-  }
-  float acc = ReduceAdd(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; i++) {
-    acc += query[i] * DecodeI8Scalar(code[i], scale[i], offset[i]);
-  }
-  return acc;
-}
-
-float Avx2Norm2I8(const int8_t* code, const float* scale, const float* offset,
-                  size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 v = DecodeI8x8(code + i, scale + i, offset + i);
-    acc0 = _mm256_fmadd_ps(v, v, acc0);
-  }
-  float acc = ReduceAdd(acc0);
-  for (; i < dim; i++) {
-    const float v = DecodeI8Scalar(code[i], scale[i], offset[i]);
-    acc += v * v;
-  }
-  return acc;
-}
-
-// Multi-row kernels: 4 rows per call, one shared query stream, four
-// interleaved accumulator sets. Each row's op sequence mirrors the
-// single-row kernel exactly (same chunking, same accumulator split, same
-// reduction order), so out[r] is bit-identical to the single-row call.
-// The row count is hand-unrolled into the register allocation; a wider
-// kMultiRowWidth needs new kernels, not a silent partial write.
-static_assert(kMultiRowWidth == 4,
-              "AVX2 x4 kernels are hand-mirrored for 4 rows");
-
-void Avx2L2F32x4(const float* query, const float* const* rows, size_t dim,
-                 float* out) {
-  __m256 acc0[4], acc1[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    const __m256 q1 = _mm256_loadu_ps(query + i + 8);
-    for (size_t r = 0; r < 4; r++) {
-      const __m256 d0 = _mm256_sub_ps(q0, _mm256_loadu_ps(rows[r] + i));
-      const __m256 d1 = _mm256_sub_ps(q1, _mm256_loadu_ps(rows[r] + i + 8));
-      acc0[r] = _mm256_fmadd_ps(d0, d0, acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(d1, d1, acc1[r]);
-    }
-  }
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    for (size_t r = 0; r < 4; r++) {
-      const __m256 d = _mm256_sub_ps(q0, _mm256_loadu_ps(rows[r] + i));
-      acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
-    }
-  }
-  for (size_t r = 0; r < 4; r++) {
-    float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
-    for (size_t j = i; j < dim; j++) {
-      const float d = query[j] - rows[r][j];
-      acc += d * d;
-    }
-    out[r] = acc;
-  }
-}
-
-void Avx2DotF32x4(const float* query, const float* const* rows, size_t dim,
-                  float* out) {
-  __m256 acc0[4], acc1[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    const __m256 q1 = _mm256_loadu_ps(query + i + 8);
-    for (size_t r = 0; r < 4; r++) {
-      acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(rows[r] + i), acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(q1, _mm256_loadu_ps(rows[r] + i + 8),
-                                acc1[r]);
-    }
-  }
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    for (size_t r = 0; r < 4; r++) {
-      acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(rows[r] + i), acc0[r]);
-    }
-  }
-  for (size_t r = 0; r < 4; r++) {
-    float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
-    for (size_t j = i; j < dim; j++) acc += query[j] * rows[r][j];
-    out[r] = acc;
-  }
-}
-
-void Avx2L2F16x4(const float* query, const Half* const* rows, size_t dim,
-                 float* out) {
-  __m256 acc0[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    for (size_t r = 0; r < 4; r++) {
-      const __m256 d = _mm256_sub_ps(q0, LoadHalf8(rows[r] + i));
-      acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
-    }
-  }
-  for (size_t r = 0; r < 4; r++) {
-    float acc = ReduceAdd(acc0[r]);
-    for (size_t j = i; j < dim; j++) {
-      const float d = query[j] - rows[r][j].ToFloat();
-      acc += d * d;
-    }
-    out[r] = acc;
-  }
-}
-
-void Avx2DotF16x4(const float* query, const Half* const* rows, size_t dim,
-                  float* out) {
-  __m256 acc0[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 q0 = _mm256_loadu_ps(query + i);
-    for (size_t r = 0; r < 4; r++) {
-      acc0[r] = _mm256_fmadd_ps(q0, LoadHalf8(rows[r] + i), acc0[r]);
-    }
-  }
-  for (size_t r = 0; r < 4; r++) {
-    float acc = ReduceAdd(acc0[r]);
-    for (size_t j = i; j < dim; j++) acc += query[j] * rows[r][j].ToFloat();
-    out[r] = acc;
-  }
-}
-
-void Avx2L2I8x4(const float* query, const int8_t* const* rows,
-                const float* scale, const float* offset, size_t dim,
-                float* out) {
-  __m256 acc0[4], acc1[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
+template <size_t R>
+void Avx2L2I8(const float* query, const int8_t* const* rows,
+              const float* scale, const float* offset, size_t dim,
+              float* out) {
+  __m256 acc0[R], acc1[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
     const __m256 q0 = _mm256_loadu_ps(query + i);
@@ -326,10 +180,10 @@ void Avx2L2I8x4(const float* query, const int8_t* const* rows,
     const __m256 s1 = _mm256_loadu_ps(scale + i + 8);
     const __m256 o0 = _mm256_loadu_ps(offset + i);
     const __m256 o1 = _mm256_loadu_ps(offset + i + 8);
-    for (size_t r = 0; r < 4; r++) {
-      const __m256 d0 = _mm256_sub_ps(q0, DecodeI8x8Pre(rows[r] + i, s0, o0));
+    for (size_t r = 0; r < R; r++) {
+      const __m256 d0 = _mm256_sub_ps(q0, DecodeI8x8(rows[r] + i, s0, o0));
       const __m256 d1 =
-          _mm256_sub_ps(q1, DecodeI8x8Pre(rows[r] + i + 8, s1, o1));
+          _mm256_sub_ps(q1, DecodeI8x8(rows[r] + i + 8, s1, o1));
       acc0[r] = _mm256_fmadd_ps(d0, d0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(d1, d1, acc1[r]);
     }
@@ -338,12 +192,12 @@ void Avx2L2I8x4(const float* query, const int8_t* const* rows,
     const __m256 q0 = _mm256_loadu_ps(query + i);
     const __m256 s0 = _mm256_loadu_ps(scale + i);
     const __m256 o0 = _mm256_loadu_ps(offset + i);
-    for (size_t r = 0; r < 4; r++) {
-      const __m256 d = _mm256_sub_ps(q0, DecodeI8x8Pre(rows[r] + i, s0, o0));
+    for (size_t r = 0; r < R; r++) {
+      const __m256 d = _mm256_sub_ps(q0, DecodeI8x8(rows[r] + i, s0, o0));
       acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
     }
   }
-  for (size_t r = 0; r < 4; r++) {
+  for (size_t r = 0; r < R; r++) {
     float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
     for (size_t j = i; j < dim; j++) {
       const float d =
@@ -354,11 +208,12 @@ void Avx2L2I8x4(const float* query, const int8_t* const* rows,
   }
 }
 
-void Avx2DotI8x4(const float* query, const int8_t* const* rows,
-                 const float* scale, const float* offset, size_t dim,
-                 float* out) {
-  __m256 acc0[4], acc1[4];
-  for (size_t r = 0; r < 4; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
+template <size_t R>
+void Avx2DotI8(const float* query, const int8_t* const* rows,
+               const float* scale, const float* offset, size_t dim,
+               float* out) {
+  __m256 acc0[R], acc1[R];
+  for (size_t r = 0; r < R; r++) acc0[r] = acc1[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 16 <= dim; i += 16) {
     const __m256 q0 = _mm256_loadu_ps(query + i);
@@ -367,23 +222,21 @@ void Avx2DotI8x4(const float* query, const int8_t* const* rows,
     const __m256 s1 = _mm256_loadu_ps(scale + i + 8);
     const __m256 o0 = _mm256_loadu_ps(offset + i);
     const __m256 o1 = _mm256_loadu_ps(offset + i + 8);
-    for (size_t r = 0; r < 4; r++) {
-      acc0[r] =
-          _mm256_fmadd_ps(q0, DecodeI8x8Pre(rows[r] + i, s0, o0), acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(q1, DecodeI8x8Pre(rows[r] + i + 8, s1, o1),
-                                acc1[r]);
+    for (size_t r = 0; r < R; r++) {
+      acc0[r] = _mm256_fmadd_ps(q0, DecodeI8x8(rows[r] + i, s0, o0), acc0[r]);
+      acc1[r] =
+          _mm256_fmadd_ps(q1, DecodeI8x8(rows[r] + i + 8, s1, o1), acc1[r]);
     }
   }
   for (; i + 8 <= dim; i += 8) {
     const __m256 q0 = _mm256_loadu_ps(query + i);
     const __m256 s0 = _mm256_loadu_ps(scale + i);
     const __m256 o0 = _mm256_loadu_ps(offset + i);
-    for (size_t r = 0; r < 4; r++) {
-      acc0[r] =
-          _mm256_fmadd_ps(q0, DecodeI8x8Pre(rows[r] + i, s0, o0), acc0[r]);
+    for (size_t r = 0; r < R; r++) {
+      acc0[r] = _mm256_fmadd_ps(q0, DecodeI8x8(rows[r] + i, s0, o0), acc0[r]);
     }
   }
-  for (size_t r = 0; r < 4; r++) {
+  for (size_t r = 0; r < R; r++) {
     float acc = ReduceAdd(_mm256_add_ps(acc0[r], acc1[r]));
     for (size_t j = i; j < dim; j++) {
       acc += query[j] * DecodeI8Scalar(rows[r][j], scale[j], offset[j]);
@@ -392,46 +245,40 @@ void Avx2DotI8x4(const float* query, const int8_t* const* rows,
   }
 }
 
-// ADC LUT scan: widen 8 code bytes to epi32 lanes, add the per-lane
-// subspace offsets (lane j of chunk i indexes table (8i+j)), and gather
-// the fp32 table entries. The x4 form mirrors the chunking, gather
-// order, and scalar tail of the one-row kernel exactly, so out[r] is
-// bit-identical to the single-row call.
-
-float Avx2Adc(const float* lut, const uint8_t* code, size_t m) {
-  const __m256i lane = _mm256_setr_epi32(
-      0, 1 * kAdcTableStride, 2 * kAdcTableStride, 3 * kAdcTableStride,
-      4 * kAdcTableStride, 5 * kAdcTableStride, 6 * kAdcTableStride,
-      7 * kAdcTableStride);
-  const __m256i step = _mm256_set1_epi32(8 * kAdcTableStride);
-  __m256i base = lane;
-  __m256 acc = _mm256_setzero_ps();
+float Avx2Norm2I8(const int8_t* code, const float* scale, const float* offset,
+                  size_t dim) {
+  __m256 acc0 = _mm256_setzero_ps();
   size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256i idx = _mm256_add_epi32(
-        base, _mm256_cvtepu8_epi32(
-                  _mm_loadl_epi64(reinterpret_cast<const __m128i*>(code + i))));
-    acc = _mm256_add_ps(acc, _mm256_i32gather_ps(lut, idx, 4));
-    base = _mm256_add_epi32(base, step);
+  for (; i + 8 <= dim; i += 8) {
+    const __m256 v = DecodeI8x8(code + i, _mm256_loadu_ps(scale + i),
+                                _mm256_loadu_ps(offset + i));
+    acc0 = _mm256_fmadd_ps(v, v, acc0);
   }
-  float sum = ReduceAdd(acc);
-  for (; i < m; i++) sum += lut[i * kAdcTableStride + code[i]];
-  return sum;
+  float acc = ReduceAdd(acc0);
+  for (; i < dim; i++) {
+    const float v = DecodeI8Scalar(code[i], scale[i], offset[i]);
+    acc += v * v;
+  }
+  return acc;
 }
 
-void Avx2Adcx4(const float* lut, const uint8_t* const* rows, size_t m,
-               float* out) {
+// ADC LUT scan: widen 8 code bytes to epi32 lanes, add the per-lane
+// subspace offsets (lane j of chunk i indexes table (8i+j)), and gather
+// the fp32 table entries; a scalar loop sums the tail.
+template <size_t R>
+void Avx2Adc(const float* lut, const uint8_t* const* rows, size_t m,
+             float* out) {
   const __m256i lane = _mm256_setr_epi32(
       0, 1 * kAdcTableStride, 2 * kAdcTableStride, 3 * kAdcTableStride,
       4 * kAdcTableStride, 5 * kAdcTableStride, 6 * kAdcTableStride,
       7 * kAdcTableStride);
   const __m256i step = _mm256_set1_epi32(8 * kAdcTableStride);
   __m256i base = lane;
-  __m256 acc[4];
-  for (size_t r = 0; r < 4; r++) acc[r] = _mm256_setzero_ps();
+  __m256 acc[R];
+  for (size_t r = 0; r < R; r++) acc[r] = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 8 <= m; i += 8) {
-    for (size_t r = 0; r < 4; r++) {
+    for (size_t r = 0; r < R; r++) {
       const __m256i idx = _mm256_add_epi32(
           base, _mm256_cvtepu8_epi32(_mm_loadl_epi64(
                     reinterpret_cast<const __m128i*>(rows[r] + i))));
@@ -439,7 +286,7 @@ void Avx2Adcx4(const float* lut, const uint8_t* const* rows, size_t m,
     }
     base = _mm256_add_epi32(base, step);
   }
-  for (size_t r = 0; r < 4; r++) {
+  for (size_t r = 0; r < R; r++) {
     float sum = ReduceAdd(acc[r]);
     for (size_t j = i; j < m; j++) {
       sum += lut[j * kAdcTableStride + rows[r][j]];
@@ -448,13 +295,16 @@ void Avx2Adcx4(const float* lut, const uint8_t* const* rows, size_t m,
   }
 }
 
+constexpr size_t kW = kMultiRowWidth;
+
 constexpr KernelTable kAvx2Table = {
-    "avx2",       Avx2L2F32,   Avx2DotF32,  Avx2L2F16,
-    Avx2DotF16,   Avx2Norm2F16,
-    Avx2L2I8,     Avx2DotI8,   Avx2Norm2I8,
-    Avx2L2F32x4,  Avx2DotF32x4, Avx2L2F16x4, Avx2DotF16x4,
-    Avx2L2I8x4,   Avx2DotI8x4,
-    Avx2Adc,      Avx2Adcx4,
+    "avx2",
+    OneRow<Avx2L2F32<1>>, OneRow<Avx2DotF32<1>>,
+    OneRow<Avx2L2F16<1>>, OneRow<Avx2DotF16<1>>, Avx2Norm2F16,
+    OneRow<Avx2L2I8<1>>,  OneRow<Avx2DotI8<1>>,  Avx2Norm2I8,
+    Avx2L2F32<kW>,        Avx2DotF32<kW>,        Avx2L2F16<kW>,
+    Avx2DotF16<kW>,       Avx2L2I8<kW>,          Avx2DotI8<kW>,
+    OneRow<Avx2Adc<1>>,   Avx2Adc<kW>,
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Scalar reference kernels. Four independent accumulators let the
 // compiler vectorize at the baseline target (SSE2 on x86-64) without
 // reassociation flags; dim is typically 96-960 so the tail is cheap.
+// The tier writes single-row kernels only; one generic loop over them
+// fills every x4 slot.
 #include "distance/kernels.h"
 
 namespace cagra {
@@ -113,68 +115,34 @@ float ScalarAdc(const float* lut, const uint8_t* code, size_t m) {
   return acc;
 }
 
-// Multi-row kernels: the scalar tier has no shared query stream to
-// amortize, so each row just runs the single-row kernel (trivially
-// bit-identical, which is all the batch entry points require).
+// The x4 slots: with no shared query stream to amortize, EachRow runs a
+// single-row kernel on each row in turn, which is trivially
+// bit-identical. The kernel's parameters after the row pointer are
+// deduced from its type and passed through.
+template <auto One>
+struct EachRow;
 
-void ScalarL2F32x4(const float* query, const float* const* rows, size_t dim,
+template <typename Q, typename T, typename... Args,
+          float (*One)(const Q*, const T*, Args...)>
+struct EachRow<One> {
+  static void Rows(const Q* query, const T* const* rows, Args... args,
                    float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarL2F32(query, rows[r], dim);
+    for (size_t r = 0; r < kMultiRowWidth; r++) {
+      out[r] = One(query, rows[r], args...);
+    }
   }
-}
-
-void ScalarDotF32x4(const float* query, const float* const* rows, size_t dim,
-                    float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarDotF32(query, rows[r], dim);
-  }
-}
-
-void ScalarL2F16x4(const float* query, const Half* const* rows, size_t dim,
-                   float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarL2F16(query, rows[r], dim);
-  }
-}
-
-void ScalarDotF16x4(const float* query, const Half* const* rows, size_t dim,
-                    float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarDotF16(query, rows[r], dim);
-  }
-}
-
-void ScalarL2I8x4(const float* query, const int8_t* const* rows,
-                  const float* scale, const float* offset, size_t dim,
-                  float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarL2I8(query, rows[r], scale, offset, dim);
-  }
-}
-
-void ScalarDotI8x4(const float* query, const int8_t* const* rows,
-                   const float* scale, const float* offset, size_t dim,
-                   float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarDotI8(query, rows[r], scale, offset, dim);
-  }
-}
-
-void ScalarAdcx4(const float* lut, const uint8_t* const* rows, size_t m,
-                 float* out) {
-  for (size_t r = 0; r < kMultiRowWidth; r++) {
-    out[r] = ScalarAdc(lut, rows[r], m);
-  }
-}
+};
 
 constexpr KernelTable kScalarTable = {
-    "scalar",       ScalarL2F32,   ScalarDotF32,  ScalarL2F16,
-    ScalarDotF16,   ScalarNorm2F16,
-    ScalarL2I8,     ScalarDotI8,   ScalarNorm2I8,
-    ScalarL2F32x4,  ScalarDotF32x4, ScalarL2F16x4, ScalarDotF16x4,
-    ScalarL2I8x4,   ScalarDotI8x4,
-    ScalarAdc,      ScalarAdcx4,
+    "scalar",
+    ScalarL2F32,                 ScalarDotF32,
+    ScalarL2F16,                 ScalarDotF16,
+    ScalarNorm2F16,              ScalarL2I8,
+    ScalarDotI8,                 ScalarNorm2I8,
+    EachRow<ScalarL2F32>::Rows,  EachRow<ScalarDotF32>::Rows,
+    EachRow<ScalarL2F16>::Rows,  EachRow<ScalarDotF16>::Rows,
+    EachRow<ScalarL2I8>::Rows,   EachRow<ScalarDotI8>::Rows,
+    ScalarAdc,                   EachRow<ScalarAdc>::Rows,
 };
 
 }  // namespace

@@ -101,18 +101,6 @@ TEST_F(HnswTest, SingleQueryMatchesBatchRow) {
   }
 }
 
-TEST_F(HnswTest, FlatSearchOnBottomLayerWorks) {
-  HnswSearchStats stats;
-  auto r = HnswIndex::FlatSearch(data_->base, Metric::kL2,
-                                 index_->BottomLayer(), data_->queries.Row(0),
-                                 10, 64, /*entry=*/0, &stats);
-  ASSERT_EQ(r.size(), 10u);
-  for (size_t i = 1; i < r.size(); i++) {
-    EXPECT_LE(r[i - 1].first, r[i].first);
-  }
-  EXPECT_GT(stats.distance_computations, 10u);
-}
-
 TEST(HnswEdgeCaseTest, EmptyIndexReturnsNothing) {
   Matrix<float> empty;
   HnswParams params;

@@ -26,6 +26,17 @@ using distance_kernels::kAdcTableStride;
 using distance_kernels::KernelTable;
 using distance_kernels::kMultiRowWidth;
 
+/// Every tier this CPU runs: the ADC kernel tests cover each one, not
+/// only the active tier.
+std::vector<SimdLevel> AvailableLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (SimdLevelAvailable(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
+  if (SimdLevelAvailable(SimdLevel::kAvx512)) {
+    levels.push_back(SimdLevel::kAvx512);
+  }
+  return levels;
+}
+
 PqTrainParams FastTrain(size_t num_subspaces = 0) {
   PqTrainParams tp;
   tp.num_subspaces = num_subspaces;
@@ -123,42 +134,46 @@ TEST(PqAdcTest, AdcMatchesDecodeReference) {
 }
 
 TEST(PqAdcTest, MultiRowBitIdenticalToSingleRow) {
-  const KernelTable& k = ActiveKernelTable();
-  Pcg32 rng(99);
-  for (size_t m : {1ul, 3ul, 8ul, 16ul, 17ul, 24ul, 31ul, 64ul}) {
-    std::vector<float> lut(m * kAdcTableStride);
-    for (auto& x : lut) x = rng.NextFloat() * 2.0f;
-    Matrix<uint8_t> codes(kMultiRowWidth, m);
-    for (auto& c : *codes.mutable_data()) {
-      c = static_cast<uint8_t>(rng.NextBounded(256));
-    }
-    // Overrepresent the table extremes.
-    codes.MutableRow(0)[0] = 0;
-    codes.MutableRow(1)[m - 1] = 255;
-    const uint8_t* rows[kMultiRowWidth];
-    for (size_t r = 0; r < kMultiRowWidth; r++) rows[r] = codes.Row(r);
-    float out[kMultiRowWidth];
-    k.adcx4(lut.data(), rows, m, out);
-    for (size_t r = 0; r < kMultiRowWidth; r++) {
-      EXPECT_EQ(out[r], k.adc(lut.data(), rows[r], m))
-          << "tier=" << k.name << " m=" << m << " row=" << r;
+  for (SimdLevel level : AvailableLevels()) {
+    const KernelTable& k = KernelTableForLevel(level);
+    Pcg32 rng(99);
+    for (size_t m : {1ul, 3ul, 8ul, 16ul, 17ul, 24ul, 31ul, 64ul}) {
+      std::vector<float> lut(m * kAdcTableStride);
+      for (auto& x : lut) x = rng.NextFloat() * 2.0f;
+      Matrix<uint8_t> codes(kMultiRowWidth, m);
+      for (auto& c : *codes.mutable_data()) {
+        c = static_cast<uint8_t>(rng.NextBounded(256));
+      }
+      // Overrepresent the table extremes.
+      codes.MutableRow(0)[0] = 0;
+      codes.MutableRow(1)[m - 1] = 255;
+      const uint8_t* rows[kMultiRowWidth];
+      for (size_t r = 0; r < kMultiRowWidth; r++) rows[r] = codes.Row(r);
+      float out[kMultiRowWidth];
+      k.adcx4(lut.data(), rows, m, out);
+      for (size_t r = 0; r < kMultiRowWidth; r++) {
+        EXPECT_EQ(out[r], k.adc(lut.data(), rows[r], m))
+            << "tier=" << k.name << " m=" << m << " row=" << r;
+      }
     }
   }
 }
 
 TEST(PqAdcTest, SimdAdcMatchesScalarReference) {
   const KernelTable& scalar = KernelTableForLevel(SimdLevel::kScalar);
-  const KernelTable& active = ActiveKernelTable();
-  Pcg32 rng(123);
-  for (size_t m : {1ul, 7ul, 8ul, 16ul, 24ul, 40ul, 96ul}) {
-    std::vector<float> lut(m * kAdcTableStride);
-    for (auto& x : lut) x = rng.NextFloat();
-    std::vector<uint8_t> code(m);
-    for (auto& c : code) c = static_cast<uint8_t>(rng.NextBounded(256));
-    const float ref = scalar.adc(lut.data(), code.data(), m);
-    EXPECT_NEAR(active.adc(lut.data(), code.data(), m), ref,
-                std::max(1e-5f, ref * 1e-5f))
-        << "tier=" << active.name << " m=" << m;
+  for (SimdLevel level : AvailableLevels()) {
+    const KernelTable& k = KernelTableForLevel(level);
+    Pcg32 rng(123);
+    for (size_t m : {1ul, 7ul, 8ul, 16ul, 24ul, 40ul, 96ul}) {
+      std::vector<float> lut(m * kAdcTableStride);
+      for (auto& x : lut) x = rng.NextFloat();
+      std::vector<uint8_t> code(m);
+      for (auto& c : code) c = static_cast<uint8_t>(rng.NextBounded(256));
+      const float ref = scalar.adc(lut.data(), code.data(), m);
+      EXPECT_NEAR(k.adc(lut.data(), code.data(), m), ref,
+                  std::max(1e-5f, ref * 1e-5f))
+          << "tier=" << k.name << " m=" << m;
+    }
   }
 }
 
