@@ -32,10 +32,11 @@ void RunDataset(const char* name) {
     Timer t;
     auto index = CagraIndex::Build(wb.data.base, bp, &stats);
     std::printf(
-        "  %-8s measured %8.2fs -> modeled GPU %7.3fs  (kNN %.2fs + opt "
-        "%.2fs)\n",
+        "  %-8s measured %8.2fs -> modeled GPU %7.3fs  (kNN %.2fs, %zu "
+        "iters, sampled recall %.3f + opt %.2fs)\n",
         "CAGRA", t.Seconds(), bench::ModeledGpuBuildSeconds(t.Seconds()),
-        stats.knn.seconds, stats.optimize.total_seconds);
+        stats.knn.seconds, stats.knn.iterations, stats.knn.sampled_recall,
+        stats.optimize.total_seconds);
   }
   {
     GgnnParams gp;

@@ -20,10 +20,13 @@ int main() {
     bp.metric = wb.profile->metric;
     BuildStats stats;
     auto index = CagraIndex::Build(wb.data.base, bp, &stats);
-    std::printf("  %-6s measured %8.2fs -> modeled GPU %7.3fs (kNN %.2fs + opt %.2fs)",
-                "CAGRA", stats.total_seconds,
-                bench::ModeledGpuBuildSeconds(stats.total_seconds),
-                stats.knn.seconds, stats.optimize.total_seconds);
+    std::printf(
+        "  %-6s measured %8.2fs -> modeled GPU %7.3fs (kNN %.2fs, %zu iters, "
+        "sampled recall %.3f + opt %.2fs)",
+        "CAGRA", stats.total_seconds,
+        bench::ModeledGpuBuildSeconds(stats.total_seconds), stats.knn.seconds,
+        stats.knn.iterations, stats.knn.sampled_recall,
+        stats.optimize.total_seconds);
     if (prev_cagra > 0) {
       std::printf("  [x%.1f time for x%.1f data]",
                   stats.total_seconds / prev_cagra, n / prev_n);

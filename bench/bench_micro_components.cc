@@ -181,13 +181,20 @@ BENCHMARK(BM_DistanceGather)->ArgsProduct({{0, 1}, {7, 32, 64}});
 void BM_NnDescentBuild(benchmark::State& state) {
   const size_t n = state.range(0);
   auto data = GenerateDataset(*FindProfile("DEEP-1M"), n, 1, 5);
+  NnDescentStats stats;
   for (auto _ : state) {
     NnDescentParams params;
     params.k = 32;
     benchmark::DoNotOptimize(
-        BuildKnnGraphNnDescent(data.base, params, Metric::kL2));
+        BuildKnnGraphNnDescent(data.base, params, Metric::kL2, &stats));
   }
   state.SetItemsProcessed(state.iterations() * n);
+  // The build's work, equal in every repetition (DESIGN.md §2). Not
+  // named "iterations", which is google-benchmark's own JSON field.
+  state.counters["nn_descent_iters"] = static_cast<double>(stats.iterations);
+  state.counters["dist_evals"] =
+      static_cast<double>(stats.distance_computations);
+  state.counters["sampled_recall"] = stats.sampled_recall;
 }
 BENCHMARK(BM_NnDescentBuild)
     ->Arg(1000)

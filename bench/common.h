@@ -76,13 +76,16 @@ inline double ScaledCpuBatchQps(double measured_seconds, size_t batch,
   return static_cast<double>(batch) / measured_seconds * cpu.BatchScale();
 }
 
-/// Construction-time platform scaling (DESIGN.md §1): builds here run on
-/// one host core; the paper's GPU builders (CAGRA, GGNN, GANNS) ran on
-/// an A100 and its CPU builders (HNSW, NSSG) on 64 EPYC cores. The
-/// modeled columns divide measured wall time by a documented speedup:
-/// A100 vs one Zen-2 core on distance-bound parallel kernels ~400x
-/// (fp32 FLOP ratio ~780x derated to ~50% achievable), 64-core CPU
-/// ~54.4x (cores x 0.85 efficiency).
+/// Construction-time platform scaling (DESIGN.md §1): the paper's GPU
+/// builders (CAGRA, GGNN, GANNS) ran on an A100 and its CPU builders
+/// (HNSW, NSSG) on 64 EPYC cores. The modeled columns divide measured
+/// wall time by a documented speedup: A100 vs one Zen-2 core on
+/// distance-bound parallel kernels ~400x (fp32 FLOP ratio ~780x derated
+/// to ~50% achievable), 64-core CPU ~54.4x (cores x 0.85 efficiency).
+/// Both assume a build on one host core, which only HNSW's is: CAGRA,
+/// GGNN, GANNS and NSSG build on the whole thread pool, so their modeled
+/// times follow the host's core count. ROADMAP item 10 replaces the GPU
+/// division with a price on the build's counted work.
 constexpr double kGpuBuildSpeedup = 400.0;
 inline double ModeledGpuBuildSeconds(double measured) {
   return measured / kGpuBuildSpeedup;

@@ -28,7 +28,9 @@ struct BuildParams {
   double forward_fraction = 0.5;
   Metric metric = Metric::kL2;
   uint64_t seed = 1234;
-  /// NN-descent knobs for the initial graph.
+  /// NN-descent knobs for the initial graph. Besides the iteration and
+  /// update exits these set, the build stops once its sampled lists
+  /// reach kNnDescentTargetRecall (knn/nn_descent.h).
   double nn_descent_sample_rate = 0.5;
   size_t nn_descent_max_iterations = 20;
   double nn_descent_termination_delta = 0.001;

@@ -65,6 +65,24 @@ NeighborList ScanToNeighborList(size_t base_rows, size_t num_queries,
   return out;
 }
 
+/// BlockScan over base rows as their own queries: writes to out(i) the
+/// ids of the k rows nearest row node(i), that row excluded, ascending.
+template <typename NodeFn, typename OutFn>
+void NearestOtherRows(const Matrix<float>& base, size_t count, size_t k,
+                      Metric metric, const NodeFn& node, const OutFn& out) {
+  BlockScan(
+      base.rows(), count, k,
+      [&](size_t i, size_t i0, size_t block, float* dists) {
+        ComputeDistanceBatch(metric, base.Row(node(i)), base.Row(i0), block,
+                             base.dim(), dists);
+      },
+      [&](size_t i) { return static_cast<uint32_t>(node(i)); },
+      [&](size_t i, const auto& sorted) {
+        uint32_t* row = out(i);
+        for (size_t j = 0; j < sorted.size(); j++) row[j] = sorted[j].id;
+      });
+}
+
 }  // namespace
 
 NeighborList ExactSearch(const Matrix<float>& base,
@@ -118,18 +136,21 @@ Matrix<uint32_t> ComputeGroundTruth(const Matrix<float>& base,
 FixedDegreeGraph ExactKnnGraph(const Matrix<float>& base, size_t k,
                                Metric metric) {
   FixedDegreeGraph g(base.rows(), k);
-  BlockScan(
-      base.rows(), base.rows(), k,
-      [&](size_t v, size_t i0, size_t block, float* dists) {
-        ComputeDistanceBatch(metric, base.Row(v), base.Row(i0), block,
-                             base.dim(), dists);
-      },
-      [](size_t v) { return static_cast<uint32_t>(v); },
-      [&](size_t v, const auto& sorted) {
-        uint32_t* nbrs = g.MutableNeighbors(v);
-        for (size_t i = 0; i < sorted.size(); i++) nbrs[i] = sorted[i].id;
-      });
+  NearestOtherRows(
+      base, base.rows(), k, metric, [](size_t v) { return v; },
+      [&](size_t v) { return g.MutableNeighbors(v); });
   return g;
+}
+
+Matrix<uint32_t> ExactNeighborsOf(const Matrix<float>& base,
+                                  const std::vector<uint32_t>& nodes,
+                                  size_t k, Metric metric) {
+  Matrix<uint32_t> out(nodes.size(), k);
+  std::fill(out.mutable_data()->begin(), out.mutable_data()->end(), kNoSkip);
+  NearestOtherRows(
+      base, nodes.size(), k, metric, [&](size_t i) { return nodes[i]; },
+      [&](size_t i) { return out.MutableRow(i); });
+  return out;
 }
 
 }  // namespace cagra

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/snapshot.h"
 #include "dataset/matrix.h"
@@ -42,6 +43,14 @@ Matrix<uint32_t> ComputeGroundTruth(const Matrix<float>& base,
 /// NN-descent is validated against.
 FixedDegreeGraph ExactKnnGraph(const Matrix<float>& base, size_t k,
                                Metric metric);
+
+/// The rows of ExactKnnGraph for `nodes` only: row i holds the k nearest
+/// other nodes of nodes[i], ascending by distance, padded with
+/// 0xffffffff when k exceeds rows - 1. Costs nodes.size() x rows
+/// distances; NN-descent's stopping rule reads it for its sample.
+Matrix<uint32_t> ExactNeighborsOf(const Matrix<float>& base,
+                                  const std::vector<uint32_t>& nodes,
+                                  size_t k, Metric metric);
 
 }  // namespace cagra
 

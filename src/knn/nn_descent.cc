@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "knn/bruteforce.h"
 #include "util/rng.h"
 #include "util/sort.h"
 #include "util/thread_pool.h"
@@ -186,6 +187,27 @@ FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
     }
   });
 
+  // --- The recall exit's sample and its exact lists.
+  std::vector<uint32_t> sample(std::min(n, kNnDescentRecallSample));
+  for (size_t s = 0; s < sample.size(); s++) {
+    sample[s] = static_cast<uint32_t>(s * n / sample.size());
+  }
+  const Matrix<uint32_t> truth = ExactNeighborsOf(base, sample, k, metric);
+  distance_count.fetch_add(sample.size() * n, std::memory_order_relaxed);
+  const auto sampled_recall = [&] {
+    size_t hits = 0;
+    for (size_t s = 0; s < sample.size(); s++) {
+      const uint32_t* exact = truth.Row(s);
+      const KeyValue* row = lists.Row(sample[s]);
+      for (size_t i = 0; i < k && !IsOpen(row[i]); i++) {
+        hits += std::find(exact, exact + k, row[i].value & kIndexMask) !=
+                exact + k;
+      }
+    }
+    return static_cast<double>(hits) /
+           static_cast<double>(sample.size() * k);
+  };
+
   const size_t max_sample = std::max<size_t>(
       1, static_cast<size_t>(params.sample_rate * static_cast<double>(k)));
 
@@ -259,6 +281,7 @@ FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
   }
 
   size_t updates_total = 0;
+  double recall = 0.0;
   size_t iteration = 0;
   for (; iteration < params.max_iterations; iteration++) {
     // --- Sample each node's new and old candidates.
@@ -384,9 +407,15 @@ FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
     }
     updates_total += updates.load();
 
+    // The lists are read only after phase 2, so the exits see what a
+    // one-thread join would. The update count alone stops too late: an
+    // iteration's updates follow the misses the one before it left
+    // (DESIGN.md §2).
+    recall = sampled_recall();
     const double threshold = params.termination_delta *
                              static_cast<double>(n) * static_cast<double>(k);
-    if (static_cast<double>(updates.load()) <= threshold) {
+    if (recall >= kNnDescentTargetRecall ||
+        static_cast<double>(updates.load()) <= threshold) {
       iteration++;
       break;
     }
@@ -405,6 +434,7 @@ FixedDegreeGraph BuildKnnGraphNnDescent(const Matrix<float>& base,
     stats->iterations = iteration;
     stats->distance_computations = distance_count.load();
     stats->updates = updates_total;
+    stats->sampled_recall = recall;
     stats->seconds = timer.Seconds();
   }
   return graph;

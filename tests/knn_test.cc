@@ -223,10 +223,12 @@ TEST(NnDescentTest, DeterministicInSeed) {
   }
 }
 
-/// SerialNnDescent's graph edges and statistics.
+/// SerialNnDescent's graph edges and statistics, and whether the update
+/// exit held after its last iteration.
 struct SerialBuild {
   std::vector<uint32_t> edges;
   NnDescentStats stats;
+  bool few_updates = false;
 };
 
 /// NN-descent on one thread, inserting as it scores: the random
@@ -286,6 +288,23 @@ SerialBuild SerialNnDescent(const Matrix<float>& base,
     }
   }
 
+  // The recall exit's sample, its exact lists read from the exhaustive
+  // graph.
+  const size_t samples = std::min(n, kNnDescentRecallSample);
+  const FixedDegreeGraph exact = ExactKnnGraph(base, k, metric);
+  out.stats.distance_computations += samples * n;
+  const auto sampled_recall = [&] {
+    size_t hits = 0;
+    for (size_t s = 0; s < samples; s++) {
+      const size_t v = s * n / samples;
+      const uint32_t* truth = exact.Neighbors(v);
+      for (const Entry& e : lists[v]) {
+        hits += std::count(truth, truth + k, e.id);
+      }
+    }
+    return static_cast<double>(hits) / static_cast<double>(samples * k);
+  };
+
   const size_t max_sample = std::max<size_t>(
       1, static_cast<size_t>(params.sample_rate * static_cast<double>(k)));
   size_t iteration = 0;
@@ -339,9 +358,12 @@ SerialBuild SerialNnDescent(const Matrix<float>& base,
       }
     }
     out.stats.updates += updates;
-    if (static_cast<double>(updates) <=
-        params.termination_delta * static_cast<double>(n) *
-            static_cast<double>(k)) {
+    out.stats.sampled_recall = sampled_recall();
+    out.few_updates = static_cast<double>(updates) <=
+                      params.termination_delta * static_cast<double>(n) *
+                          static_cast<double>(k);
+    if (out.stats.sampled_recall >= kNnDescentTargetRecall ||
+        out.few_updates) {
       iteration++;
       break;
     }
@@ -364,6 +386,7 @@ void ExpectMatchesSerial(const FixedDegreeGraph& g, const NnDescentStats& s,
   EXPECT_EQ(s.distance_computations, ref.stats.distance_computations)
       << where;
   EXPECT_EQ(s.updates, ref.stats.updates) << where;
+  EXPECT_EQ(s.sampled_recall, ref.stats.sampled_recall) << where;
 }
 
 /// The parallel build against the one-thread oracle's result `ref`:
@@ -423,18 +446,68 @@ TEST(NnDescentTest, MatchesSerialJoinOnTiedRows) {
                      SerialNnDescent(tied, params, metric));
 }
 
+/// The build's three exits.
+enum class Exit { kRecall, kUpdates, kMaxIterations };
+
+/// Asserts that `exit` alone held when the oracle's run ended, so that a
+/// case stopping on it checks that exit and no other, and that the run
+/// took more than one iteration.
+void AssertEndedOnlyBy(Exit exit, const SerialBuild& ref,
+                       const NnDescentParams& params) {
+  ASSERT_EQ(ref.stats.sampled_recall >= kNnDescentTargetRecall,
+            exit == Exit::kRecall);
+  ASSERT_EQ(ref.few_updates, exit == Exit::kUpdates);
+  ASSERT_EQ(ref.stats.iterations == params.max_iterations,
+            exit == Exit::kMaxIterations);
+  ASSERT_GT(ref.stats.iterations, 1u);
+}
+
 TEST(NnDescentTest, MatchesSerialJoinStoppingOnThreshold) {
-  // A delta at which the update count, not max_iterations, ends the run,
-  // so a miscounted update could move the last iteration.
+  // At k = 6 the lists plateau below the recall target, so the update
+  // count ends the run, and a miscounted update could move the last
+  // iteration.
   const DatasetProfile* p = FindProfile("DEEP-1M");
   auto data = GenerateDataset(*p, 1500, 1, 53);
   NnDescentParams params;
-  params.k = 24;
+  params.k = 6;
   params.termination_delta = 0.02;
   params.max_iterations = 50;
   const SerialBuild ref = SerialNnDescent(data.base, params, p->metric);
-  ASSERT_LT(ref.stats.iterations, params.max_iterations);
-  ASSERT_GT(ref.stats.iterations, 1u);
+  AssertEndedOnlyBy(Exit::kUpdates, ref, params);
+  CheckAgainstSerial(data.base, params, p->metric, ref);
+}
+
+TEST(NnDescentTest, MatchesSerialJoinStoppingOnRecall) {
+  // The sampled lists reach the target after iteration 3, while the
+  // update count is still far above its threshold. The whole graph must
+  // be as good, so that a lucky sample cannot hide a worse one.
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  auto data = GenerateDataset(*p, 2000, 1, 31);
+  NnDescentParams params;
+  params.k = 16;
+  const SerialBuild ref = SerialNnDescent(data.base, params, p->metric);
+  AssertEndedOnlyBy(Exit::kRecall, ref, params);
+  EXPECT_EQ(ref.stats.iterations, 3u);
+  const FixedDegreeGraph exact = ExactKnnGraph(data.base, 16, p->metric);
+  size_t hits = 0;
+  for (size_t v = 0; v < exact.num_nodes(); v++) {
+    const uint32_t* truth = exact.Neighbors(v);
+    for (size_t j = 0; j < 16; j++) {
+      hits += std::count(truth, truth + 16, ref.edges[v * 16 + j]);
+    }
+  }
+  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(2000 * 16), 0.9);
+  CheckAgainstSerial(data.base, params, p->metric, ref);
+}
+
+TEST(NnDescentTest, MatchesSerialJoinStoppingOnMaxIterations) {
+  const DatasetProfile* p = FindProfile("DEEP-1M");
+  auto data = GenerateDataset(*p, 2000, 1, 31);
+  NnDescentParams params;
+  params.k = 16;
+  params.max_iterations = 2;
+  const SerialBuild ref = SerialNnDescent(data.base, params, p->metric);
+  AssertEndedOnlyBy(Exit::kMaxIterations, ref, params);
   CheckAgainstSerial(data.base, params, p->metric, ref);
 }
 
