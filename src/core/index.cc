@@ -1,7 +1,13 @@
 #include "core/index.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -637,21 +643,12 @@ void CagraIndex::WaitForCompaction() const {
 }
 
 namespace {
+
 constexpr uint64_t kIndexMagic = 0x43414752414958ULL;  // "CAGRAIX"
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-}  // namespace
-
-namespace {
-
-/// Optional-section flags trailing the graph block. Absent in files
-/// written before the PQ trailer existed; Load treats EOF there as
-/// "no extras".
+/// Section flags: the u64 after the graph names the optional trailers
+/// that follow it. PQ trailer: header, OPQ rotation, codebooks,
+/// centroid norms, codes.
 constexpr uint64_t kIndexFlagPq = 1ull << 0;
 /// External-id-map trailer (u64 count + u32 ids), written once
 /// compaction has renumbered internal rows away from identity.
@@ -663,91 +660,218 @@ bool WriteVec(std::FILE* f, const std::vector<T>& v) {
          std::fwrite(v.data(), sizeof(T), v.size(), f) == v.size();
 }
 
-template <typename T>
-bool ReadVec(std::FILE* f, std::vector<T>* v) {
-  return v->empty() ||
-         std::fread(v->data(), sizeof(T), v->size(), f) == v->size();
-}
-
-}  // namespace
-
-Status CagraIndex::Save(const std::string& path) const {
-  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
-  if (cur->out_of_core() && path == cur->mmap->path()) {
-    // Truncating the file this index is currently mapped over would
-    // turn every later row access into a SIGBUS; refuse up front.
-    return Status::InvalidArgument(
-        path + ": cannot overwrite the file backing this out-of-core index");
-  }
-  // Compact-on-save: a tombstoned index serializes its compacted form —
-  // dead rows dropped, graph repaired, ids remapped — so Load always
-  // yields a dense index. This is also how an out-of-core index (whose
-  // in-memory form only tombstones) compacts: Save to a new file, then
-  // LoadOutOfCore it.
-  const std::shared_ptr<const IndexSnapshot> snap =
-      cur->num_dead != 0 ? CompactSnapshot(*cur) : cur;
-
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open " + path + " for writing");
-  const uint64_t header[5] = {kIndexMagic, snap->num_rows, snap->num_dims,
-                              snap->degree(),
-                              static_cast<uint64_t>(snap->metric)};
-  if (std::fwrite(header, sizeof(header), 1, f.get()) != 1) {
+/// Writes the index file's sections in order: header, dataset, graph,
+/// flags, then the trailers the flags name. Each section is an
+/// "io_write" fault point.
+Status WriteSections(const IndexSnapshot& snap, std::FILE* f,
+                     const std::string& path) {
+  CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+  const uint64_t header[5] = {kIndexMagic, snap.num_rows, snap.num_dims,
+                              snap.degree(),
+                              static_cast<uint64_t>(snap.metric)};
+  if (std::fwrite(header, sizeof(header), 1, f) != 1) {
     return Status::IoError(path + ": header write failed");
   }
   // Fp32Data reads through the active storage tier, so an out-of-core
   // index saves the same bytes a resident one would.
-  const size_t n = snap->num_rows * snap->num_dims;
-  if (n != 0 &&
-      std::fwrite(snap->Fp32Data(), sizeof(float), n, f.get()) != n) {
+  CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+  const size_t n = snap.num_rows * snap.num_dims;
+  if (n != 0 && std::fwrite(snap.Fp32Data(), sizeof(float), n, f) != n) {
     return Status::IoError(path + ": dataset write failed");
   }
-  const auto& edges = snap->GraphRef().edges();
-  if (!edges.empty() &&
-      std::fwrite(edges.data(), sizeof(uint32_t), edges.size(), f.get()) !=
-          edges.size()) {
+  CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+  if (!WriteVec(f, snap.GraphRef().edges())) {
     return Status::IoError(path + ": graph write failed");
   }
-  // Optional trailers: the PQ copy (codebooks + OPQ rotation + row norms
-  // + codes) travels with the index so a loaded index searches
+  // Optional trailers: the PQ copy (OPQ rotation + codebooks + centroid
+  // norms + codes) travels with the index so a loaded index searches
   // Precision::kPq without retraining — the rotation is part of the
   // codebook's coordinate system and must never be separated from it —
   // and the external id map so results keep reporting stable ids.
-  const uint64_t flags = (snap->HasPq() ? kIndexFlagPq : 0) |
-                         (snap->id_map != nullptr ? kIndexFlagIdMap : 0);
-  if (std::fwrite(&flags, sizeof(flags), 1, f.get()) != 1) {
+  CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+  const uint64_t flags = (snap.HasPq() ? kIndexFlagPq : 0) |
+                         (snap.id_map != nullptr ? kIndexFlagIdMap : 0);
+  if (std::fwrite(&flags, sizeof(flags), 1, f) != 1) {
     return Status::IoError(path + ": flags write failed");
   }
-  if (snap->HasPq()) {
-    const PqDataset& pq = *snap->pq;
+  if (snap.HasPq()) {
+    CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+    const PqDataset& pq = *snap.pq;
     // row_norm2 is deliberately NOT serialized: its contract is
     // bit-compatibility with the *active* ADC kernel, so the loading
     // host recomputes it from codes + centroid norms.
     const uint64_t pq_header[5] = {pq.dim, pq.dsub, pq.num_subspaces(),
                                    pq.rows(),
                                    pq.HasRotation() ? 1ull : 0ull};
-    if (std::fwrite(pq_header, sizeof(pq_header), 1, f.get()) != 1 ||
-        !WriteVec(f.get(), pq.rotation) ||
-        !WriteVec(f.get(), pq.centroids) ||
-        !WriteVec(f.get(), pq.centroid_norm2) ||
-        !WriteVec(f.get(), pq.codes.data())) {
+    if (std::fwrite(pq_header, sizeof(pq_header), 1, f) != 1 ||
+        !WriteVec(f, pq.rotation) || !WriteVec(f, pq.centroids) ||
+        !WriteVec(f, pq.centroid_norm2) || !WriteVec(f, pq.codes.data())) {
       return Status::IoError(path + ": pq write failed");
     }
   }
-  if (snap->id_map != nullptr) {
-    const uint64_t count = snap->id_map->size();
-    if (std::fwrite(&count, sizeof(count), 1, f.get()) != 1 ||
-        !WriteVec(f.get(), *snap->id_map)) {
+  if (snap.id_map != nullptr) {
+    CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+    const uint64_t count = snap.id_map->size();
+    if (std::fwrite(&count, sizeof(count), 1, f) != 1 ||
+        !WriteVec(f, *snap.id_map)) {
       return Status::IoError(path + ": id map write failed");
     }
   }
-  // Buffered data is only handed to the OS at flush/close, and the
-  // deleter's fclose cannot report failure — flush here so a full disk
-  // fails the Save instead of leaving a torn file behind an Ok().
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError(path + ": flush failed");
-  }
   return Status::Ok();
+}
+
+/// Reads the index file's sections in order: the one way Load and
+/// LoadOutOfCore read it. Claim checks that a section's bytes are all
+/// still in the file before anything is allocated for it, in the
+/// overflow-safe division form — each factor d of the section's size
+/// must satisfy d <= left / bytes-so-far — so no count from a torn or
+/// corrupt header can overflow the product or size an allocation the
+/// file cannot fill.
+class SectionReader {
+ public:
+  SectionReader(std::FILE* f, uint64_t size, const std::string& path)
+      : f_(f), size_(size), left_(size), path_(path) {}
+
+  /// Claims the next section, the product of `dims` elements of T, and
+  /// returns its element count; kIoError if the file ends first.
+  template <typename T>
+  Result<size_t> Claim(const char* what,
+                       std::initializer_list<uint64_t> dims) {
+    if (std::find(dims.begin(), dims.end(), 0) != dims.end()) {
+      return size_t{0};
+    }
+    uint64_t bytes = sizeof(T);
+    for (const uint64_t d : dims) {
+      if (d > left_ / bytes) {
+        return Status::IoError(path_ + ": " + what +
+                               " runs past the end of the file (truncated?)");
+      }
+      bytes *= d;
+    }
+    left_ -= bytes;
+    return static_cast<size_t>(bytes / sizeof(T));
+  }
+
+  /// Reads the `n` elements a Claim<T> just returned into `dst`.
+  template <typename T>
+  Status Read(const char* what, T* dst, size_t n) {
+    if (n != 0 && std::fread(dst, sizeof(T), n, f_) != n) {
+      return Status::IoError(path_ + ": " + what + " read failed");
+    }
+    return Status::Ok();
+  }
+
+  /// Claims and reads `n` fixed-size fields.
+  template <typename T>
+  Status ReadFields(const char* what, T* dst, size_t n = 1) {
+    CAGRA_ASSIGN_OR_RETURN(const size_t got, Claim<T>(what, {n}));
+    return Read(what, dst, got);
+  }
+
+  /// Claims and reads a section into `v`, resized to fit.
+  template <typename T>
+  Status ReadVec(const char* what, std::initializer_list<uint64_t> dims,
+                 std::vector<T>* v) {
+    CAGRA_ASSIGN_OR_RETURN(const size_t n, Claim<T>(what, dims));
+    v->resize(n);
+    return Read(what, v->data(), n);
+  }
+
+  /// Byte offset of the next unclaimed section.
+  uint64_t offset() const { return size_ - left_; }
+
+  /// Moves the stream to offset(), past a section mapped, not read.
+  Status Seek(const char* what) {
+    if (::fseeko(f_, static_cast<off_t>(offset()), SEEK_SET) != 0) {
+      return Status::IoError(path_ + ": cannot seek past " + what);
+    }
+    return Status::Ok();
+  }
+
+  /// The file must end exactly where its last section ends.
+  Status Finish() const {
+    if (left_ != 0) {
+      return Status::IoError(path_ + ": " + std::to_string(left_) +
+                             " bytes past the last section");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  std::FILE* f_;
+  uint64_t size_;
+  uint64_t left_;
+  const std::string& path_;
+};
+
+/// Syncs the directory holding `path`, so a rename into it is durable.
+Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open directory " + dir);
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::IoError(dir + ": directory sync failed");
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status CagraIndex::Save(const std::string& path) const {
+  // Save replaces regular files only: writing through a symlink, to a
+  // device or into a FIFO is refused before anything is created.
+  struct stat st;
+  if (::lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    return Status::IoError(path + ": not a regular file");
+  }
+  // Compact-on-save: a tombstoned index serializes its compacted form —
+  // dead rows dropped, graph repaired, ids remapped — so Load always
+  // yields a dense index. This is also how an out-of-core index (whose
+  // in-memory form only tombstones) compacts: Save, then LoadOutOfCore.
+  const std::shared_ptr<const IndexSnapshot> cur = snapshot();
+  const std::shared_ptr<const IndexSnapshot> snap =
+      cur->num_dead != 0 ? CompactSnapshot(*cur) : cur;
+  // Write a fresh file beside the target (same directory, so the rename
+  // stays on one file system), then rename it over the target: readers
+  // see the old file or the new one, never a torn one, and a mapping of
+  // the old file (an out-of-core index saving over its own backing
+  // file) keeps the old inode alive. Pid + counter make the name unique
+  // per call; O_EXCL never reuses a stranger's file; mode 0666 lets the
+  // umask decide, as fopen(path, "wb") would.
+  static std::atomic<uint64_t> saves{0};
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                          std::to_string(saves.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::IoError("cannot create " + tmp);
+  FilePtr f(::fdopen(fd, "wb"));
+  if (!f) ::close(fd);
+  const Status written = [&]() -> Status {
+    if (!f) return Status::IoError("cannot open " + tmp + " for writing");
+    CAGRA_RETURN_IF_ERROR(WriteSections(*snap, f.get(), path));
+    // fwrite only fills the stdio buffer, and the deleter's fclose
+    // cannot report failure: flush, fsync and close here, so a full
+    // disk fails the Save instead of renaming a torn file into place.
+    CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+    const bool synced =
+        std::fflush(f.get()) == 0 && ::fsync(::fileno(f.get())) == 0;
+    if (std::fclose(f.release()) != 0 || !synced) {
+      return Status::IoError(path + ": flush failed");
+    }
+    CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_write"));
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      return Status::IoError(path + ": rename failed");
+    }
+    return Status::Ok();
+  }();
+  if (!written.ok()) {
+    f.reset();
+    ::unlink(tmp.c_str());
+    return written;
+  }
+  return SyncParentDirectory(path);
 }
 
 Result<CagraIndex> CagraIndex::Load(const std::string& path) {
@@ -763,90 +887,60 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
   CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_read"));
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::IoError("cannot open " + path);
-  uint64_t header[5];
-  if (std::fread(header, sizeof(header), 1, f.get()) != 1) {
-    return Status::IoError(path + ": header read failed");
-  }
-  if (header[0] != kIndexMagic) {
-    return Status::IoError(path + ": not a CAGRA index file");
-  }
-  const size_t rows = header[1];
-  const size_t dim = header[2];
-  const size_t degree = header[3];
-  if (header[4] > static_cast<uint64_t>(Metric::kCosine)) {
-    return Status::IoError(path + ": unknown metric in header");
-  }
-
-  // Validate the claimed shape against the actual file size before any
-  // allocation: a torn or corrupt header must fail with kIoError here,
-  // not drive multi-gigabyte allocations or short reads deep in the
-  // file. The division form keeps every comparison overflow-free —
-  // rows * (dim + degree) 4-byte elements must fit in the payload.
   // The size comes from fstat (64-bit everywhere), not ftell's long:
   // index files past 2 GiB are exactly the out-of-core regime.
   uint64_t file_size = 0;
   if (!FileByteSize(f.get(), &file_size)) {
     return Status::IoError(path + ": cannot determine file size");
   }
-  const uint64_t payload_elems =
-      (file_size - sizeof(header)) / sizeof(float);
-  if (rows != 0) {
-    if (dim > payload_elems || degree > payload_elems ||
-        dim + degree > payload_elems / rows) {
-      return Status::IoError(
-          path + ": header inconsistent with file size (truncated?)");
-    }
+  SectionReader in(f.get(), file_size, path);
+  uint64_t header[5];
+  CAGRA_RETURN_IF_ERROR(in.ReadFields("header", header, 5));
+  if (header[0] != kIndexMagic) {
+    return Status::IoError(path + ": not a CAGRA index file");
   }
+  if (header[4] > static_cast<uint64_t>(Metric::kCosine)) {
+    return Status::IoError(path + ": unknown metric in header");
+  }
+  const size_t rows = header[1];
+  const size_t dim = header[2];
+  const size_t degree = header[3];
 
   auto snap = std::make_shared<IndexSnapshot>();
   snap->num_rows = rows;
   snap->num_dims = dim;
   snap->metric = static_cast<Metric>(header[4]);
+  const uint64_t dataset_offset = in.offset();
+  CAGRA_ASSIGN_OR_RETURN(const size_t elems,
+                         in.Claim<float>("dataset", {rows, dim}));
   if (out_of_core) {
-    // The fp32 rows stay on disk: validate and map the dataset section
-    // instead of reading it, then continue to the graph past it. The
-    // offset arithmetic is 64-bit and the shape was just validated
-    // against the file size, so the seek target cannot overflow.
-    CAGRA_ASSIGN_OR_RETURN(
-        MmapMatrix mapped,
-        MmapMatrix::Open(path, rows, dim, sizeof(header)));
-    snap->mmap = std::make_shared<const MmapMatrix>(std::move(mapped));
-    const uint64_t graph_off =
-        sizeof(header) +
-        static_cast<uint64_t>(rows) * dim * sizeof(float);
-    if (::fseeko(f.get(), static_cast<off_t>(graph_off), SEEK_SET) != 0) {
-      return Status::IoError(path + ": cannot seek past dataset section");
+    // The fp32 rows stay on disk: map the dataset section from the
+    // descriptor this stream reads, so every section comes from one
+    // file even if a Save renames a new one over `path` meanwhile.
+    auto mapped =
+        MmapMatrix::Open(::fileno(f.get()), rows, dim, dataset_offset);
+    if (!mapped.ok()) {
+      return Status(mapped.status().code(),
+                    path + ": " + mapped.status().message());
     }
+    snap->mmap = std::make_shared<const MmapMatrix>(std::move(mapped).value());
+    CAGRA_RETURN_IF_ERROR(in.Seek("dataset"));
   } else {
     auto dataset = std::make_shared<Matrix<float>>(rows, dim);
-    auto* vec = dataset->mutable_data();
-    if (!vec->empty() &&
-        std::fread(vec->data(), sizeof(float), vec->size(), f.get()) !=
-            vec->size()) {
-      return Status::IoError(path + ": dataset read failed");
-    }
+    CAGRA_RETURN_IF_ERROR(
+        in.Read("dataset", dataset->mutable_data()->data(), elems));
     snap->dataset = std::move(dataset);
   }
-  {
-    FixedDegreeGraph graph(rows, degree);
-    std::vector<uint32_t> edges(rows * degree);
-    if (!edges.empty() &&
-        std::fread(edges.data(), sizeof(uint32_t), edges.size(), f.get()) !=
-            edges.size()) {
-      return Status::IoError(path + ": graph read failed");
-    }
-    for (size_t v = 0; v < rows; v++) {
-      uint32_t* row = graph.MutableNeighbors(v);
-      std::copy(edges.begin() + v * degree,
-                edges.begin() + (v + 1) * degree, row);
-    }
-    snap->graph = std::make_shared<const FixedDegreeGraph>(std::move(graph));
+  CAGRA_ASSIGN_OR_RETURN(const size_t edges,
+                         in.Claim<uint32_t>("graph", {rows, degree}));
+  FixedDegreeGraph graph(rows, degree);
+  if (edges != 0) {
+    CAGRA_RETURN_IF_ERROR(in.Read("graph", graph.MutableNeighbors(0), edges));
   }
-  uint32_t next_external = static_cast<uint32_t>(rows);
+  snap->graph = std::make_shared<const FixedDegreeGraph>(std::move(graph));
+
   uint64_t flags = 0;
-  if (std::fread(&flags, sizeof(flags), 1, f.get()) != 1) {
-    flags = 0;  // pre-trailer file: no optional sections
-  }
+  CAGRA_RETURN_IF_ERROR(in.ReadFields("flags", &flags));
   if ((flags & ~(kIndexFlagPq | kIndexFlagIdMap)) != 0) {
     // A flags word with bits this reader doesn't know is either a
     // future format or torn data mid-file; both fail cleanly rather
@@ -855,9 +949,7 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
   }
   if (flags & kIndexFlagPq) {
     uint64_t pq_header[5];
-    if (std::fread(pq_header, sizeof(pq_header), 1, f.get()) != 1) {
-      return Status::IoError(path + ": pq header read failed");
-    }
+    CAGRA_RETURN_IF_ERROR(in.ReadFields("pq header", pq_header, 5));
     auto pq_owned = std::make_shared<PqDataset>();
     PqDataset& pq = *pq_owned;
     pq.dim = pq_header[0];
@@ -868,78 +960,38 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
         m_subs > pq.dim ||
         pq.dsub != (pq.dim + m_subs - 1) / m_subs) {
       // dsub is fully determined by dim and M (TrainPq invariant);
-      // anything else is a corrupt header — and, unchecked, would size
-      // the centroid buffers from untrusted input.
+      // anything else is a corrupt header.
       return Status::IoError(path + ": pq header inconsistent with index");
     }
-    // Same file-size plausibility gate as the main sections: the
-    // rotation alone is dim^2 floats, so a torn flag bit must not
-    // trigger the allocation unless the bytes are actually there. Every
-    // section deducts from `rem` through division-checked products, so
-    // no adversarial header can overflow the arithmetic.
-    {
-      const off_t pos = ::ftello(f.get());
-      if (pos < 0 || static_cast<uint64_t>(pos) > file_size) {
-        return Status::IoError(path + ": cannot determine file size");
-      }
-      uint64_t rem = file_size - static_cast<uint64_t>(pos);
-      auto take = [&rem](uint64_t a, uint64_t b, uint64_t c) {
-        // Deducts a*b*c bytes from rem iff the product fits, without
-        // ever forming an overflowing intermediate.
-        if (a == 0 || b == 0 || c == 0) return true;
-        if (b > rem / a) return false;
-        if (c > rem / (a * b)) return false;
-        rem -= a * b * c;
-        return true;
-      };
-      const bool fits =
-          (pq_header[4] == 0 || take(dim, dim, sizeof(float))) &&
-          take(m_subs, PqDataset::kNumCentroids, pq.dsub * sizeof(float)) &&
-          take(m_subs, PqDataset::kNumCentroids, sizeof(float)) &&
-          take(pq_rows, m_subs, 1);
-      if (!fits) {
-        return Status::IoError(
-            path + ": pq trailer inconsistent with file size (truncated?)");
-      }
+    if (pq_header[4] != 0) {
+      CAGRA_RETURN_IF_ERROR(
+          in.ReadVec("pq rotation", {dim, dim}, &pq.rotation));
     }
-    if (pq_header[4] != 0) pq.rotation.resize(pq.dim * pq.dim);
-    pq.centroids.resize(m_subs * PqDataset::kNumCentroids * pq.dsub);
-    pq.centroid_norm2.resize(m_subs * PqDataset::kNumCentroids);
+    CAGRA_RETURN_IF_ERROR(in.ReadVec(
+        "pq codebooks", {m_subs, PqDataset::kNumCentroids, pq.dsub},
+        &pq.centroids));
+    CAGRA_RETURN_IF_ERROR(in.ReadVec("pq centroid norms",
+                                     {m_subs, PqDataset::kNumCentroids},
+                                     &pq.centroid_norm2));
+    CAGRA_ASSIGN_OR_RETURN(const size_t codes,
+                           in.Claim<uint8_t>("pq codes", {pq_rows, m_subs}));
     pq.codes = Matrix<uint8_t>(pq_rows, m_subs);
-    if (!ReadVec(f.get(), &pq.rotation) ||
-        !ReadVec(f.get(), &pq.centroids) ||
-        !ReadVec(f.get(), &pq.centroid_norm2) ||
-        !ReadVec(f.get(), pq.codes.mutable_data())) {
-      return Status::IoError(path + ": pq read failed");
-    }
+    CAGRA_RETURN_IF_ERROR(
+        in.Read("pq codes", pq.codes.mutable_data()->data(), codes));
     // Rebuild with this host's active ADC kernel so the fused cosine
     // path keeps its bit-compatibility contract across SIMD tiers.
     RecomputePqRowNorms(&pq);
     snap->pq = std::move(pq_owned);
   }
+  uint32_t next_external = static_cast<uint32_t>(rows);
   if (flags & kIndexFlagIdMap) {
     uint64_t count = 0;
-    if (std::fread(&count, sizeof(count), 1, f.get()) != 1) {
-      return Status::IoError(path + ": id map header read failed");
-    }
+    CAGRA_RETURN_IF_ERROR(in.ReadFields("id map count", &count));
     if (count != rows) {
       return Status::IoError(path + ": id map inconsistent with index");
     }
-    {
-      const off_t pos = ::ftello(f.get());
-      if (pos < 0 || static_cast<uint64_t>(pos) > file_size) {
-        return Status::IoError(path + ": cannot determine file size");
-      }
-      const uint64_t rem = file_size - static_cast<uint64_t>(pos);
-      if (count != 0 && sizeof(uint32_t) > rem / count) {
-        return Status::IoError(
-            path + ": id map inconsistent with file size (truncated?)");
-      }
-    }
-    std::vector<uint32_t> map(count);
-    if (!ReadVec(f.get(), &map)) {
-      return Status::IoError(path + ": id map read failed");
-    }
+    std::vector<uint32_t> map;
+    CAGRA_RETURN_IF_ERROR(in.ReadVec("id map", {count}, &map));
     // Strictly increasing is InternalId's binary-search contract;
     // anything else is torn data.
     for (size_t i = 1; i < map.size(); i++) {
@@ -951,6 +1003,7 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
     snap->id_map =
         std::make_shared<const std::vector<uint32_t>>(std::move(map));
   }
+  CAGRA_RETURN_IF_ERROR(in.Finish());
 
   CagraIndex index;
   index.StoreSnapshot(std::move(snap));

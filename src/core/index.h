@@ -180,32 +180,47 @@ class CagraIndex {
   /// nothing on an out-of-core index, so run EnablePq before Save().
   ///
   /// Results are bit-identical to the RAM-resident path: fp32 access
-  /// reads the same bytes through the map. The file must outlive the
-  /// index and must not be truncated while mapped (the usual mmap
-  /// contract; Save() onto the backing file is rejected).
+  /// reads the same bytes through the map. The mapping is of the file
+  /// this call opened and parsed; it must not be truncated or rewritten
+  /// in place while mapped (the usual mmap contract). Save() onto the
+  /// backing path is fine: it replaces the file by rename, and the
+  /// mapping keeps reading the old one.
   [[nodiscard]] static Result<CagraIndex> LoadOutOfCore(
       const std::string& path);
 
   bool out_of_core() const { return snapshot()->out_of_core(); }
 
   /// Serializes graph + dataset + metric — plus, when EnablePq has run,
-  /// the PQ copy (codebooks, OPQ rotation, row norms, codes), and, when
-  /// the index has been renumbered by compaction, the external id map —
-  /// to `path` (binary). Load restores HasPq() and the id map
-  /// accordingly.
+  /// the PQ copy (codebooks, OPQ rotation, codes), and, when the index
+  /// has been renumbered by compaction, the external id map — to `path`
+  /// (binary). Load restores HasPq() and the id map accordingly.
   ///
   /// Compact-on-save: a tombstoned index serializes its *compacted*
   /// form (dead rows dropped, internal ids remapped, graph repaired),
   /// so Load always yields a dense index whose searches return the same
   /// external ids a post-Compact() in-memory search would.
   ///
-  /// Load is hardened against truncated or torn files: the header's
-  /// claimed shape is validated against the actual file size before any
-  /// allocation, unknown section flags and out-of-range metrics are
-  /// rejected, and every failure returns a clean kIoError. It builds
-  /// into a local index and returns it by value, so a failed load never
-  /// leaves partial state anywhere — callers that overwrite an existing
-  /// index only do so by assigning a fully-validated result.
+  /// Save replaces `path` atomically: it writes a new file in the same
+  /// directory (which must be writable), fsyncs it, renames it over
+  /// `path` and fsyncs the directory. A Save that fails before the
+  /// rename returns kIoError, removes its new file and leaves the old
+  /// one as it was; one whose directory fsync fails returns kIoError
+  /// with the new file already in place. A `path`
+  /// that exists but is not a regular file (a symlink, device or FIFO)
+  /// is refused with kIoError before anything is created. Saving over
+  /// the file an out-of-core index is mapped from is allowed: the
+  /// mapping keeps the old file. The new file gets mode 0666 less the
+  /// umask, not the old file's mode.
+  ///
+  /// Load reads the one index file format. Every section is checked to
+  /// lie in the file before anything is allocated for it, the flags
+  /// word after the graph is required, unknown section flags and
+  /// out-of-range metrics are rejected, and the file must end exactly
+  /// where its last section ends: every proper prefix and every longer
+  /// file fails with kIoError. It builds into a local index and returns
+  /// it by value, so a failed load never leaves partial state anywhere —
+  /// callers that overwrite an existing index only do so by assigning a
+  /// fully-validated result.
   [[nodiscard]] Status Save(const std::string& path) const;
   [[nodiscard]] static Result<CagraIndex> Load(const std::string& path);
 

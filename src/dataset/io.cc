@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "util/fault_injection.h"
 
@@ -36,13 +35,6 @@ bool FileByteSize(std::FILE* f, uint64_t* size) {
 }
 
 namespace {
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Reads vecs-format rows of `elem_size`-byte elements into `out` (resized
 /// by the caller-provided append function). The per-row dim header is

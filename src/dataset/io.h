@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,15 @@
 #include "util/status.h"
 
 namespace cagra {
+
+/// Owning stdio stream: closes on destruction. The close cannot report
+/// an error, so writers flush (and check) before they return Ok().
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f != nullptr) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Readers/writers for the TEXMEX vector formats used by the paper's
 /// datasets (http://corpus-texmex.irisa.fr/): each row is a little-endian

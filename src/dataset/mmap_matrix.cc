@@ -7,7 +7,6 @@
 #include "util/fault_injection.h"
 
 #if !defined(_WIN32)
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -54,34 +53,24 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   return *this;
 }
 
-Result<MmapFile> MmapFile::Open(const std::string& path) {
+Result<MmapFile> MmapFile::Open(int fd) {
   // The mmap-path sibling of the stdio readers' "io_read" fault point:
   // the robustness suite injects here to prove a failed map surfaces as
   // a clean Status on every out-of-core entry point.
   CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_mmap"));
 #if defined(_WIN32)
-  return Status::IoError(path + ": out-of-core storage requires POSIX mmap");
+  (void)fd;
+  return Status::IoError("out-of-core storage requires POSIX mmap");
 #else
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IoError("cannot open " + path);
   struct stat st;
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
-    return Status::IoError(path + ": not a mappable regular file");
+    return Status::IoError("not a mappable regular file");
   }
   const uint64_t size = static_cast<uint64_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return Status::IoError(path + ": cannot map an empty file");
-  }
+  if (size == 0) return Status::IoError("cannot map an empty file");
   void* addr =
       ::mmap(nullptr, static_cast<size_t>(size), PROT_READ, MAP_SHARED, fd, 0);
-  // The mapping holds its own reference to the file; the descriptor is
-  // done either way.
-  ::close(fd);
-  if (addr == MAP_FAILED) {
-    return Status::IoError(path + ": mmap failed");
-  }
+  if (addr == MAP_FAILED) return Status::IoError("mmap failed");
   // Row fetches land wherever the candidate list points; sequential
   // readahead would fault in pages the search never reads.
   (void)::madvise(addr, static_cast<size_t>(size), MADV_RANDOM);
@@ -107,27 +96,24 @@ void MmapFile::WillNeed(uint64_t offset, uint64_t length) const {
 #endif
 }
 
-Result<MmapMatrix> MmapMatrix::Open(const std::string& path, size_t rows,
-                                    size_t dim, uint64_t byte_offset) {
+Result<MmapMatrix> MmapMatrix::Open(int fd, size_t rows, size_t dim,
+                                    uint64_t byte_offset) {
   if (rows == 0 || dim == 0) {
-    return Status::InvalidArgument(path + ": cannot map an empty matrix");
+    return Status::InvalidArgument("cannot map an empty matrix");
   }
   if (byte_offset % alignof(float) != 0) {
-    return Status::InvalidArgument(path + ": matrix offset must be " +
-                                   "float-aligned");
+    return Status::InvalidArgument("matrix offset must be float-aligned");
   }
-  CAGRA_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+  CAGRA_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(fd));
   // rows * dim * 4 + byte_offset <= file size, checked in division form
   // so no adversarial shape can overflow the comparison.
   if (byte_offset >= file.size()) {
-    return Status::IoError(path + ": matrix offset past end of file " +
-                           "(truncated?)");
+    return Status::IoError("matrix offset past end of file (truncated?)");
   }
   const uint64_t payload_elems = (file.size() - byte_offset) / sizeof(float);
-  if (rows != 0 && (static_cast<uint64_t>(dim) > payload_elems / rows)) {
-    return Status::IoError(path +
-                           ": matrix shape inconsistent with file size "
-                           "(truncated?)");
+  if (static_cast<uint64_t>(dim) > payload_elems / rows) {
+    return Status::IoError(
+        "matrix shape inconsistent with file size (truncated?)");
   }
   MmapMatrix m;
   m.data_ = reinterpret_cast<const float*>(file.data() + byte_offset);
@@ -135,7 +121,6 @@ Result<MmapMatrix> MmapMatrix::Open(const std::string& path, size_t rows,
   m.rows_ = rows;
   m.dim_ = dim;
   m.byte_offset_ = byte_offset;
-  m.path_ = path;
   return m;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "util/status.h"
 
@@ -15,9 +14,13 @@ namespace cagra {
 /// pages that matter. All offsets are 64-bit end to end — the mapped
 /// regime is exactly the one where files outgrow `long`.
 ///
-/// Open failures (missing file, empty file, mmap refusal) surface as a
-/// clean kIoError; no partial state escapes. The handle is move-only —
-/// it owns the mapping — and unmaps on destruction.
+/// Open maps a descriptor the caller already holds (and still owns), so
+/// the mapping is of the very file the caller opened, whatever its path
+/// names by then. Open failures (not a regular file, empty file, mmap
+/// refusal) surface as a clean kIoError; no partial state escapes. The
+/// handle is move-only — it owns the mapping — and unmaps on
+/// destruction; the mapping keeps the file alive after its descriptor
+/// is closed.
 class MmapFile {
  public:
   MmapFile() = default;
@@ -27,7 +30,7 @@ class MmapFile {
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
 
-  [[nodiscard]] static Result<MmapFile> Open(const std::string& path);
+  [[nodiscard]] static Result<MmapFile> Open(int fd);
 
   bool empty() const { return addr_ == nullptr; }
   const unsigned char* data() const {
@@ -56,18 +59,17 @@ class MmapMatrix {
  public:
   MmapMatrix() = default;
 
-  /// Maps `path` and validates — with overflow-checked 64-bit
-  /// arithmetic — that rows x dim floats starting at `byte_offset` fit
-  /// inside the file. A truncated or torn file fails here with
-  /// kIoError, before any row is ever dereferenced.
-  [[nodiscard]] static Result<MmapMatrix> Open(const std::string& path,
-                                               size_t rows, size_t dim,
+  /// Maps the file open on `fd` and validates — with overflow-checked
+  /// 64-bit arithmetic — that rows x dim floats starting at
+  /// `byte_offset` fit inside it. A truncated or torn file fails here
+  /// with kIoError, before any row is ever dereferenced.
+  [[nodiscard]] static Result<MmapMatrix> Open(int fd, size_t rows,
+                                               size_t dim,
                                                uint64_t byte_offset);
 
   size_t rows() const { return rows_; }
   size_t dim() const { return dim_; }
   bool empty() const { return rows_ == 0; }
-  const std::string& path() const { return path_; }
 
   const float* Row(size_t i) const { return data_ + i * dim_; }
   const float* data() const { return data_; }
@@ -86,7 +88,6 @@ class MmapMatrix {
   size_t rows_ = 0;
   size_t dim_ = 0;
   uint64_t byte_offset_ = 0;
-  std::string path_;
 };
 
 }  // namespace cagra

@@ -1,60 +1,6 @@
 #include "graph/fixed_degree_graph.h"
 
-#include <cstdio>
-#include <memory>
-
 namespace cagra {
-
-namespace {
-constexpr uint64_t kMagic = 0x43414752414731ULL;  // "CAGRAG1"
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-}  // namespace
-
-Status FixedDegreeGraph::Save(const std::string& path) const {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return Status::IoError("cannot open " + path + " for writing");
-  const uint64_t header[3] = {kMagic, num_nodes_, degree_};
-  if (std::fwrite(header, sizeof(header), 1, f.get()) != 1) {
-    return Status::IoError(path + ": header write failed");
-  }
-  if (!edges_.empty() &&
-      std::fwrite(edges_.data(), sizeof(uint32_t), edges_.size(), f.get()) !=
-          edges_.size()) {
-    return Status::IoError(path + ": edge write failed");
-  }
-  // Buffered data is only handed to the OS at flush/close, and the
-  // deleter's fclose cannot report failure — flush here so a full disk
-  // fails the Save instead of leaving a torn file behind an Ok().
-  if (std::fflush(f.get()) != 0) {
-    return Status::IoError(path + ": flush failed");
-  }
-  return Status::Ok();
-}
-
-Result<FixedDegreeGraph> FixedDegreeGraph::Load(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IoError("cannot open " + path);
-  uint64_t header[3] = {0, 0, 0};
-  if (std::fread(header, sizeof(header), 1, f.get()) != 1) {
-    return Status::IoError(path + ": header read failed");
-  }
-  if (header[0] != kMagic) {
-    return Status::IoError(path + ": not a CAGRA graph file");
-  }
-  FixedDegreeGraph g(header[1], header[2]);
-  if (!g.edges_.empty() &&
-      std::fread(g.edges_.data(), sizeof(uint32_t), g.edges_.size(),
-                 f.get()) != g.edges_.size()) {
-    return Status::IoError(path + ": edge read failed");
-  }
-  return g;
-}
 
 AdjacencyGraph ToAdjacency(const FixedDegreeGraph& g) {
   AdjacencyGraph adj(g.num_nodes());

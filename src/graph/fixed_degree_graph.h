@@ -4,17 +4,16 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "util/status.h"
 
 namespace cagra {
 
 /// Directed proximity graph with the same out-degree for every node — the
 /// CAGRA graph shape (§III: fixed out-degree, directional, no hierarchy).
 /// Storage is a dense num_nodes x degree row-major index array, which is
-/// exactly the device-memory layout the search kernels consume.
+/// exactly the device-memory layout the search kernels consume. It has
+/// no file format of its own: on disk it is the graph section of a
+/// CagraIndex file, written by CagraIndex::Save and read by Load.
 class FixedDegreeGraph {
  public:
   /// Sentinel padding value for nodes that genuinely have fewer neighbors
@@ -44,10 +43,6 @@ class FixedDegreeGraph {
 
   /// Device-memory footprint of the adjacency array.
   size_t MemoryBytes() const { return edges_.size() * sizeof(uint32_t); }
-
-  /// Serializes to a binary file (magic, n, d, edge array).
-  [[nodiscard]] Status Save(const std::string& path) const;
-  [[nodiscard]] static Result<FixedDegreeGraph> Load(const std::string& path);
 
  private:
   size_t num_nodes_;

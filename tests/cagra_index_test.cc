@@ -1,5 +1,11 @@
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -235,8 +241,7 @@ TEST(CagraIndexTest, LoadRejectsCorruptPqTrailer) {
 }
 
 TEST(CagraIndexTest, SaveLoadWithoutPqStillLoads) {
-  // Files written without the PQ trailer (or by the pre-trailer
-  // format, which ends right after the graph) load with HasPq false.
+  // Files written without the PQ trailer load with HasPq false.
   auto data = SmallData(200);
   BuildParams params;
   params.graph_degree = 8;
@@ -248,6 +253,57 @@ TEST(CagraIndexTest, SaveLoadWithoutPqStillLoads) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded->HasPq());
   std::remove(path.c_str());
+}
+
+TEST(CagraIndexTest, FailedSaveKeepsThePreviousFile) {
+  // A child whose file-size limit (64 KiB) is far below the index's
+  // 2000 rows saves over a good file. SIGXFSZ is ignored, so the write
+  // past the limit fails with EFBIG instead of killing the child. The
+  // Save must fail with kIoError and leave the previous file loading as
+  // before, with no temporary left beside it. The child is a fork
+  // ("fast" style), so it saves over this process's file; it calls
+  // nothing but Save, which takes no thread-pool lock a worker could
+  // have held at the fork.
+  ::testing::FLAGS_gtest_death_test_style = "fast";
+  auto data = SmallData(2000);
+  BuildParams params;
+  params.graph_degree = 8;
+  auto index = CagraIndex::Build(data.base, params);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  std::string dir = ::testing::TempDir() + "/failed_save_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/index.cagra";
+  ASSERT_TRUE(index->Save(path).ok());
+  const struct rlimit limit = {64 << 10, 64 << 10};
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        const bool limited = ::setrlimit(RLIMIT_FSIZE, &limit) == 0;
+        const Status s = index->Save(path);
+        std::fprintf(stderr, "%s\n", s.ToString().c_str());
+        std::_Exit(limited && s.code() == StatusCode::kIoError ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  auto loaded = CagraIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->snapshot()->GraphRef().edges(),
+            index->snapshot()->GraphRef().edges());
+  SearchParams sp;
+  sp.k = 5;
+  sp.itopk = 32;
+  auto a = Search(*index, data.queries, sp);
+  auto b = Search(*loaded, data.queries, sp);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->neighbors.ids, b->neighbors.ids);
+  EXPECT_EQ(a->neighbors.distances, b->neighbors.distances);
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"index.cagra"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CagraIndexTest, LoadRejectsNonIndexFile) {

@@ -2,16 +2,22 @@
 // degradation behavior it exists to prove. The controller's
 // deterministic schedule is tested unconditionally; the injection
 // matrix over the production fault points — shard scans, the serving
-// admission/execute paths, index/file reads — only runs when the
-// points are compiled in (-DCAGRA_FAULT_INJECTION=ON, the dedicated CI
-// job) and GTEST_SKIPs otherwise. The invariants: every Submit future
-// resolves exactly once whatever fires, Shutdown never hangs, partial
-// results stay well-formed, and a disarmed controller changes nothing.
+// admission/execute paths, index/file reads, index saves — only runs
+// when the points are compiled in (-DCAGRA_FAULT_INJECTION=ON, the
+// dedicated CI job) and GTEST_SKIPs otherwise. The invariants: every
+// Submit future resolves exactly once whatever fires, Shutdown never
+// hangs, partial results stay well-formed, a failed Save leaves the old
+// file, and a disarmed controller changes nothing.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -388,6 +394,74 @@ TEST_F(FaultMatrixTest, IndexLoadPropagatesInjectedIoFailure) {
   auto retry = CagraIndex::Load(path);
   EXPECT_TRUE(retry.ok()) << retry.status().ToString();
   std::remove(path.c_str());
+}
+
+TEST_F(FaultMatrixTest, FailedSaveStepLeavesTheOldFile) {
+  // Save writes a new file and renames it over its target. Each step —
+  // header, dataset, graph, flags, the PQ and id-map trailers, the
+  // fsync and the rename — is an io_write fault point. A failure
+  // injected at any of them must surface its status, leave the old file
+  // byte-identical and loading, and leave no temporary beside it.
+  auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+  };
+  std::string dir = ::testing::TempDir() + "/fi_save_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  auto entries = [&dir] {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      names.insert(e.path().filename().string());
+    }
+    return names;
+  };
+  const std::string path = dir + "/index.cagra";
+  BuildParams bp;
+  bp.graph_degree = 8;
+  auto built = CagraIndex::Build(SliceQueries(data_->base, 0, 300), bp);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  CagraIndex index = std::move(built.value());
+  ASSERT_TRUE(index.Save(path).ok());
+  const std::vector<char> old_bytes = read_all(path);
+
+  // The new file carries both trailers: an id map from compaction, and
+  // the PQ copy.
+  ASSERT_TRUE(index.Remove(std::vector<uint32_t>{7}).ok());
+  ASSERT_TRUE(index.Compact().ok());
+  PqTrainParams pq;
+  pq.kmeans_iterations = 2;
+  pq.sample_size = 256;
+  index.EnablePq(pq);
+  auto& fc = FaultController::Instance();
+  fc.Reset();
+  ASSERT_TRUE(index.Save(dir + "/count.cagra").ok());
+  const size_t steps = fc.hits("io_write");
+  EXPECT_EQ(steps, 8u);
+  std::filesystem::remove(dir + "/count.cagra");
+
+  for (size_t step = 0; step < steps; step++) {
+    SCOPED_TRACE("failing step " + std::to_string(step));
+    FaultSpec fail;
+    fail.status = Status::IoError("injected write failure");
+    fail.skip_first = step;
+    fail.max_fires = 1;
+    fc.Arm("io_write", fail);
+    const Status s = index.Save(path);
+    EXPECT_EQ(s.code(), StatusCode::kIoError);
+    EXPECT_EQ(s.message(), "injected write failure");
+    EXPECT_EQ(fc.fires("io_write"), 1u);
+    EXPECT_EQ(read_all(path), old_bytes);
+    EXPECT_TRUE(CagraIndex::Load(path).ok());
+    EXPECT_EQ(entries(), std::set<std::string>{"index.cagra"});
+  }
+  // Past the last step nothing fires, and the Save lands.
+  fc.Reset();
+  ASSERT_TRUE(index.Save(path).ok());
+  auto loaded = CagraIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->HasPq());
+  EXPECT_EQ(loaded->size(), 299u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FaultMatrixTest, ReadFvecsPropagatesInjectedIoFailure) {

@@ -1,6 +1,3 @@
-#include <cstdio>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "graph/analysis.h"
@@ -36,29 +33,6 @@ TEST(FixedDegreeGraphTest, ConstructionPadsWithInvalid) {
   EXPECT_EQ(g.degree(), 2u);
   EXPECT_EQ(g.Neighbors(0)[0], FixedDegreeGraph::kInvalid);
   EXPECT_EQ(g.MemoryBytes(), 3u * 2u * sizeof(uint32_t));
-}
-
-TEST(FixedDegreeGraphTest, SaveLoadRoundTrip) {
-  FixedDegreeGraph g = Ring(10);
-  const std::string path = ::testing::TempDir() + "/graph.bin";
-  ASSERT_TRUE(g.Save(path).ok());
-  auto loaded = FixedDegreeGraph::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_nodes(), 10u);
-  EXPECT_EQ(loaded->degree(), 1u);
-  EXPECT_EQ(loaded->edges(), g.edges());
-  std::remove(path.c_str());
-}
-
-TEST(FixedDegreeGraphTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const char junk[64] = "not a graph";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  auto loaded = FixedDegreeGraph::Load(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
 }
 
 TEST(AdjacencyGraphTest, EdgeAccountingAndStats) {

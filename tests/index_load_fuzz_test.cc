@@ -1,12 +1,12 @@
-// Fuzz-style hardening suite for CagraIndex::Load against truncated
-// and torn files. A saved index (with the full PQ trailer, rotation
-// included) is cut at every section boundary, one byte to either side
-// of each, and on a coarse sweep of interior offsets; every prefix
-// must load to exactly one of the documented outcomes — a clean
-// kIoError, or an OK index for the two legal prefixes (the full file,
-// and the pre-trailer legacy format that ends at the graph). Nothing
-// may crash, over-allocate from a torn header, or leave partial state
-// (Load builds into a local and returns by value).
+// Fuzz-style hardening suite for CagraIndex::Load against truncated,
+// extended and torn files. A saved index (with the full PQ trailer,
+// rotation included) is cut at every section boundary, one byte to
+// either side of each, and on a coarse sweep of interior offsets. One
+// contract holds for every cut, resident and out-of-core: only the
+// whole file loads. Every proper prefix, and the file plus one trailing
+// byte, fails with a clean kIoError. Nothing may crash, over-allocate
+// from a torn header, or leave partial state (Load builds into a local
+// and returns by value).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -89,7 +89,7 @@ class IndexLoadFuzzTest : public ::testing::Test {
     off += rows * dim * sizeof(float);               // dataset
     b.push_back(off);
     off += rows * degree * sizeof(uint32_t);         // graph
-    b.push_back(off);                                // == legacy EOF
+    b.push_back(off);
     off += sizeof(uint64_t);                         // flags word
     b.push_back(off);
     off += 5 * sizeof(uint64_t);                     // pq header
@@ -106,7 +106,44 @@ class IndexLoadFuzzTest : public ::testing::Test {
   }
 
   static size_t GraphEndOffset() { return SectionBoundaries()[2]; }
-  static size_t FlagsEndOffset() { return SectionBoundaries()[3]; }
+
+  /// Every section boundary, one byte to either side of each, and 0.
+  /// The last boundary's "+1" is the whole file plus one trailing byte.
+  static std::vector<size_t> BoundaryLengths() {
+    std::vector<size_t> lengths = {0};
+    for (size_t b : SectionBoundaries()) {
+      lengths.insert(lengths.end(), {b - 1, b, b + 1});
+    }
+    return lengths;
+  }
+
+  /// Writes the saved file cut to each of `lengths` (a length past the
+  /// end appends zero bytes) and loads it: the whole file must load,
+  /// every other length must fail with kIoError.
+  static void ExpectOnlyTheWholeFileLoads(const std::vector<size_t>& lengths,
+                                          bool out_of_core) {
+    const std::string cut = ::testing::TempDir() + "/fuzz_cut.cagra";
+    std::vector<unsigned char> bytes = *bytes_;
+    for (size_t len : lengths) {
+      SCOPED_TRACE("cut to " + std::to_string(len) + " of " +
+                   std::to_string(bytes_->size()) + " bytes");
+      if (bytes.size() < len) bytes.resize(len, 0);
+      WritePrefix(cut, bytes, len);
+      auto loaded = out_of_core ? CagraIndex::LoadOutOfCore(cut)
+                                : CagraIndex::Load(cut);
+      if (len == bytes_->size()) {
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_TRUE(loaded->HasPq());
+        EXPECT_EQ(loaded->out_of_core(), out_of_core);
+      } else {
+        ASSERT_FALSE(loaded.ok()) << "accepted a " + std::to_string(len) +
+                                         "-byte file";
+        EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+            << loaded.status().ToString();
+      }
+    }
+    std::remove(cut.c_str());
+  }
 
   static CagraIndex* index_;
   static std::string* path_;
@@ -124,80 +161,17 @@ TEST_F(IndexLoadFuzzTest, BoundaryLayoutMatchesTheFile) {
 }
 
 TEST_F(IndexLoadFuzzTest, TruncationAtAndAroundEveryBoundary) {
-  const std::string cut = ::testing::TempDir() + "/fuzz_cut.cagra";
-  const size_t graph_end = GraphEndOffset();
-  const size_t flags_end = FlagsEndOffset();
-  std::vector<size_t> lengths;
-  for (size_t b : SectionBoundaries()) {
-    if (b > 0) lengths.push_back(b - 1);
-    lengths.push_back(b);
-    if (b + 1 <= bytes_->size()) lengths.push_back(b + 1);
-  }
-  lengths.push_back(0);
-  for (size_t len : lengths) {
-    SCOPED_TRACE("truncated to " + std::to_string(len) + " of " +
-                 std::to_string(bytes_->size()) + " bytes");
-    WritePrefix(cut, *bytes_, len);
-    auto loaded = CagraIndex::Load(cut);
-    if (len == bytes_->size()) {
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_TRUE(loaded->HasPq());
-    } else if (len >= graph_end && len < flags_end) {
-      // Ends at (or tears inside) the flags word: indistinguishable
-      // from the pre-trailer legacy format, which is accepted — the
-      // graph and dataset are complete — just without optional
-      // sections.
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_FALSE(loaded->HasPq());
-    } else {
-      ASSERT_FALSE(loaded.ok()) << "accepted a " + std::to_string(len) +
-                                       "-byte truncation";
-      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-    }
-  }
-  std::remove(cut.c_str());
+  ExpectOnlyTheWholeFileLoads(BoundaryLengths(), /*out_of_core=*/false);
 }
 
 TEST_F(IndexLoadFuzzTest, TruncationSweepAcrossInteriorOffsets) {
   // A coarse prime-stride sweep over interior cut points (the
-  // boundaries test covers the exact edges): every prefix must resolve
-  // to the same three-way contract, crash-free.
-  const std::string cut = ::testing::TempDir() + "/fuzz_sweep.cagra";
-  const size_t graph_end = GraphEndOffset();
-  const size_t flags_end = FlagsEndOffset();
+  // boundaries test covers the exact edges).
+  std::vector<size_t> lengths;
   for (size_t len = 1; len < bytes_->size(); len += 997) {
-    SCOPED_TRACE("truncated to " + std::to_string(len) + " bytes");
-    WritePrefix(cut, *bytes_, len);
-    auto loaded = CagraIndex::Load(cut);
-    if (len >= graph_end && len < flags_end) {
-      EXPECT_TRUE(loaded.ok());
-    } else {
-      ASSERT_FALSE(loaded.ok());
-      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-    }
+    lengths.push_back(len);
   }
-  std::remove(cut.c_str());
-}
-
-TEST_F(IndexLoadFuzzTest, LegacyPrefixStillSearches) {
-  // The accepted graph-end prefix is not merely "doesn't crash": it
-  // must be a fully functional index (minus PQ).
-  const std::string cut = ::testing::TempDir() + "/fuzz_legacy.cagra";
-  WritePrefix(cut, *bytes_, GraphEndOffset());
-  auto loaded = CagraIndex::Load(cut);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), index_->size());
-  EXPECT_EQ(loaded->snapshot()->GraphRef().edges(),
-            index_->snapshot()->GraphRef().edges());
-  auto data = GenerateDataset(*FindProfile("DEEP-1M"), 300, 4, 913);
-  SearchParams sp;
-  sp.k = 5;
-  auto a = Search(*index_, data.queries, sp);
-  auto b = Search(*loaded, data.queries, sp);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->neighbors.ids, b->neighbors.ids);
-  std::remove(cut.c_str());
+  ExpectOnlyTheWholeFileLoads(lengths, /*out_of_core=*/false);
 }
 
 TEST_F(IndexLoadFuzzTest, CorruptHeaderFieldsRejectCleanly) {
@@ -233,39 +207,14 @@ TEST_F(IndexLoadFuzzTest, CorruptHeaderFieldsRejectCleanly) {
 
 TEST_F(IndexLoadFuzzTest, OutOfCoreTruncationFollowsTheSameContract) {
   // The out-of-core open mode maps the dataset section instead of
-  // reading it, but its failure contract is Load's: every truncation
-  // resolves to a clean kIoError or a legal prefix, never a crash or a
+  // reading it, but its failure contract is Load's: never a crash or a
   // mapping past EOF (which would defer the failure to a SIGBUS at
   // first row touch).
-  const std::string cut = ::testing::TempDir() + "/fuzz_ooc_cut.cagra";
-  const size_t graph_end = GraphEndOffset();
-  const size_t flags_end = FlagsEndOffset();
-  std::vector<size_t> lengths;
-  for (size_t b : SectionBoundaries()) {
-    if (b > 0) lengths.push_back(b - 1);
-    lengths.push_back(b);
-    if (b + 1 <= bytes_->size()) lengths.push_back(b + 1);
-  }
-  lengths.push_back(0);
+  std::vector<size_t> lengths = BoundaryLengths();
   for (size_t len = 1; len < bytes_->size(); len += 2503) {
     lengths.push_back(len);
   }
-  for (size_t len : lengths) {
-    SCOPED_TRACE("truncated to " + std::to_string(len) + " of " +
-                 std::to_string(bytes_->size()) + " bytes");
-    WritePrefix(cut, *bytes_, len);
-    auto loaded = CagraIndex::LoadOutOfCore(cut);
-    if (len == bytes_->size() || (len >= graph_end && len < flags_end)) {
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_TRUE(loaded->out_of_core());
-      EXPECT_EQ(loaded->HasPq(), len == bytes_->size());
-    } else {
-      ASSERT_FALSE(loaded.ok()) << "accepted a " + std::to_string(len) +
-                                       "-byte truncation";
-      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-    }
-  }
-  std::remove(cut.c_str());
+  ExpectOnlyTheWholeFileLoads(lengths, /*out_of_core=*/true);
 }
 
 TEST_F(IndexLoadFuzzTest, OutOfCoreLoadMatchesResidentLoad) {

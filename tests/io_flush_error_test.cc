@@ -1,6 +1,6 @@
-// Regression test: every Save/Write path must surface a failed flush
-// as kIoError instead of returning Ok() on a torn file. Small payloads
-// fit entirely in the stdio buffer, so every fwrite "succeeds" and the
+// Regression test: every file writer must surface a failed write as
+// kIoError instead of returning Ok() on a torn file. Small payloads fit
+// entirely in the stdio buffer, so every fwrite "succeeds" and the
 // first real write(2) happens at flush time — exactly the case the
 // library used to get wrong (the deleter's fclose swallowed the error).
 //
@@ -9,14 +9,21 @@
 // between the caller and a silent data loss. Skipped where the device
 // does not exist (non-Linux).
 
-#include <gtest/gtest.h>
-
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <gtest/gtest.h>
 
 #include "core/index.h"
 #include "dataset/io.h"
 #include "dataset/matrix.h"
-#include "graph/fixed_degree_graph.h"
 #include "util/status.h"
 
 namespace cagra {
@@ -54,23 +61,39 @@ TEST(IoFlushErrorTest, WriteIvecsReportsFullDisk) {
   EXPECT_EQ(s.code(), StatusCode::kIoError);
 }
 
-TEST(IoFlushErrorTest, GraphSaveReportsFullDisk) {
-  if (!HaveDevFull()) GTEST_SKIP() << "/dev/full not available";
-  FixedDegreeGraph g(8, 2);
-  const Status s = g.Save("/dev/full");
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
-}
-
-TEST(IoFlushErrorTest, IndexSaveReportsFullDisk) {
-  if (!HaveDevFull()) GTEST_SKIP() << "/dev/full not available";
+// CagraIndex::Save writes a new file and renames it over its target,
+// so a full disk cannot tear the old file (cagra_index_test covers the
+// failed write). Its contract here is the target: a path that exists
+// but is not a regular file — a device, a FIFO, a symlink — is refused
+// with kIoError before anything is created beside it.
+TEST(IoFlushErrorTest, IndexSaveRefusesANonRegularTarget) {
   BuildParams params;
   params.graph_degree = 4;
   auto index = CagraIndex::Build(SmallMatrix(64), params);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  const Status s = index->Save("/dev/full");
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  if (HaveDevFull()) {
+    const Status s = index->Save("/dev/full");
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  }
+
+  std::string dir = ::testing::TempDir() + "/io_flush_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string fifo = dir + "/fifo";
+  const std::string link = dir + "/link";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  ASSERT_EQ(::symlink("target.cagra", link.c_str()), 0);
+  for (const std::string& target : {fifo, link}) {
+    SCOPED_TRACE(target);
+    const Status s = index->Save(target);
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  }
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<std::string>{"fifo", "link"}));
+  std::filesystem::remove_all(dir);
 }
 
 // The fix must not regress the success path: a normal save still

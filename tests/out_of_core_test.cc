@@ -6,15 +6,18 @@
 // with exact-fp32 rerank) and dispatch tiers (the whole suite re-runs
 // as out_of_core_test_scalar under CAGRA_FORCE_SCALAR=1). Also pinned
 // here: LoadOutOfCore validation, clean kIoError on torn mapped files,
-// the Save-over-backing-file refusal, the serving scheduler running
-// unchanged over the mapped tier and, in the fault-injection build,
-// deadline expiry mid-rerank per the SearchResult::complete contract.
+// Save over the backing file (by its own name or an alias) leaving the
+// mapping serving, the serving scheduler running unchanged over the
+// mapped tier and, in the fault-injection build, deadline expiry
+// mid-rerank per the SearchResult::complete contract.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -73,6 +76,37 @@ class OutOfCoreTest : public ::testing::Test {
     EXPECT_EQ(a.neighbors.ids, b.neighbors.ids);
     EXPECT_EQ(a.neighbors.distances, b.neighbors.distances);
     EXPECT_EQ(a.complete, b.complete);
+  }
+
+  /// Opens `path` out of core, saves the mapped index to `target` — the
+  /// same file, by its own name or another — and returns "" when the
+  /// Save succeeded, the mapped index still answers as before, and
+  /// Load(path) answers the same; otherwise what went wrong. Searches
+  /// read exact fp32 rows through the map (the rerank).
+  static std::string SaveOverBackingFile(const std::string& path,
+                                         const std::string& target) {
+    auto mapped = CagraIndex::LoadOutOfCore(path);
+    if (!mapped.ok()) return "LoadOutOfCore: " + mapped.status().ToString();
+    SearchParams sp;
+    sp.k = 10;
+    sp.precision = Precision::kPq;
+    sp.rerank = 32;
+    auto before = Search(*mapped, data_->queries, sp);
+    if (!before.ok()) return "search: " + before.status().ToString();
+    const Status saved = mapped->Save(target);
+    if (!saved.ok()) return "Save: " + saved.ToString();
+    auto after = Search(*mapped, data_->queries, sp);
+    auto reloaded = CagraIndex::Load(path);
+    if (!after.ok() || !reloaded.ok()) return "search or Load failed";
+    auto again = Search(*reloaded, data_->queries, sp);
+    if (!again.ok()) return "search: " + again.status().ToString();
+    auto same = [&](const SearchResult& r) {
+      return r.neighbors.ids == before->neighbors.ids &&
+             r.neighbors.distances == before->neighbors.distances;
+    };
+    if (!same(*after)) return "the mapped index changed its answers";
+    if (!same(*again)) return "Load(path) answers differently";
+    return "";
   }
 
   static SyntheticData* data_;
@@ -224,21 +258,45 @@ TEST_F(OutOfCoreTest, RerankRecallAtLeastPlainPq) {
   EXPECT_GE(hits(*refined), hits(*raw));
 }
 
-TEST_F(OutOfCoreTest, SaveRefusesTheBackingFileButWorksElsewhere) {
-  auto mapped = CagraIndex::LoadOutOfCore(*path_);
-  ASSERT_TRUE(mapped.ok());
-  // Overwriting the mapped file would SIGBUS later readers: refused.
-  EXPECT_EQ(mapped->Save(*path_).code(), StatusCode::kInvalidArgument);
-  // Saving elsewhere round-trips the identical index (the dataset is
-  // streamed back out of the mapping).
-  const std::string copy_path = TempPath("ooc_resave.cagra");
-  ASSERT_TRUE(mapped->Save(copy_path).ok());
-  auto reloaded = CagraIndex::Load(copy_path);
+TEST_F(OutOfCoreTest, SaveOverTheBackingPathKeepsServing) {
+  // Save writes a new file and renames it over the target, so the
+  // mapping keeps reading the file it was opened on.
+  const std::string path = TempPath("ooc_resave.cagra");
+  ASSERT_TRUE(index_->Save(path).ok());
+  EXPECT_EQ(SaveOverBackingFile(path, path), "");
+  // The re-saved file streams the dataset back out of the mapping: the
+  // same rows and graph the index was built with.
+  auto reloaded = CagraIndex::Load(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   const auto snap = reloaded->snapshot();
   EXPECT_EQ(snap->DatasetRef().data(), data_->base.data());
   EXPECT_EQ(snap->GraphRef().edges(), index_->snapshot()->GraphRef().edges());
-  std::remove(copy_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST_F(OutOfCoreTest, SaveThroughAnAliasOfTheBackingPathKeepsServing) {
+  // "<dir>/./<name>" names the backing file too, and no path compare
+  // sees it. A Save that truncated its target would then fault (SIGBUS)
+  // on the next row read through the map, so the check runs in a child.
+  // The child re-executes this test ("threadsafe" style): a forked copy
+  // of this process could inherit a pool lock a worker held mid-task.
+  // It re-runs the suite set-up under its own pid, so it removes that
+  // file and its own before it exits.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string name = std::to_string(::getpid()) + "_ooc_alias.cagra";
+  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string alias = ::testing::TempDir() + "/./" + name;
+  ASSERT_TRUE(index_->Save(path).ok());
+  EXPECT_EXIT(
+      {
+        const std::string err = SaveOverBackingFile(path, alias);
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::remove(path.c_str());
+        std::remove(path_->c_str());
+        std::_Exit(err.empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::remove(path.c_str());
 }
 
 TEST_F(OutOfCoreTest, TruncatedMappedFileFailsWithCleanIoError) {
@@ -261,17 +319,25 @@ TEST_F(OutOfCoreTest, TruncatedMappedFileFailsWithCleanIoError) {
 }
 
 TEST_F(OutOfCoreTest, MmapMatrixValidatesShapeAndOffset) {
-  // Direct MmapMatrix contract: 64-bit overflow-checked bounds.
-  auto too_many_rows = MmapMatrix::Open(*path_, 1ull << 40, 16, 40);
+  // Direct MmapMatrix contract: 64-bit overflow-checked bounds over a
+  // descriptor the caller opened and still owns.
+  const int fd = ::open(path_->c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  auto too_many_rows = MmapMatrix::Open(fd, 1ull << 40, 16, 40);
   ASSERT_FALSE(too_many_rows.ok());
   EXPECT_EQ(too_many_rows.status().code(), StatusCode::kIoError);
-  auto unaligned = MmapMatrix::Open(*path_, 1, 1, 39);
+  auto unaligned = MmapMatrix::Open(fd, 1, 1, 39);
   ASSERT_FALSE(unaligned.ok());
   EXPECT_EQ(unaligned.status().code(), StatusCode::kInvalidArgument);
-  auto missing = MmapMatrix::Open("/nonexistent/nope.bin", 1, 1, 0);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
-  auto ok = MmapMatrix::Open(*path_, index_->size(), index_->dim(), 40);
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  auto not_a_file = MmapMatrix::Open(pipe_fds[0], 1, 1, 0);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+  ASSERT_FALSE(not_a_file.ok());
+  EXPECT_EQ(not_a_file.status().code(), StatusCode::kIoError);
+  auto ok = MmapMatrix::Open(fd, index_->size(), index_->dim(), 40);
+  ::close(fd);  // the mapping outlives the descriptor
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->rows(), index_->size());
   // The mapped rows are the saved dataset, byte for byte — and
