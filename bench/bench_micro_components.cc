@@ -2,10 +2,13 @@
 // blocks — the per-iteration candidate sort + top-M merge at the slot
 // fills the benchmark workloads' traversals see, visited-set probing,
 // distance kernels fp32 vs fp16, fp32 and ADC gathers of random rows,
-// NN-descent vs exact kNN-graph construction, and PQ codebook training
-// plus encode (plain and OPQ).
+// lone multi-CTA PQ requests on one serving-shaped shard, NN-descent vs
+// exact kNN-graph construction, and PQ codebook training plus encode
+// (plain and OPQ).
 #include <benchmark/benchmark.h>
 
+#include "core/index.h"
+#include "core/search.h"
 #include "core/search_internal.h"
 #include "dataset/pq.h"
 #include "dataset/profile.h"
@@ -33,31 +36,35 @@ std::vector<KeyValue> RandomKv(size_t n, Pcg32* rng) {
 /// 5 into 64 churn's, 3 into 32 each multi-CTA CTA's. Late in a search
 /// most fresh candidates lose to the M-th entry, so a quarter of the
 /// keys fall inside the top-M's range [0, 1) and the rest beyond it.
-/// Every round starts from the same top-M; its copy is timed too.
+/// Each round's candidates are ids and distances, as a scored batch
+/// holds them. Every round starts from the same top-M; its copy is
+/// timed too.
 void BM_SortAndMerge(benchmark::State& state) {
   constexpr size_t kSlots = 16;
+  constexpr size_t kRounds = 64;
   const size_t itopk = state.range(0);
   const size_t filled = state.range(1);
   Pcg32 rng(1);
   std::vector<KeyValue> start = RandomKv(itopk, &rng);
   std::sort(start.begin(), start.end(), KeyValueLess);
-  std::vector<std::vector<KeyValue>> rounds;
-  for (int i = 0; i < 64; i++) {
-    rounds.push_back(RandomKv(filled, &rng));
-    for (KeyValue& kv : rounds.back()) {
-      if (rng.NextBounded(4) != 0) kv.key += 1.f;
+  std::vector<uint32_t> ids;
+  std::vector<float> dists;
+  for (size_t i = 0; i < kRounds; i++) {
+    for (const KeyValue& kv : RandomKv(filled, &rng)) {
+      ids.push_back(kv.value);
+      dists.push_back(rng.NextBounded(4) != 0 ? kv.key + 1.f : kv.key);
     }
   }
   std::vector<KeyValue> topm;
-  std::vector<KeyValue> candidates;
   std::vector<KeyValue> merged;
   KernelCounters counters;
   size_t round = 0;
   for (auto _ : state) {
     topm = start;
-    candidates = rounds[round++ % rounds.size()];
-    internal_search::SortAndMerge(&topm, &candidates, kSlots, &merged,
-                                  &counters);
+    const size_t begin = (round++ % kRounds) * filled;
+    internal_search::SortAndMerge(topm.data(), itopk, ids.data() + begin,
+                                  dists.data() + begin, filled, kSlots,
+                                  &merged, &counters);
     benchmark::DoNotOptimize(topm.data());
     benchmark::ClobberMemory();
   }
@@ -177,6 +184,61 @@ void BM_DistanceGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_DistanceGather)->ArgsProduct({{0, 1}, {7, 32, 64}});
+
+/// Blocks of 100 lone requests against one shard of online_pq's shape
+/// (10k DEEP rows, degree 16, PQ codes with an fp32 rerank of 32),
+/// pinned as the serving scheduler pins them: uniform seed and the
+/// batch-of-one shape, which is multi-CTA at 64 CTAs, run on the
+/// calling thread alone. Time is per block; the counters are the work
+/// per request, equal in every block.
+void BM_MultiCtaLoneQuery(benchmark::State& state) {
+  constexpr size_t kRequests = 100;
+  static const SyntheticData data =
+      GenerateDataset(*FindProfile("DEEP-1M"), 10000, kRequests, 5);
+  static const CagraIndex* shard = [] {
+    BuildParams params;
+    params.graph_degree = 16;
+    auto built = CagraIndex::Build(data.base, params);
+    if (!built.ok()) return static_cast<CagraIndex*>(nullptr);
+    auto* index = new CagraIndex(std::move(built.value()));
+    index->EnablePq();
+    return index;
+  }();
+  if (shard == nullptr) {
+    state.SkipWithError("shard build failed");
+    return;
+  }
+  SearchParams params;
+  params.k = 10;
+  params.precision = Precision::kPq;
+  params.rerank = 32;
+  params.num_threads = 1;
+  params.uniform_seed = true;
+  const SearchParams pinned = ResolveBatchShape(params, DeviceSpec{}, 1);
+  std::vector<Matrix<float>> requests;
+  for (size_t q = 0; q < kRequests; q++) {
+    requests.push_back(SliceQueries(data.queries, q, 1));
+  }
+  KernelCounters work;
+  for (auto _ : state) {
+    work = KernelCounters{};
+    for (const Matrix<float>& request : requests) {
+      auto r = Search(*shard, request, pinned);
+      if (!r.ok()) {
+        state.SkipWithError(r.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(r->neighbors.ids.data());
+      work.Add(r->counters);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+  state.counters["dist_evals"] =
+      static_cast<double>(work.distance_computations) / kRequests;
+  state.counters["hash_probes"] =
+      static_cast<double>(work.hash_probes_device) / kRequests;
+}
+BENCHMARK(BM_MultiCtaLoneQuery)->Unit(benchmark::kMillisecond);
 
 void BM_NnDescentBuild(benchmark::State& state) {
   const size_t n = state.range(0);

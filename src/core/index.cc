@@ -246,8 +246,9 @@ Status CagraIndex::Add(const Matrix<float>& rows,
   SearchParams sp;
   sp.k = deg;
   sp.itopk = std::max<size_t>(64, 2 * deg);
-  const internal_search::ResolvedConfig cfg = internal_search::ResolveConfig(
-      sp, SearchAlgo::kSingleCta, deg, n1);
+  sp.algo = SearchAlgo::kSingleCta;
+  const internal_search::ResolvedConfig cfg =
+      internal_search::ResolveConfig(sp, deg, n1);
   internal_search::SearchScratch scratch;
   KernelCounters counters;  // inserts are host work; counters discarded
   std::vector<uint32_t> nbr_ids(deg);
@@ -901,6 +902,11 @@ Result<CagraIndex> CagraIndex::LoadImpl(const std::string& path,
   }
   if (header[4] > static_cast<uint64_t>(Metric::kCosine)) {
     return Status::IoError(path + ": unknown metric in header");
+  }
+  // Build, FromGraph and Add all refuse more rows than 31-bit ids
+  // address; a header claiming more is torn or forged.
+  if (header[1] > kMaxDatasetSize) {
+    return Status::IoError(path + ": row count past the 2^31 - 1 limit");
   }
   const size_t rows = header[1];
   const size_t dim = header[2];

@@ -74,8 +74,13 @@ struct SearchParams {
   HashMode hash_mode = HashMode::kAuto;
   size_t hash_reset_interval = 1;  ///< forgettable wipe period (iterations)
   /// log2 of the visited table's entries; 0 = auto (8..13 for a
-  /// forgettable table). At most 32: ids are 31-bit, so a table twice
-  /// the visits never needs more slots; larger values are rejected.
+  /// forgettable table). For a standard table, auto is the smallest
+  /// power of two, at least 2^8, that holds twice the visits of the
+  /// whole search, (max_iterations + 1) x p x d for single-CTA and
+  /// (max_iterations + 1) x cta_per_query x d for multi-CTA, whose CTAs
+  /// share one table; it stops at the first that holds 2 x rows. At
+  /// most 32: ids are 31-bit, so a table twice the visits never needs
+  /// more slots; larger values are rejected.
   size_t hash_bits = 0;
   size_t team_size = 0;          ///< 0 = auto-pick per dim (§IV-B1)
   uint64_t seed = 77;            ///< random-sampling seed (step 0)

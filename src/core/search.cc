@@ -167,9 +167,7 @@ Result<SearchResult> Search(const CagraIndex& index,
   const SearchParams shaped = ResolveBatchShape(params, device, batch);
   const SearchAlgo algo = shaped.algo;
 
-  ResolvedConfig cfg = ResolveConfig(params, algo, d, snap->size());
-  cfg.cta_per_query =
-      algo == SearchAlgo::kMultiCta ? shaped.cta_per_query : 1;
+  ResolvedConfig cfg = ResolveConfig(shaped, d, snap->size());
   cfg.cancel = params.cancel;
 
   // --- Exact-fp32 rerank depth (params.rerank doc). The kernels consume

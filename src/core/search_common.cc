@@ -17,25 +17,14 @@ VisitedSet& SearchScratch::EnsureVisited(size_t capacity) {
   return *visited;
 }
 
-void SearchScratch::FlushBatch(const DatasetView& dataset,
-                               const DatasetView::QueryView& query,
-                               std::vector<KeyValue>* list,
-                               KernelCounters* counters) {
-  batch_dists.resize(batch_ids.size());
-  dataset.DistanceBatch(query, batch_ids.data(), batch_ids.size(),
-                        batch_dists.data(), counters);
-  for (size_t i = 0; i < batch_ids.size(); i++) {
-    list->push_back({batch_dists[i], batch_ids[i]});
-  }
-  batch_ids.clear();
-}
-
-ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
-                             size_t graph_degree, size_t dataset_size) {
+ResolvedConfig ResolveConfig(const SearchParams& params, size_t graph_degree,
+                             size_t dataset_size) {
+  const bool multi = params.algo == SearchAlgo::kMultiCta;
   ResolvedConfig cfg{};
   cfg.k = params.k;
   cfg.itopk = ResolveItopk(params);
   cfg.search_width = std::max<size_t>(1, params.search_width);
+  cfg.cta_per_query = multi ? params.cta_per_query : 1;
   cfg.seed = params.seed;
 
   // Iteration budget: enough to refill the top-M list several times
@@ -45,17 +34,19 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
 
   // Hash sizing (§IV-B3): the search touches at most
   // Imax * p * d + initial-sample nodes; a standard table is sized to 2x
-  // that. A shared-memory (forgettable) table is clamped to 2^8..2^13
-  // entries; if the needed size exceeds the clamp we keep the paper's
-  // periodic reset interval.
+  // that, and never past 2x the rows it can hold. Multi-CTA's CTAs
+  // (p = 1 each) share one table, so it counts every CTA's visits. A
+  // shared-memory (forgettable) table is clamped to 2^8..2^13 entries;
+  // if the needed size exceeds the clamp we keep the paper's periodic
+  // reset interval.
   const size_t per_iter =
-      (algo == SearchAlgo::kMultiCta ? 1 : cfg.search_width) * graph_degree;
+      (multi ? cfg.cta_per_query : cfg.search_width) * graph_degree;
   const size_t worst_visits = (cfg.max_iterations + 1) * per_iter;
   const size_t wanted = 2 * worst_visits;
   size_t bits = params.hash_bits;
   const bool forgettable =
       params.hash_mode == HashMode::kForgettable ||
-      (params.hash_mode == HashMode::kAuto && algo == SearchAlgo::kSingleCta);
+      (params.hash_mode == HashMode::kAuto && !multi);
   if (forgettable) {
     if (bits == 0) {
       bits = 8;
@@ -79,8 +70,8 @@ ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
   return cfg;
 }
 
-size_t SortAndMerge(std::vector<KeyValue>* topm,
-                    std::vector<KeyValue>* candidates, size_t num_slots,
+size_t SortAndMerge(KeyValue* topm, size_t m, const uint32_t* ids,
+                    const float* dists, size_t count, size_t num_slots,
                     std::vector<KeyValue>* merged, KernelCounters* counters) {
   // §IV-B2: the kernel sorts all num_slots slots, pads included, with a
   // warp-level bitonic network (<= 512) or a CTA radix sort, then
@@ -90,38 +81,41 @@ size_t SortAndMerge(std::vector<KeyValue>* topm,
   } else {
     counters->radix_scatters += RadixSortScatters(num_slots);
   }
-  counters->sort_exchanges += BitonicMergeExchanges(topm->size(), num_slots);
-  if (topm->empty()) return 0;
+  counters->sort_exchanges += BitonicMergeExchanges(m, num_slots);
+  if (m == 0) return 0;
 
   // The merge puts the top-M's entry first on ties, so only a candidate
   // KeyValueLess than the M-th entry can enter. Pads can enter only when
-  // the M-th key is NaN; then they join the list and take the same path.
-  const KeyValue last = topm->back();
-  if (KeyValueLess(kPad, last)) candidates->resize(num_slots, kPad);
-  candidates->erase(std::remove_if(candidates->begin(), candidates->end(),
-                                   [&](const KeyValue& kv) {
-                                     return !KeyValueLess(kv, last);
-                                   }),
-                    candidates->end());
-  if (candidates->empty()) return topm->size();
-  std::sort(candidates->begin(), candidates->end(), KeyValueLess);
+  // the M-th key is NaN; then they join the survivors.
+  const KeyValue last = topm[m - 1];
+  merged->clear();
+  for (size_t i = 0; i < count; i++) {
+    const KeyValue kv{dists[i], ids[i]};
+    if (KeyValueLess(kv, last)) merged->push_back(kv);
+  }
+  if (KeyValueLess(kPad, last)) {
+    merged->resize(merged->size() + num_slots - count, kPad);
+  }
+  if (merged->empty()) return m;
+  std::sort(merged->begin(), merged->end(), KeyValueLess);
 
   // Entries up to the first survivor's upper bound keep their places;
-  // the displaced tail is staged in `merged` and merged back with the
-  // survivors until the top-M is full. The first survivor lands on the
+  // the displaced tail is staged after the survivors and merged back
+  // with them until the top-M is full. The first survivor lands on the
   // first displaced slot, and it is KeyValueLess than the entry it
   // replaces, so that slot is the first that changes.
-  const auto first = std::upper_bound(topm->begin(), topm->end(),
-                                      candidates->front(), KeyValueLess);
-  merged->assign(first, topm->end());
-  auto kept = merged->cbegin();
-  auto fresh = candidates->cbegin();
-  for (auto out = first; out != topm->end(); ++out) {
-    const bool take_fresh =
-        fresh != candidates->cend() && KeyValueLess(*fresh, *kept);
+  KeyValue* const first =
+      std::upper_bound(topm, topm + m, merged->front(), KeyValueLess);
+  const size_t survivors = merged->size();
+  merged->insert(merged->end(), first, topm + m);
+  auto fresh = merged->cbegin();
+  const auto fresh_end = fresh + survivors;
+  auto kept = fresh_end;
+  for (KeyValue* out = first; out != topm + m; ++out) {
+    const bool take_fresh = fresh != fresh_end && KeyValueLess(*fresh, *kept);
     *out = take_fresh ? *fresh++ : *kept++;
   }
-  return static_cast<size_t>(first - topm->begin());
+  return static_cast<size_t>(first - topm);
 }
 
 }  // namespace internal_search

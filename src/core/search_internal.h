@@ -157,7 +157,7 @@ struct ResolvedConfig {
   size_t hash_bits;
   size_t hash_reset_interval;  ///< 0 = standard table (no resets)
   bool hash_in_shared;
-  size_t cta_per_query;        ///< multi-CTA only
+  size_t cta_per_query;        ///< 1 for single-CTA
   uint64_t seed;
   /// Cooperative cancellation token (SearchParams::cancel), consulted
   /// at iteration boundaries; nullptr = never cancelled.
@@ -177,37 +177,37 @@ struct SearchScratch {
   /// the allocation across the worker's queries.
   PqAdcTable adc;
 
-  // Single-CTA buffers + the step-0 seeding buffer. The kernel's buffer
-  // (Fig. 6) is the sorted internal top-M followed by p*d candidate
-  // slots; `candidates` holds only the fresh entries of those slots; the
-  // other slots are +inf pads, counted by SortAndMerge, never stored.
+  // The kernel's buffer (Fig. 6) is the sorted internal top-M followed
+  // by p*d candidate slots. `topm` holds the top-M: single-CTA's itopk
+  // entries, or multi-CTA's num_ctas x 32 CTA lists back to back. The
+  // candidate slots are never stored: their fresh entries are the
+  // scored batch below, the other slots +inf pads that SortAndMerge
+  // counts. `init` is the step-0 seeding buffer.
   std::vector<KeyValue> topm;
-  std::vector<KeyValue> candidates;
   std::vector<KeyValue> init;
   std::vector<uint32_t> parents;
 
-  // Batched-distance staging: fresh node ids awaiting their distances.
+  // Batched-distance staging: the fresh node ids of an iteration and,
+  // once one distance call has scored them, their distances. Multi-CTA
+  // stages each CTA's fresh ids as its range of a lockstep round.
   std::vector<uint32_t> batch_ids;
   std::vector<float> batch_dists;
 
-  // Multi-CTA per-CTA buffers, compact like the single-CTA ones. A
-  // lockstep round stages each CTA's fresh ids as its range of
-  // batch_ids; one distance call then scores the whole round.
   struct CtaState {
-    std::vector<KeyValue> topm;
-    std::vector<KeyValue> candidates;
-    size_t cursor = 0;  ///< NextParent's scan start in `topm`
+    size_t cursor = 0;  ///< NextParent's scan start in the CTA's list
     size_t fresh_begin = 0;
     size_t fresh_end = 0;
+    uint32_t parent = 0;  ///< the node this round expands
     bool active = true;
   };
   std::vector<CtaState> ctas;
 
-  /// The top-M tail that SortAndMerge displaces, staged for its merge.
+  /// SortAndMerge's staging: the candidates that beat the M-th entry,
+  /// then the top-M tail they displace.
   std::vector<KeyValue> merged;
 
-  /// Multi-CTA emission: a min-heap of each CTA list's next usable entry,
-  /// parent flag stripped, with the entry's slot in ctas[cta].topm.
+  /// Multi-CTA emission: a min-heap of each CTA list's next entry,
+  /// parent flag stripped, with the entry's slot in that list.
   struct Head {
     KeyValue entry;
     uint32_t cta;
@@ -218,14 +218,6 @@ struct SearchScratch {
   /// Returns a wiped visited table with exactly `capacity` slots,
   /// reusing the previous allocation when the capacity matches.
   VisitedSet& EnsureVisited(size_t capacity);
-
-  /// Runs the staged batch_ids through one batched distance call,
-  /// appends their {distance, id} pairs to `list` and clears the
-  /// staging. The tail of every single-CTA fill; multi-CTA scores a
-  /// whole lockstep round at once instead.
-  void FlushBatch(const DatasetView& dataset,
-                  const DatasetView::QueryView& query,
-                  std::vector<KeyValue>* list, KernelCounters* counters);
 };
 
 /// Effective internal top-M length: the explicit value, or the
@@ -237,11 +229,14 @@ inline size_t ResolveItopk(const SearchParams& params) {
                            : std::max<size_t>(64, params.k);
 }
 
-/// Resolves SearchParams defaults against an index + batch size: auto
-/// max_iterations, hash sizing (§IV-B3: >= 2x expected visits, shared
-/// tables clamped to 2^8..2^13 with resets), Table II hash placement.
-ResolvedConfig ResolveConfig(const SearchParams& params, SearchAlgo algo,
-                             size_t graph_degree, size_t dataset_size);
+/// Resolves SearchParams defaults against an index: auto
+/// max_iterations, hash sizing (§IV-B3: >= 2x the visits of every CTA,
+/// standard tables capped at 2x the rows, shared tables clamped to
+/// 2^8..2^13 with resets), Table II hash placement. `params` is what
+/// ResolveBatchShape returned: its algo and, for multi-CTA, its
+/// cta_per_query are resolved.
+ResolvedConfig ResolveConfig(const SearchParams& params, size_t graph_degree,
+                             size_t dataset_size);
 
 /// Runs one query in single-CTA mode (§IV-C1). Appends k ids/distances
 /// to `out_ids`/`out_dists` (preallocated, offset q*k) and accumulates
@@ -270,31 +265,32 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       bool* truncated = nullptr);
 
 /// Folds one candidate buffer of `num_slots` slots into the sorted
-/// top-M. `candidates` lists the filled slots in any order (at most
-/// num_slots of them); the others hold kPad. Keeps the |topm| smallest
-/// of top-M, candidates and pads under KeyValueLess, the top-M's entry
-/// first on ties, as a std::merge with the sorted buffer would, and
-/// clobbers `candidates`. Charges what the kernel's §IV-B2 networks
+/// top-M `topm[0, m)`. Its filled slots are `count` (at most num_slots)
+/// fresh entries {dists[i], ids[i]} in any order; the others hold kPad.
+/// Keeps the m smallest of top-M, candidates and pads under
+/// KeyValueLess, the top-M's entry first on ties, as a std::merge with
+/// the sorted buffer would. Charges what the kernel's §IV-B2 networks
 /// count on the whole buffer: a bitonic sort for <= 512 slots, a radix
-/// sort above, then a bitonic merge; the host itself sorts and merges
-/// only the candidates that beat the M-th entry. `merged` is staging
-/// that keeps its capacity across calls. Returns the first slot whose
-/// bits (parent flag included) changed, or |topm| when none did: the
-/// slots before it are as they were, so a parent cursor stays valid
-/// at the minimum of itself and this index.
-size_t SortAndMerge(std::vector<KeyValue>* topm,
-                    std::vector<KeyValue>* candidates, size_t num_slots,
+/// sort above, then a bitonic merge; the host itself keeps, sorts and
+/// merges only the candidates that beat the M-th entry, dropping the
+/// rest as it reads them. `merged` is staging that keeps its capacity
+/// across calls. Returns the first slot whose bits (parent flag
+/// included) changed, or m when none did: the slots before it are as
+/// they were, so a parent cursor stays valid at the minimum of itself
+/// and this index.
+size_t SortAndMerge(KeyValue* topm, size_t m, const uint32_t* ids,
+                    const float* dists, size_t count, size_t num_slots,
                     std::vector<KeyValue>* merged, KernelCounters* counters);
 
-/// Picks the next parent (§IV-B4): the first IsUsable entry of `topm` at
-/// or after `*cursor` that is not flagged yet. Sets its parent flag,
-/// moves the cursor past it and returns its id; returns kInvalidEntry,
-/// cursor at |topm|, when no such entry is left. The cursor's invariant
-/// is that no slot before it can be picked, so after a merge it drops
-/// to SortAndMerge's return value if lower.
-inline uint32_t NextParent(std::vector<KeyValue>* topm, size_t* cursor) {
-  while (*cursor < topm->size()) {
-    KeyValue& entry = (*topm)[(*cursor)++];
+/// Picks the next parent (§IV-B4): the first IsUsable entry of
+/// `topm[0, m)` at or after `*cursor` that is not flagged yet. Sets its
+/// parent flag, moves the cursor past it and returns its id; returns
+/// kInvalidEntry, cursor at m, when no such entry is left. The cursor's
+/// invariant is that no slot before it can be picked, so after a merge
+/// it drops to SortAndMerge's return value if lower.
+inline uint32_t NextParent(KeyValue* topm, size_t m, size_t* cursor) {
+  while (*cursor < m) {
+    KeyValue& entry = topm[(*cursor)++];
     if (!IsUsable(entry) || (entry.value & kParentFlag) != 0) continue;
     entry.value |= kParentFlag;
     return entry.value & kIndexMask;

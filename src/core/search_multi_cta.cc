@@ -12,32 +12,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/// Scores the staged batch_ids with one batched distance call and makes
-/// each active CTA's [fresh_begin, fresh_end) range its candidate list.
-/// The gather kernels give a row the same bits whatever the batch, so
-/// this equals one call per CTA.
-void ScoreRound(const DatasetView& dataset, const DatasetView::QueryView& qv,
-                SearchScratch* scratch, KernelCounters* counters) {
-  std::vector<uint32_t>& ids = scratch->batch_ids;
-  std::vector<float>& dists = scratch->batch_dists;
-  dists.resize(ids.size());
-  dataset.DistanceBatch(qv, ids.data(), ids.size(), dists.data(), counters);
-  for (SearchScratch::CtaState& cta : scratch->ctas) {
-    if (!cta.active) continue;
-    cta.candidates.clear();
-    for (size_t i = cta.fresh_begin; i < cta.fresh_end; i++) {
-      cta.candidates.push_back({dists[i], ids[i]});
-    }
-  }
-  ids.clear();
-}
-
-/// The first IsUsable slot at or after `slot` of a CTA list.
-size_t NextUsable(const std::vector<KeyValue>& topm, size_t slot) {
-  while (slot < topm.size() && !IsUsable(topm[slot])) slot++;
-  return slot;
-}
-
 }  // namespace
 
 size_t SearchMultiCta(const DatasetView& dataset,
@@ -65,16 +39,21 @@ size_t SearchMultiCta(const DatasetView& dataset,
   counters->hash_table_device_bytes += visited.MemoryBytes();
   const size_t probes_before = visited.probes();
 
+  // Every CTA's local top-M, CTA c's at [c * 32, (c + 1) * 32).
+  std::vector<KeyValue>& lists = scratch->topm;
+  lists.assign(num_ctas * kMultiCtaLocalTopM, kPad);
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
+  std::vector<float>& batch_dists = scratch->batch_dists;
   batch_ids.clear();
   std::vector<SearchScratch::CtaState>& ctas = scratch->ctas;
   ctas.resize(num_ctas);
 
-  // --- Step 0 per CTA: max(d, 1) random samples into its candidate list.
+  // --- Step 0 per CTA: max(d, 1) random samples as its range of the
+  // first round. The gather kernels give a row the same bits whatever
+  // the batch, so one distance call per round equals one per CTA.
   for (size_t c = 0; c < num_ctas; c++) {
     SearchScratch::CtaState& cta = ctas[c];
     cta.active = true;
-    cta.topm.assign(kMultiCtaLocalTopM, kPad);
     cta.cursor = 0;
     Pcg32 rng(query_seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)), 0xbeef + c);
     cta.fresh_begin = batch_ids.size();
@@ -84,11 +63,14 @@ size_t SearchMultiCta(const DatasetView& dataset,
     }
     cta.fresh_end = batch_ids.size();
   }
-  ScoreRound(dataset, qv, scratch, counters);
+  batch_dists.resize(batch_ids.size());
+  dataset.DistanceBatch(qv, batch_ids.data(), batch_ids.size(),
+                        batch_dists.data(), counters);
 
-  // --- Lockstep iterations: every active CTA merges its buffer, expands
-  // its single best non-parent node (p = 1) and stages its fresh
-  // neighbors; one batched distance call then refills every CTA.
+  // --- Lockstep iterations: every active CTA merges its range of the
+  // scored round and picks its single best non-parent node (p = 1);
+  // then each expands its node and stages its fresh neighbors, probing
+  // the table in CTA order; one batched distance call scores the round.
   size_t iterations = 0;
   // Cancellation boundary: one amortized check per lockstep round (a
   // round spans every active CTA, so rounds are the coarsest safe
@@ -101,22 +83,26 @@ size_t SearchMultiCta(const DatasetView& dataset,
       break;
     }
     bool any_active = false;
+    for (size_t c = 0; c < num_ctas; c++) {
+      SearchScratch::CtaState& cta = ctas[c];
+      if (!cta.active) continue;
+      KeyValue* list = &lists[c * kMultiCtaLocalTopM];
+      const size_t first_changed = SortAndMerge(
+          list, kMultiCtaLocalTopM, batch_ids.data() + cta.fresh_begin,
+          batch_dists.data() + cta.fresh_begin,
+          cta.fresh_end - cta.fresh_begin, slots, &scratch->merged, counters);
+      cta.cursor = std::min(cta.cursor, first_changed);
+      cta.parent = NextParent(list, kMultiCtaLocalTopM, &cta.cursor);
+      // A CTA whose local list is fully expanded idles while the others
+      // continue (the kernel keeps it resident but quiescent).
+      cta.active = cta.parent != kInvalidEntry;
+      any_active |= cta.active;
+    }
+    batch_ids.clear();
     for (SearchScratch::CtaState& cta : ctas) {
       if (!cta.active) continue;
-      cta.cursor = std::min(cta.cursor,
-                            SortAndMerge(&cta.topm, &cta.candidates, slots,
-                                         &scratch->merged, counters));
-      const uint32_t parent = NextParent(&cta.topm, &cta.cursor);
-      if (parent == kInvalidEntry) {
-        // This CTA's local list is fully expanded; it idles while the
-        // others continue (the kernel keeps it resident but quiescent).
-        cta.active = false;
-        continue;
-      }
-      any_active = true;
-
       counters->device_graph_bytes += d * sizeof(uint32_t);
-      const uint32_t* nbrs = graph.Neighbors(parent);
+      const uint32_t* nbrs = graph.Neighbors(cta.parent);
       cta.fresh_begin = batch_ids.size();
       for (size_t j = 0; j < d; j++) {
         const uint32_t node = nbrs[j];
@@ -125,18 +111,21 @@ size_t SearchMultiCta(const DatasetView& dataset,
       }
       cta.fresh_end = batch_ids.size();
     }
-    ScoreRound(dataset, qv, scratch, counters);
+    batch_dists.resize(batch_ids.size());
+    dataset.DistanceBatch(qv, batch_ids.data(), batch_ids.size(),
+                          batch_dists.data(), counters);
     iterations++;
     if (!any_active) break;
   }
   counters->hash_probes_device += visited.probes() - probes_before;
 
   // --- Result merge: a k-way merge of the CTA lists, each sorted under
-  // KeyValueLess, through a min-heap of their next usable entries. Entries
-  // equal under KeyValueLess are one id at one distance, so the merge
-  // emits what sorting all ctas x 32 entries would; the same id held by
-  // several CTAs (a full table re-admits nodes) arrives adjacent, and
-  // only its first copy is kept.
+  // KeyValueLess, through a min-heap of their next entries; entries that
+  // are not IsUsable are skipped as they come out. Entries equal under
+  // KeyValueLess are one id at one distance, so the merge emits what
+  // sorting all ctas x 32 entries would; the same id held by several
+  // CTAs (a full table re-admits nodes) arrives adjacent, and only its
+  // first copy is kept.
   std::vector<SearchScratch::Head>& heads = scratch->heads;
   heads.clear();
   const auto later = [](const SearchScratch::Head& a,
@@ -144,15 +133,12 @@ size_t SearchMultiCta(const DatasetView& dataset,
     return KeyValueLess(b.entry, a.entry);
   };
   const auto head_at = [&](size_t c, size_t slot) {
-    const KeyValue& kv = ctas[c].topm[slot];
+    const KeyValue& kv = lists[c * kMultiCtaLocalTopM + slot];
     return SearchScratch::Head{{kv.key, kv.value & kIndexMask},
                                static_cast<uint32_t>(c),
                                static_cast<uint32_t>(slot)};
   };
-  for (size_t c = 0; c < num_ctas; c++) {
-    const size_t slot = NextUsable(ctas[c].topm, 0);
-    if (slot < kMultiCtaLocalTopM) heads.push_back(head_at(c, slot));
-  }
+  for (size_t c = 0; c < num_ctas; c++) heads.push_back(head_at(c, 0));
   std::make_heap(heads.begin(), heads.end(), later);
 
   size_t written = 0;
@@ -161,14 +147,14 @@ size_t SearchMultiCta(const DatasetView& dataset,
     std::pop_heap(heads.begin(), heads.end(), later);
     const KeyValue entry = heads.back().entry;
     const size_t c = heads.back().cta;
-    const size_t slot = NextUsable(ctas[c].topm, heads.back().slot + 1);
+    const size_t slot = heads.back().slot + 1;
     if (slot < kMultiCtaLocalTopM) {
       heads.back() = head_at(c, slot);
       std::push_heap(heads.begin(), heads.end(), later);
     } else {
       heads.pop_back();
     }
-    if (entry.value == prev) continue;
+    if (!IsUsable(entry) || entry.value == prev) continue;
     prev = entry.value;
     // Lazy-delete filter: tombstoned rows routed the traversal but are
     // dropped at emission, identically across every dispatch tier.

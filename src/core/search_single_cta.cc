@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 #include "core/search_internal.h"
@@ -32,10 +31,9 @@ size_t SearchSingleCta(const DatasetView& dataset,
       dataset.Prepare(query, &scratch->adc, counters);
 
   // Buffer layout of Fig. 6: internal top-M (sorted ascending) followed
-  // by num_candidates slots, of which `candidates` lists the filled ones
+  // by num_candidates slots, whose filled ones are the scored batch
   // (SearchScratch). All buffers live in the per-worker scratch.
   std::vector<KeyValue>& topm = scratch->topm;
-  std::vector<KeyValue>& candidates = scratch->candidates;
 
   VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
   if (!cfg.hash_in_shared) {
@@ -47,8 +45,10 @@ size_t SearchSingleCta(const DatasetView& dataset,
   const size_t probes_before = visited.probes();
   Pcg32 rng(query_seed, 0xc0ffee);
 
-  // Fresh nodes awaiting their (batched) distance computation.
+  // Fresh nodes and, once one batched call has scored them, their
+  // distances.
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
+  std::vector<float>& batch_dists = scratch->batch_dists;
 
   // --- Step 0: random sampling. The whole buffer (internal top-M +
   // candidate list, Fig. 6) is seeded with uniform random nodes so the
@@ -64,20 +64,28 @@ size_t SearchSingleCta(const DatasetView& dataset,
       const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
       if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
     }
-    scratch->FlushBatch(dataset, qv, &init, counters);
+    batch_dists.resize(batch_ids.size());
+    dataset.DistanceBatch(qv, batch_ids.data(), batch_ids.size(),
+                          batch_dists.data(), counters);
+    for (size_t i = 0; i < batch_ids.size(); i++) {
+      init.push_back({batch_dists[i], batch_ids[i]});
+    }
     counters->sort_exchanges += BitonicSortExchanges(num_slots);
     std::sort(init.begin(), init.end(), KeyValueLess);
     // Each duplicate left a pad in its slot; the sorted buffer holds
     // them before the first NaN key. The top-M takes the first itopk
-    // entries and the tail's real entries are the first candidate list,
+    // entries and the tail's real entries are the first scored batch,
     // its pads implicit again.
     init.insert(std::lower_bound(init.begin(), init.end(), kPad, KeyValueLess),
                 num_slots - init.size(), kPad);
     topm.assign(init.begin(), init.begin() + cfg.itopk);
-    candidates.clear();
-    std::remove_copy_if(
-        init.begin() + cfg.itopk, init.end(), std::back_inserter(candidates),
-        [](const KeyValue& kv) { return kv.value == kInvalidEntry; });
+    batch_ids.clear();
+    batch_dists.clear();
+    for (auto kv = init.cbegin() + cfg.itopk; kv != init.cend(); ++kv) {
+      if (kv->value == kInvalidEntry) continue;
+      batch_ids.push_back(kv->value);
+      batch_dists.push_back(kv->key);
+    }
   }
 
   size_t iterations = 0;
@@ -93,8 +101,10 @@ size_t SearchSingleCta(const DatasetView& dataset,
   CancelCheck cancel(cfg.cancel, /*stride=*/4);
   while (true) {
     // --- Step 1: update internal top-M from the whole buffer.
-    cursor = std::min(cursor, SortAndMerge(&topm, &candidates, num_candidates,
-                                           &scratch->merged, counters));
+    cursor = std::min(
+        cursor, SortAndMerge(topm.data(), topm.size(), batch_ids.data(),
+                             batch_dists.data(), batch_ids.size(),
+                             num_candidates, &scratch->merged, counters));
     iterations++;
 
     if (iterations >= cfg.max_iterations) break;
@@ -107,7 +117,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
     // (§IV-B4), gather their adjacency rows.
     parents.clear();
     while (parents.size() < cfg.search_width) {
-      const uint32_t parent = NextParent(&topm, &cursor);
+      const uint32_t parent = NextParent(topm.data(), topm.size(), &cursor);
       if (parent == kInvalidEntry) break;
       parents.push_back(parent);
     }
@@ -141,8 +151,9 @@ size_t SearchSingleCta(const DatasetView& dataset,
         if (visited.InsertIfAbsent(node)) batch_ids.push_back(node);
       }
     }
-    candidates.clear();
-    scratch->FlushBatch(dataset, qv, &candidates, counters);
+    batch_dists.resize(batch_ids.size());
+    dataset.DistanceBatch(qv, batch_ids.data(), batch_ids.size(),
+                          batch_dists.data(), counters);
   }
   (cfg.hash_in_shared ? counters->hash_probes_shared
                       : counters->hash_probes_device) +=

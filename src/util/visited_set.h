@@ -65,7 +65,12 @@ class VisitedSet {
   static constexpr uint32_t kEmpty = 0xffffffffu;
 
   size_t Slot(uint32_t key) const {
-    // Fibonacci multiplicative hashing onto the table's power-of-two size.
+    // The low bits of key x 2654435761 (Knuth's odd multiplicative
+    // constant), not the top bits Fibonacci hashing would take. An odd
+    // multiplier permutes the residues mod the power-of-two capacity, so
+    // distinct keys below the capacity get distinct home slots: a table
+    // with more slots than the index has rows probes once per lookup.
+    // The probe counters the cost model prices depend on this function.
     return (static_cast<uint64_t>(key) * 2654435761u) & mask_;
   }
 

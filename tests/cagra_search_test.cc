@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/search.h"
+#include "core/search_internal.h"
 #include "dataset/profile.h"
 #include "dataset/synthetic.h"
 #include "knn/bruteforce.h"
@@ -561,6 +563,78 @@ TEST(CagraSearchEmissionTest, MultiCtaMergeAsPinned) {
     EXPECT_EQ(c.hash_probes_shared, 0u) << shape;
     EXPECT_EQ(c.sort_exchanges, e.sort_exchanges) << shape;
   }
+}
+
+TEST(ResolveConfigTest, SharedMultiCtaTableCountsEveryCta) {
+  // §IV-B3 sizes a standard table at twice the visits a search can make,
+  // and never past twice the rows. Multi-CTA's CTAs share one table, so
+  // a round visits cta_per_query x d nodes, not d. ResolveConfig reads
+  // the algo and CTA count that ResolveBatchShape resolved.
+  struct Case {
+    const char* shape;
+    SearchAlgo algo;  ///< kAuto: ResolveBatchShape picks
+    size_t rows, batch, cta_per_query, itopk;
+    SearchAlgo resolved;
+    size_t ctas, bits;
+  };
+  const Case cases[] = {
+      // online_pq's shard, a lone request: 2 x 129 x 64 x 16 visits,
+      // capped at 2 x 10k. One CTA's visits gave 2^13.
+      {"online_pq shard", SearchAlgo::kAuto, 10000, 1, 0, 0,
+       SearchAlgo::kMultiCta, 64, 15},
+      // MultiCtaMergeAsPinned's shape: the 2 x rows cap binds.
+      {"1k rows, 4 CTAs", SearchAlgo::kMultiCta, 1000, 3, 4, 32,
+       SearchAlgo::kMultiCta, 4, 11},
+      // batch_deep: single-CTA, a forgettable table for 2 x 65 x 16.
+      {"batch_deep", SearchAlgo::kAuto, 30000, 10000, 0, 32,
+       SearchAlgo::kSingleCta, 1, 12},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.shape);
+    SearchParams params;
+    params.k = 10;
+    params.algo = c.algo;
+    params.cta_per_query = c.cta_per_query;
+    params.itopk = c.itopk;
+    const SearchParams shaped = ResolveBatchShape(params, DeviceSpec{}, c.batch);
+    ASSERT_EQ(shaped.algo, c.resolved);
+    const internal_search::ResolvedConfig cfg =
+        internal_search::ResolveConfig(shaped, 16, c.rows);
+    EXPECT_EQ(cfg.cta_per_query, c.ctas);
+    EXPECT_EQ(cfg.hash_bits, c.bits);
+    EXPECT_EQ(cfg.hash_in_shared, c.resolved == SearchAlgo::kSingleCta);
+    EXPECT_EQ(cfg.hash_reset_interval, 0u);
+  }
+}
+
+TEST(ResolveConfigTest, LoneMultiCtaSearchSharesATableForEveryCta) {
+  // A lone query on a 10k-row index runs 64 CTAs over one device table,
+  // sized automatically at 2^15 slots. At an explicit 2^13 the ~6k
+  // inserts still fit, so the search returns the same rows and only the
+  // table's bytes differ.
+  const auto data = GenerateDataset(*FindProfile("DEEP-1M"), 10000, 1, 31);
+  BuildParams bp;
+  bp.graph_degree = 16;
+  auto index = CagraIndex::Build(data.base, bp);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  SearchParams params;
+  params.k = 10;
+  auto automatic = Search(*index, data.queries, params);
+  params.hash_bits = 13;
+  auto pinned = Search(*index, data.queries, params);
+  ASSERT_TRUE(automatic.ok()) << automatic.status().ToString();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(automatic->algo_used, SearchAlgo::kMultiCta);
+  EXPECT_EQ(automatic->launch.ctas_per_query, 64u);
+  EXPECT_EQ(automatic->counters.hash_table_device_bytes,
+            sizeof(uint32_t) << 15);
+  EXPECT_EQ(pinned->counters.hash_table_device_bytes, sizeof(uint32_t) << 13);
+  EXPECT_LT(pinned->counters.distance_computations, size_t{1} << 13);
+  EXPECT_EQ(automatic->neighbors.ids, pinned->neighbors.ids);
+  const std::vector<float>& a = automatic->neighbors.distances;
+  const std::vector<float>& b = pinned->neighbors.distances;
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 // ---------------------------------------------------------- validation

@@ -291,12 +291,8 @@ TEST_F(SearchCancelTest, KernelsCutAtAnIterationBoundary) {
     SCOPED_TRACE(algo == SearchAlgo::kMultiCta ? "multi-CTA" : "single-CTA");
     SearchParams sp = BaseParams();
     sp.algo = algo;
-    internal_search::ResolvedConfig cfg = internal_search::ResolveConfig(
-        sp, algo, snap->degree(), snap->size());
-    cfg.cta_per_query = algo == SearchAlgo::kMultiCta
-                            ? ResolveBatchShape(sp, DeviceSpec{}, 1)
-                                  .cta_per_query
-                            : 1;
+    const internal_search::ResolvedConfig cfg = internal_search::ResolveConfig(
+        ResolveBatchShape(sp, DeviceSpec{}, 1), snap->degree(), snap->size());
     struct Run {
       NeighborList out;
       KernelCounters counters;

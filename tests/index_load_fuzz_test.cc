@@ -236,6 +236,28 @@ TEST_F(IndexLoadFuzzTest, OutOfCoreLoadMatchesResidentLoad) {
   EXPECT_EQ(a->neighbors.distances, b->neighbors.distances);
 }
 
+TEST_F(IndexLoadFuzzTest, RowCountPastTheIdLimitRejects) {
+  // A 48-byte file: the header claims 2^40 rows of dim 0 and degree 0,
+  // so every section is empty and the flags word follows at once. No
+  // section check can see the lie; the row count itself must fail, as
+  // Build, FromGraph and Add refuse more than kMaxDatasetSize rows.
+  // rows, dim, degree, metric, flags
+  const uint64_t fields[5] = {1ull << 40, 0, 0, 0, 0};
+  std::vector<unsigned char> forged(bytes_->begin(), bytes_->begin() + 8);
+  forged.resize(8 + sizeof(fields));
+  std::memcpy(forged.data() + 8, fields, sizeof(fields));  // after the magic
+  const std::string cut = ::testing::TempDir() + "/fuzz_rows.cagra";
+  WritePrefix(cut, forged, forged.size());
+  for (const bool out_of_core : {false, true}) {
+    SCOPED_TRACE(out_of_core ? "out-of-core" : "resident");
+    auto loaded = out_of_core ? CagraIndex::LoadOutOfCore(cut)
+                              : CagraIndex::Load(cut);
+    ASSERT_FALSE(loaded.ok()) << "size " << loaded->size();
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
+  std::remove(cut.c_str());
+}
+
 TEST_F(IndexLoadFuzzTest, EmptyAndHeaderOnlyFilesReject) {
   const std::string cut = ::testing::TempDir() + "/fuzz_tiny.cagra";
   for (size_t len : {size_t{0}, size_t{1}, size_t{8}, size_t{39}}) {

@@ -77,11 +77,11 @@ bool SameEntries(const std::vector<KeyValue>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(KeyValue)) == 0);
 }
 
-/// Runs SortAndMerge on a copy of `topm` and `candidates` over
-/// `num_slots` slots. The result must be bit-equal to a sort of the
-/// whole buffer (top-M, candidates, then a pad per empty slot) cut to
-/// |topm|, the charges must follow the slot count, and the return value
-/// must be the first slot whose bits changed, or |topm|.
+/// Runs SortAndMerge on a copy of `topm` and the ids and distances of
+/// `candidates` over `num_slots` slots. The result must be bit-equal to
+/// a sort of the whole buffer (top-M, candidates, then a pad per empty
+/// slot) cut to |topm|, the charges must follow the slot count, and the
+/// return value must be the first slot whose bits changed, or |topm|.
 void ExpectMergeMatchesReference(const std::vector<KeyValue>& topm,
                                  const std::vector<KeyValue>& candidates,
                                  size_t num_slots,
@@ -96,10 +96,16 @@ void ExpectMergeMatchesReference(const std::vector<KeyValue>& topm,
   reference.resize(m);
 
   std::vector<KeyValue> out = topm;
-  std::vector<KeyValue> list = candidates;
+  std::vector<uint32_t> ids;
+  std::vector<float> dists;
+  for (const KeyValue& kv : candidates) {
+    ids.push_back(kv.value);
+    dists.push_back(kv.key);
+  }
   KernelCounters counters;
-  const size_t first_changed =
-      internal_search::SortAndMerge(&out, &list, num_slots, merged, &counters);
+  const size_t first_changed = internal_search::SortAndMerge(
+      out.data(), m, ids.data(), dists.data(), ids.size(), num_slots, merged,
+      &counters);
   EXPECT_TRUE(SameEntries(out, reference))
       << m << " " << candidates.size() << " " << num_slots;
   size_t expected_changed = 0;
