@@ -74,7 +74,7 @@ void BM_SortAndMerge(benchmark::State& state) {
 BENCHMARK(BM_SortAndMerge)->Args({32, 8})->Args({64, 5})->Args({32, 3});
 
 /// 4096 random inserts into a half-full 8192-slot table, wiped between
-/// rounds through Reset() as EnsureVisited reuses a search's table.
+/// rounds through Reset() as OpenVisited reuses a search's table.
 void BM_VisitedSetInsert(benchmark::State& state) {
   Pcg32 rng(7);
   VisitedSet set(8192);

@@ -27,12 +27,11 @@
 #include <string>
 #include <vector>
 
-#if defined(__GLIBC__) || defined(__linux__)
-#include <malloc.h>
-#endif
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <unistd.h>
+
+#if defined(__GLIBC__) || defined(__linux__)
+#include <malloc.h>
 #endif
 
 #include "bench/common.h"
@@ -74,15 +73,11 @@ void TrimHeap() {
 /// regime the tier exists for (a dataset too big for RAM, where only
 /// the pages the rerank actually asks for can be resident).
 void EvictFromPageCache(const std::string& path) {
-#if !defined(_WIN32)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return;
   ::fsync(fd);  // dirty pages survive DONTNEED; flush them first
   (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
   ::close(fd);
-#else
-  (void)path;
-#endif
 }
 
 struct SweepPoint {

@@ -20,7 +20,9 @@ namespace cagra {
 /// query, an ef-bounded result heap, an open-addressing visited table in
 /// device memory, and no software warp splitting (distances are computed
 /// warp-wide, the SONG/GGNN approach). Charges the same counter currency
-/// as the CAGRA search so both run through one cost model.
+/// as the CAGRA search so both run through one cost model. NSSG's CPU
+/// search (NssgIndex::SearchGraph) is the same loop and runs through it
+/// too, keeping only the distance and iteration counts.
 struct GpuBeamResult {
   std::vector<std::pair<float, uint32_t>> neighbors;  ///< ascending
   size_t iterations = 0;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "baselines/gpu_common/gpu_beam_search.h"
 #include "knn/nn_descent.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -178,56 +179,22 @@ std::vector<DistId> NssgIndex::SearchGraph(const Matrix<float>& dataset,
                                            size_t pool, uint64_t seed,
                                            NssgSearchStats* stats) {
   const size_t n = dataset.rows();
-  const size_t eff_pool = std::max(pool, k);
   if (n == 0) return {};
 
   // Random-sample initialization (the NSSG/CAGRA-style start: no
-  // hierarchy, no navigating node).
+  // hierarchy, no navigating node), then best-first expansion over a
+  // pool of max(pool, k) entries until none is left unexpanded.
   Pcg32 rng(seed);
-  VisitedSet visited(8 * eff_pool + 64);
-  std::vector<DistId> results;  // sorted ascending, <= eff_pool entries
-  results.reserve(eff_pool + 1);
-  auto push_result = [&](float d, uint32_t id) {
-    if (results.size() >= eff_pool && d >= results.back().first) return;
-    const auto it = std::lower_bound(results.begin(), results.end(),
-                                     DistId{d, id});
-    results.insert(it, {d, id});
-    if (results.size() > eff_pool) results.pop_back();
-  };
-
-  const size_t num_init = std::min<size_t>(n, eff_pool);
-  for (size_t i = 0; i < num_init; i++) {
-    const uint32_t node = rng.NextBounded(static_cast<uint32_t>(n));
-    if (!visited.InsertIfAbsent(node)) continue;
-    const float d =
-        ComputeDistance(metric, query, dataset.Row(node), dataset.dim());
-    if (stats != nullptr) stats->distance_computations++;
-    push_result(d, node);
+  std::vector<uint32_t> entries(std::min(n, std::max(pool, k)));
+  for (uint32_t& e : entries) e = rng.NextBounded(static_cast<uint32_t>(n));
+  KernelCounters counters;
+  GpuBeamResult beam =
+      GpuBeamSearch(dataset, metric, graph, query, k, pool, entries, &counters);
+  if (stats != nullptr) {
+    stats->distance_computations += counters.distance_computations;
+    stats->hops += beam.iterations;
   }
-
-  // Best-first expansion over the pool until no unexpanded entry remains.
-  VisitedSet expanded(8 * eff_pool + 64);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < results.size(); i++) {
-      const uint32_t node = results[i].second;
-      if (!expanded.InsertIfAbsent(node)) continue;
-      progress = true;
-      if (stats != nullptr) stats->hops++;
-      for (const uint32_t nbr : graph.Neighbors(node)) {
-        if (!visited.InsertIfAbsent(nbr)) continue;
-        const float d =
-            ComputeDistance(metric, query, dataset.Row(nbr), dataset.dim());
-        if (stats != nullptr) stats->distance_computations++;
-        push_result(d, nbr);
-      }
-      break;  // restart from the best unexpanded entry
-    }
-  }
-
-  if (results.size() > k) results.resize(k);
-  return results;
+  return std::move(beam.neighbors);
 }
 
 std::vector<DistId> NssgIndex::SearchOne(const float* query, size_t k,

@@ -41,9 +41,10 @@ struct BuildParams {
 /// per-query ADC lookup tables) per the §V-E compression direction.
 enum class Precision { kFp32, kFp16, kInt8, kPq };
 
-/// Hash-table management for the visited list (§IV-B3 / Table II).
+/// Hash-table management for the visited list (§IV-B3 / Table II), a
+/// single-CTA setting: multi-CTA's CTAs always share one standard table.
 enum class HashMode {
-  kAuto,        ///< forgettable in single-CTA, standard in multi-CTA
+  kAuto,        ///< forgettable
   kStandard,    ///< device-memory table sized for the whole search
   kForgettable, ///< small shared-memory table with periodic resets
 };
@@ -66,13 +67,16 @@ struct SearchParams {
   /// M: internal top-M list length. Must be >= k when set explicitly;
   /// 0 = auto (max(64, k), the historical default widened for large k).
   size_t itopk = 0;
-  /// p: parents expanded per iteration. The iteration budget follows
-  /// from it and itopk: clamp(2 * itopk / p, 16, 1024).
+  /// p: parents expanded per iteration, a single-CTA setting (each
+  /// multi-CTA CTA expands one). The iteration budget follows from it
+  /// and itopk: clamp(2 * itopk / p, 16, 1024), with p = 1 in multi-CTA.
   size_t search_width = 1;
   SearchAlgo algo = SearchAlgo::kAuto;
-  size_t cta_per_query = 0;      ///< multi-CTA width; 0 = auto
-  HashMode hash_mode = HashMode::kAuto;
-  size_t hash_reset_interval = 1;  ///< forgettable wipe period (iterations)
+  /// CTAs per query, a multi-CTA setting; 0 = auto.
+  size_t cta_per_query = 0;
+  HashMode hash_mode = HashMode::kAuto;  ///< a single-CTA setting
+  /// Forgettable wipe period (iterations), a single-CTA setting.
+  size_t hash_reset_interval = 1;
   /// log2 of the visited table's entries; 0 = auto (8..13 for a
   /// forgettable table). For a standard table, auto is the smallest
   /// power of two, at least 2^8, that holds twice the visits of the

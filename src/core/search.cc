@@ -21,12 +21,6 @@ using internal_search::ResolveConfig;
 using internal_search::ResolvedConfig;
 using internal_search::SearchScratch;
 
-/// Threads per CTA used by the two kernels (matches the cuVS defaults:
-/// wide CTAs for single-CTA mode, slimmer CTAs in multi-CTA mode so many
-/// fit per query).
-constexpr size_t kSingleCtaThreads = 256;
-constexpr size_t kMultiCtaThreads = 128;
-
 /// Per-thread scratch reused across Search() calls, one entry per slot
 /// of the global pool. The serving scheduler's workers call Search once
 /// per micro-batch on the same thread, and before this cache every call
@@ -164,27 +158,22 @@ Result<SearchResult> Search(const CagraIndex& index,
   // ResolveBatchShape is the single owner of the batch-shape auto
   // choices so callers that pin them (the serving scheduler) pick
   // exactly what this call would.
-  const SearchParams shaped = ResolveBatchShape(params, device, batch);
-  const SearchAlgo algo = shaped.algo;
-
-  ResolvedConfig cfg = ResolveConfig(shaped, d, snap->size());
+  ResolvedConfig cfg =
+      ResolveConfig(ResolveBatchShape(params, device, batch), d, snap->size());
   cfg.cancel = params.cancel;
 
   // --- Exact-fp32 rerank depth (params.rerank doc). The kernels consume
-  // cfg.k only at output emission (see search_single_cta.cc /
-  // search_multi_cta.cc), so widening it to r keeps the traversal — and
-  // therefore the candidate frontier — identical to a plain top-k
-  // search; the search just emits more of the frontier it already had.
+  // cfg.k only at output emission (EmitTopK), so widening it to r keeps
+  // the traversal — and therefore the candidate frontier — identical to
+  // a plain top-k search; the search just emits more of the frontier it
+  // already had. The lists hold at most num_lists x list_len entries;
+  // asking past that only pads.
   const size_t out_k = cfg.k;
   size_t rerank_n = 0;
   if (params.rerank != 0) {
-    rerank_n = std::min(std::max(params.rerank, out_k), cfg.itopk);
-    if (algo == SearchAlgo::kMultiCta) {
-      // The merged multi-CTA list holds at most ctas x 32 entries;
-      // asking past that only pads.
-      rerank_n = std::min(rerank_n, cfg.cta_per_query * kMultiCtaLocalTopM);
-    }
-    rerank_n = std::max(rerank_n, out_k);
+    rerank_n = std::max(
+        out_k, std::min({params.rerank, cfg.itopk,
+                         cfg.num_lists * cfg.list_len}));
     cfg.k = rerank_n;
   }
 
@@ -219,6 +208,9 @@ Result<SearchResult> Search(const CagraIndex& index,
   // as host threads): each worker slot keeps its own scratch — visited
   // table + search buffers — allocated lazily on first use, so results
   // are byte-identical to a serial run at any thread count.
+  const auto kernel = cfg.algo == SearchAlgo::kMultiCta
+                          ? internal_search::SearchMultiCta
+                          : internal_search::SearchSingleCta;
   auto run_query = [&](SearchScratch* scratch, size_t q) {
     KernelCounters& counters = per_query[q];
     counters.queries = 1;
@@ -237,18 +229,9 @@ Result<SearchResult> Search(const CagraIndex& index,
     uint32_t* ids = emit_ids + q * cfg.k;
     float* dists = emit_dists + q * cfg.k;
     bool cut = false;
-    size_t iters;
-    if (algo == SearchAlgo::kMultiCta) {
-      iters = internal_search::SearchMultiCta(dataset, snap->GraphRef(),
-                                              queries.Row(q), cfg, query_seed,
-                                              ids, dists, &counters, scratch,
-                                              &cut);
-    } else {
-      iters = internal_search::SearchSingleCta(dataset, snap->GraphRef(),
-                                               queries.Row(q), cfg,
-                                               query_seed, ids, dists,
-                                               &counters, scratch, &cut);
-    }
+    const size_t iters =
+        kernel(dataset, snap->GraphRef(), queries.Row(q), cfg, query_seed, ids,
+               dists, &counters, scratch, &cut);
     if (cut) truncated[q] = 1;
     counters.iterations = iters;
     counters.max_iterations = iters;
@@ -370,16 +353,14 @@ Result<SearchResult> Search(const CagraIndex& index,
   // --- Launch configuration for the cost model.
   KernelLaunchConfig launch;
   launch.batch = batch;
-  launch.ctas_per_query = cfg.cta_per_query;
-  launch.threads_per_cta = algo == SearchAlgo::kMultiCta ? kMultiCtaThreads
-                                                         : kSingleCtaThreads;
+  launch.ctas_per_query = cfg.num_lists;
+  launch.threads_per_cta = cfg.threads_per_cta;
   // The cost model prices row traffic as dim * elem_bytes: PQ rows are
   // M one-byte code lookups, not dim decoded elements, so the launch
   // reports the per-distance element count (M for PQ, dim otherwise).
   launch.dim = dataset.ElementsPerDistance();
   launch.elem_bytes = dataset.ElemBytes();
-  launch.candidates_per_iter =
-      algo == SearchAlgo::kMultiCta ? d : cfg.search_width * d;
+  launch.candidates_per_iter = cfg.parents * d;
   launch.team_size =
       params.team_size != 0
           ? params.team_size
@@ -388,12 +369,10 @@ Result<SearchResult> Search(const CagraIndex& index,
 
   // Shared memory per CTA: search buffer + query staging, plus the
   // visited table when it lives in shared memory (Table II).
-  const size_t buffer_entries =
-      (algo == SearchAlgo::kMultiCta ? kMultiCtaLocalTopM : cfg.itopk) +
-      launch.candidates_per_iter;
+  const size_t buffer_entries = cfg.list_len + launch.candidates_per_iter;
   launch.shared_mem_per_cta =
       buffer_entries * sizeof(KeyValue) + snap->dim() * sizeof(float);
-  if (cfg.hash_in_shared && algo != SearchAlgo::kMultiCta) {
+  if (cfg.hash_in_shared) {
     launch.shared_mem_per_cta += (1ull << cfg.hash_bits) * sizeof(uint32_t);
   }
 
@@ -404,7 +383,7 @@ Result<SearchResult> Search(const CagraIndex& index,
       result.modeled_seconds > 0
           ? static_cast<double>(batch) / result.modeled_seconds
           : 0.0;
-  result.algo_used = algo;
+  result.algo_used = cfg.algo;
   result.team_size_used = launch.team_size;
   return result;
 }

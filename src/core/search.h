@@ -53,7 +53,8 @@ struct SearchResult {
 /// modeled on the default DeviceSpec (the A100 of DESIGN.md §1). Picks
 /// the execution mode by the Fig. 7 rule when params.algo == kAuto, the
 /// team size by the §IV-B1 occupancy model when params.team_size == 0,
-/// and the hash management per Table II when params.hash_mode == kAuto.
+/// and the visited table per Table II: multi-CTA always shares a
+/// standard one, single-CTA follows params.hash_mode.
 /// The dataset storage mode comes from params.precision; reduced
 /// precisions require the matching Enable*() call on the index. Each
 /// query's row comes back in (distance, id) order: equal distances go

@@ -148,16 +148,23 @@ class DatasetView {
   Precision precision_;
 };
 
-/// Resolved per-search configuration shared by both execution modes.
+/// Resolved per-search configuration: the one place where the mapping
+/// (§IV-C, Table II) becomes numbers. The budget, table, launch and
+/// rerank formulas read the kernel's shape below, never the algo.
 struct ResolvedConfig {
+  SearchAlgo algo;  ///< kSingleCta or kMultiCta: picks the kernel
   size_t k;
   size_t itopk;
-  size_t search_width;
+  // The kernel's shape: single-CTA's value, or multi-CTA's. Each CTA
+  // keeps one list.
+  size_t num_lists;        ///< lists per query: 1, or cta_per_query
+  size_t list_len;         ///< entries per list: itopk, or 32
+  size_t parents;          ///< parents per list per iteration: p, or 1
+  size_t threads_per_cta;  ///< 256, or 128 (the cuVS defaults)
   size_t max_iterations;
   size_t hash_bits;
   size_t hash_reset_interval;  ///< 0 = standard table (no resets)
   bool hash_in_shared;
-  size_t cta_per_query;        ///< 1 for single-CTA
   uint64_t seed;
   /// Cooperative cancellation token (SearchParams::cancel), consulted
   /// at iteration boundaries; nullptr = never cancelled.
@@ -178,11 +185,11 @@ struct SearchScratch {
   PqAdcTable adc;
 
   // The kernel's buffer (Fig. 6) is the sorted internal top-M followed
-  // by p*d candidate slots. `topm` holds the top-M: single-CTA's itopk
-  // entries, or multi-CTA's num_ctas x 32 CTA lists back to back. The
-  // candidate slots are never stored: their fresh entries are the
-  // scored batch below, the other slots +inf pads that SortAndMerge
-  // counts. `init` is the step-0 seeding buffer.
+  // by p*d candidate slots. `topm` holds the top-M: the num_lists lists
+  // of list_len entries back to back. The candidate slots are never
+  // stored: their fresh entries are the scored batch below, the other
+  // slots +inf pads that SortAndMerge counts. `init` is the step-0
+  // seeding buffer.
   std::vector<KeyValue> topm;
   std::vector<KeyValue> init;
   std::vector<uint32_t> parents;
@@ -206,18 +213,26 @@ struct SearchScratch {
   /// then the top-M tail they displace.
   std::vector<KeyValue> merged;
 
-  /// Multi-CTA emission: a min-heap of each CTA list's next entry,
-  /// parent flag stripped, with the entry's slot in that list.
+  /// EmitTopK's min-heap of each list's next entry, parent flag
+  /// stripped, with the entry's slot in that list.
   struct Head {
     KeyValue entry;
-    uint32_t cta;
+    uint32_t list;
     uint32_t slot;
   };
   std::vector<Head> heads;
 
-  /// Returns a wiped visited table with exactly `capacity` slots,
-  /// reusing the previous allocation when the capacity matches.
-  VisitedSet& EnsureVisited(size_t capacity);
+  /// Returns the query's wiped visited table of 2^cfg.hash_bits slots,
+  /// reusing the previous allocation when the size matches. A
+  /// device-memory table is allocated and zeroed per query (§IV-B3), so
+  /// its bytes are charged here.
+  VisitedSet& OpenVisited(const ResolvedConfig& cfg, KernelCounters* counters);
+  /// Charges the probes made since OpenVisited, as the query's total, to
+  /// where the table lives: shared memory iff cfg.hash_in_shared.
+  void CloseVisited(const ResolvedConfig& cfg, KernelCounters* counters);
+
+ private:
+  size_t probes_at_open_ = 0;
 };
 
 /// Effective internal top-M length: the explicit value, or the
@@ -229,12 +244,15 @@ inline size_t ResolveItopk(const SearchParams& params) {
                            : std::max<size_t>(64, params.k);
 }
 
-/// Resolves SearchParams defaults against an index: auto
+/// Resolves SearchParams against an index: the kernel's shape, auto
 /// max_iterations, hash sizing (§IV-B3: >= 2x the visits of every CTA,
 /// standard tables capped at 2x the rows, shared tables clamped to
-/// 2^8..2^13 with resets), Table II hash placement. `params` is what
+/// 2^8..2^13 with resets) and Table II hash placement. `params` is what
 /// ResolveBatchShape returned: its algo and, for multi-CTA, its
-/// cta_per_query are resolved.
+/// cta_per_query are resolved; kAuto resolves as single-CTA. Each mode
+/// reads only its own settings: search_width and the hash mode and
+/// reset interval are single-CTA's, cta_per_query is multi-CTA's, whose
+/// CTAs always share one standard device-memory table.
 ResolvedConfig ResolveConfig(const SearchParams& params, size_t graph_degree,
                              size_t dataset_size);
 
@@ -253,7 +271,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
                        KernelCounters* counters, SearchScratch* scratch,
                        bool* truncated = nullptr);
 
-/// Runs one query in multi-CTA mode (§IV-C2): cfg.cta_per_query CTAs,
+/// Runs one query in multi-CTA mode (§IV-C2): cfg.num_lists CTAs,
 /// each with a 32-entry local top-M and p=1, sharing one device-memory
 /// visited table. Returns the (lockstep) iteration count. Cancellation
 /// follows the single-CTA contract, checked once per lockstep round.
@@ -281,6 +299,20 @@ size_t SearchMultiCta(const DatasetView& dataset,
 size_t SortAndMerge(KeyValue* topm, size_t m, const uint32_t* ids,
                     const float* dists, size_t count, size_t num_slots,
                     std::vector<KeyValue>* merged, KernelCounters* counters);
+
+/// Emits a query's top-k: the first k entries of a k-way merge of
+/// `num_lists` lists of `list_len` entries, stored back to back and each
+/// sorted under KeyValueLess, through a min-heap of their next entries
+/// (`heads` is its staging). Single-CTA is the one-list case. Entries
+/// that are not IsUsable are skipped, and so are tombstoned rows: dead
+/// nodes route the traversal but are never returned. Entries equal
+/// under KeyValueLess are one id at one distance, so the merge emits
+/// what sorting every entry would, and a node held twice (a full or
+/// reset table re-admits nodes) comes out as adjacent copies, of which
+/// only the first is kept. The rows past the last entry are padded.
+void EmitTopK(const KeyValue* lists, size_t num_lists, size_t list_len,
+              const DatasetView& dataset, size_t k, uint32_t* out_ids,
+              float* out_dists, std::vector<SearchScratch::Head>* heads);
 
 /// Picks the next parent (§IV-B4): the first IsUsable entry of
 /// `topm[0, m)` at or after `*cursor` that is not flagged yet. Sets its

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <limits>
 
 #include "core/search_internal.h"
 #include "util/rng.h"
@@ -7,12 +6,6 @@
 
 namespace cagra {
 namespace internal_search {
-
-namespace {
-
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-}  // namespace
 
 size_t SearchMultiCta(const DatasetView& dataset,
                       const FixedDegreeGraph& graph, const float* query,
@@ -22,7 +15,8 @@ size_t SearchMultiCta(const DatasetView& dataset,
                       bool* truncated) {
   const size_t n = dataset.size();
   const size_t d = graph.degree();
-  const size_t num_ctas = cfg.cta_per_query;
+  const size_t num_ctas = cfg.num_lists;
+  const size_t list_len = cfg.list_len;
   // Each CTA seeds max(d, 1) random samples, so a degree-0 graph still
   // scores a start node per CTA; its merges take that many slots.
   const size_t slots = std::max<size_t>(d, 1);
@@ -34,14 +28,11 @@ size_t SearchMultiCta(const DatasetView& dataset,
 
   // One visited table per *query*, shared by its CTAs, in device memory
   // (Table II). A node claimed by one CTA is never recomputed by another.
-  // Its probes are charged once, as the query's total.
-  VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
-  counters->hash_table_device_bytes += visited.MemoryBytes();
-  const size_t probes_before = visited.probes();
+  VisitedSet& visited = scratch->OpenVisited(cfg, counters);
 
   // Every CTA's local top-M, CTA c's at [c * 32, (c + 1) * 32).
   std::vector<KeyValue>& lists = scratch->topm;
-  lists.assign(num_ctas * kMultiCtaLocalTopM, kPad);
+  lists.assign(num_ctas * list_len, kPad);
   std::vector<uint32_t>& batch_ids = scratch->batch_ids;
   std::vector<float>& batch_dists = scratch->batch_dists;
   batch_ids.clear();
@@ -86,13 +77,13 @@ size_t SearchMultiCta(const DatasetView& dataset,
     for (size_t c = 0; c < num_ctas; c++) {
       SearchScratch::CtaState& cta = ctas[c];
       if (!cta.active) continue;
-      KeyValue* list = &lists[c * kMultiCtaLocalTopM];
+      KeyValue* list = &lists[c * list_len];
       const size_t first_changed = SortAndMerge(
-          list, kMultiCtaLocalTopM, batch_ids.data() + cta.fresh_begin,
+          list, list_len, batch_ids.data() + cta.fresh_begin,
           batch_dists.data() + cta.fresh_begin,
           cta.fresh_end - cta.fresh_begin, slots, &scratch->merged, counters);
       cta.cursor = std::min(cta.cursor, first_changed);
-      cta.parent = NextParent(list, kMultiCtaLocalTopM, &cta.cursor);
+      cta.parent = NextParent(list, list_len, &cta.cursor);
       // A CTA whose local list is fully expanded idles while the others
       // continue (the kernel keeps it resident but quiescent).
       cta.active = cta.parent != kInvalidEntry;
@@ -117,56 +108,13 @@ size_t SearchMultiCta(const DatasetView& dataset,
     iterations++;
     if (!any_active) break;
   }
-  counters->hash_probes_device += visited.probes() - probes_before;
+  scratch->CloseVisited(cfg, counters);
 
-  // --- Result merge: a k-way merge of the CTA lists, each sorted under
-  // KeyValueLess, through a min-heap of their next entries; entries that
-  // are not IsUsable are skipped as they come out. Entries equal under
-  // KeyValueLess are one id at one distance, so the merge emits what
-  // sorting all ctas x 32 entries would; the same id held by several
-  // CTAs (a full table re-admits nodes) arrives adjacent, and only its
-  // first copy is kept.
-  std::vector<SearchScratch::Head>& heads = scratch->heads;
-  heads.clear();
-  const auto later = [](const SearchScratch::Head& a,
-                        const SearchScratch::Head& b) {
-    return KeyValueLess(b.entry, a.entry);
-  };
-  const auto head_at = [&](size_t c, size_t slot) {
-    const KeyValue& kv = lists[c * kMultiCtaLocalTopM + slot];
-    return SearchScratch::Head{{kv.key, kv.value & kIndexMask},
-                               static_cast<uint32_t>(c),
-                               static_cast<uint32_t>(slot)};
-  };
-  for (size_t c = 0; c < num_ctas; c++) heads.push_back(head_at(c, 0));
-  std::make_heap(heads.begin(), heads.end(), later);
-
-  size_t written = 0;
-  uint32_t prev = kInvalidEntry;
-  while (written < cfg.k && !heads.empty()) {
-    std::pop_heap(heads.begin(), heads.end(), later);
-    const KeyValue entry = heads.back().entry;
-    const size_t c = heads.back().cta;
-    const size_t slot = heads.back().slot + 1;
-    if (slot < kMultiCtaLocalTopM) {
-      heads.back() = head_at(c, slot);
-      std::push_heap(heads.begin(), heads.end(), later);
-    } else {
-      heads.pop_back();
-    }
-    if (!IsUsable(entry) || entry.value == prev) continue;
-    prev = entry.value;
-    // Lazy-delete filter: tombstoned rows routed the traversal but are
-    // dropped at emission, identically across every dispatch tier.
-    if (dataset.Deleted(entry.value)) continue;
-    out_ids[written] = entry.value;
-    out_dists[written] = entry.key;
-    written++;
-  }
-  for (; written < cfg.k; written++) {
-    out_ids[written] = kInvalidEntry;
-    out_dists[written] = kInf;
-  }
+  // --- Result merge: EmitTopK's k-way merge of the CTA lists. The same
+  // id held by several CTAs (a full table re-admits nodes) is emitted
+  // once.
+  EmitTopK(lists.data(), num_ctas, list_len, dataset, cfg.k, out_ids,
+           out_dists, &scratch->heads);
   return iterations;
 }
 

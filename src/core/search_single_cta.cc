@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <limits>
 
 #include "core/search_internal.h"
 #include "util/rng.h"
@@ -7,12 +6,6 @@
 
 namespace cagra {
 namespace internal_search {
-
-namespace {
-
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-}  // namespace
 
 size_t SearchSingleCta(const DatasetView& dataset,
                        const FixedDegreeGraph& graph, const float* query,
@@ -22,7 +15,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
                        bool* truncated) {
   const size_t n = dataset.size();
   const size_t d = graph.degree();
-  const size_t num_candidates = cfg.search_width * d;
+  const size_t num_candidates = cfg.parents * d;
 
   // Per-query preparation: for PQ this builds the ADC tables every
   // subsequent distance call scans (charged like the kernel's per-query
@@ -35,14 +28,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   // (SearchScratch). All buffers live in the per-worker scratch.
   std::vector<KeyValue>& topm = scratch->topm;
 
-  VisitedSet& visited = scratch->EnsureVisited(1ull << cfg.hash_bits);
-  if (!cfg.hash_in_shared) {
-    // A device-memory table is allocated and zeroed per query (§IV-B3);
-    // the cost model charges its initialization traffic.
-    counters->hash_table_device_bytes += visited.MemoryBytes();
-  }
-  // Probes are charged once, as the query's total, to where it lives.
-  const size_t probes_before = visited.probes();
+  VisitedSet& visited = scratch->OpenVisited(cfg, counters);
   Pcg32 rng(query_seed, 0xc0ffee);
 
   // Fresh nodes and, once one batched call has scored them, their
@@ -56,7 +42,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   // the visited table exactly like graph-expanded candidates. Distances
   // for the deduplicated sample run as one batched kernel call.
   {
-    const size_t num_slots = cfg.itopk + num_candidates;
+    const size_t num_slots = cfg.list_len + num_candidates;
     std::vector<KeyValue>& init = scratch->init;
     init.clear();
     batch_ids.clear();
@@ -73,15 +59,15 @@ size_t SearchSingleCta(const DatasetView& dataset,
     counters->sort_exchanges += BitonicSortExchanges(num_slots);
     std::sort(init.begin(), init.end(), KeyValueLess);
     // Each duplicate left a pad in its slot; the sorted buffer holds
-    // them before the first NaN key. The top-M takes the first itopk
+    // them before the first NaN key. The top-M takes the first list_len
     // entries and the tail's real entries are the first scored batch,
     // its pads implicit again.
     init.insert(std::lower_bound(init.begin(), init.end(), kPad, KeyValueLess),
                 num_slots - init.size(), kPad);
-    topm.assign(init.begin(), init.begin() + cfg.itopk);
+    topm.assign(init.begin(), init.begin() + cfg.list_len);
     batch_ids.clear();
     batch_dists.clear();
-    for (auto kv = init.cbegin() + cfg.itopk; kv != init.cend(); ++kv) {
+    for (auto kv = init.cbegin() + cfg.list_len; kv != init.cend(); ++kv) {
       if (kv->value == kInvalidEntry) continue;
       batch_ids.push_back(kv->value);
       batch_dists.push_back(kv->key);
@@ -92,7 +78,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
   size_t cursor = 0;  // NextParent's scan start in topm
   std::vector<uint32_t>& parents = scratch->parents;
   parents.clear();
-  parents.reserve(cfg.search_width);
+  parents.reserve(cfg.parents);
   // Cancellation boundary: one amortized token check per iteration
   // (an iteration already costs p*d distance computations, so the
   // stride mostly amortizes the steady_clock read). Breaking here
@@ -116,7 +102,7 @@ size_t SearchSingleCta(const DatasetView& dataset,
     // --- Step 2: pick up to p best non-parent nodes, set their MSB flag
     // (§IV-B4), gather their adjacency rows.
     parents.clear();
-    while (parents.size() < cfg.search_width) {
+    while (parents.size() < cfg.parents) {
       const uint32_t parent = NextParent(topm.data(), topm.size(), &cursor);
       if (parent == kInvalidEntry) break;
       parents.push_back(parent);
@@ -155,37 +141,13 @@ size_t SearchSingleCta(const DatasetView& dataset,
     dataset.DistanceBatch(qv, batch_ids.data(), batch_ids.size(),
                           batch_dists.data(), counters);
   }
-  (cfg.hash_in_shared ? counters->hash_probes_shared
-                      : counters->hash_probes_device) +=
-      visited.probes() - probes_before;
+  scratch->CloseVisited(cfg, counters);
 
-  // --- Output: top-k of the internal list, parent flags stripped,
-  // defensively deduplicated (duplicates are possible only after a
-  // forgettable reset re-admits an evicted node). Tombstoned rows are
-  // filtered here and only here — the lazy-delete contract: dead nodes
-  // routed the traversal above but can never be returned.
-  size_t written = 0;
-  for (const auto& entry : topm) {
-    if (written >= cfg.k) break;
-    if (!IsUsable(entry)) continue;
-    const uint32_t id = entry.value & kIndexMask;
-    if (dataset.Deleted(id)) continue;
-    bool dup = false;
-    for (size_t i = 0; i < written; i++) {
-      if (out_ids[i] == id) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    out_ids[written] = id;
-    out_dists[written] = entry.key;
-    written++;
-  }
-  for (; written < cfg.k; written++) {
-    out_ids[written] = kInvalidEntry;
-    out_dists[written] = kInf;
-  }
+  // --- Output: the top-M as EmitTopK's one list, parent flags stripped
+  // and deduplicated (a node is held twice only after a full or reset
+  // table re-admits it).
+  EmitTopK(topm.data(), 1, topm.size(), dataset, cfg.k, out_ids, out_dists,
+           &scratch->heads);
   return iterations;
 }
 

@@ -1,37 +1,22 @@
 #include "dataset/io.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "util/fault_injection.h"
 
-#if defined(_WIN32)
-#include <io.h>
-#include <sys/stat.h>
-#else
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace cagra {
 
 bool FileByteSize(std::FILE* f, uint64_t* size) {
-#if defined(_WIN32)
-  const int fd = _fileno(f);
-  struct __stat64 st;
-  if (fd < 0 || _fstat64(fd, &st) != 0 || (st.st_mode & _S_IFREG) == 0) {
-    return false;
-  }
-  *size = static_cast<uint64_t>(st.st_size);
-  return true;
-#else
   const int fd = fileno(f);
   struct stat st;
   if (fd < 0 || fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) return false;
   *size = static_cast<uint64_t>(st.st_size);
   return true;
-#endif
 }
 
 namespace {

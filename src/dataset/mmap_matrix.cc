@@ -1,22 +1,19 @@
 #include "dataset/mmap_matrix.h"
 
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "util/fault_injection.h"
 
-#if !defined(_WIN32)
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace cagra {
 
 namespace {
 
-#if !defined(_WIN32)
 uint64_t PageSize() {
   static const uint64_t page = []() {
     const long p = ::sysconf(_SC_PAGESIZE);
@@ -24,14 +21,11 @@ uint64_t PageSize() {
   }();
   return page;
 }
-#endif
 
 }  // namespace
 
 MmapFile::~MmapFile() {
-#if !defined(_WIN32)
   if (addr_ != nullptr) ::munmap(addr_, static_cast<size_t>(size_));
-#endif
 }
 
 MmapFile::MmapFile(MmapFile&& other) noexcept
@@ -42,9 +36,7 @@ MmapFile::MmapFile(MmapFile&& other) noexcept
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
-#if !defined(_WIN32)
     if (addr_ != nullptr) ::munmap(addr_, static_cast<size_t>(size_));
-#endif
     addr_ = other.addr_;
     size_ = other.size_;
     other.addr_ = nullptr;
@@ -58,10 +50,6 @@ Result<MmapFile> MmapFile::Open(int fd) {
   // the robustness suite injects here to prove a failed map surfaces as
   // a clean Status on every out-of-core entry point.
   CAGRA_RETURN_IF_ERROR(CAGRA_FAULT_STATUS("io_mmap"));
-#if defined(_WIN32)
-  (void)fd;
-  return Status::IoError("out-of-core storage requires POSIX mmap");
-#else
   struct stat st;
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     return Status::IoError("not a mappable regular file");
@@ -78,11 +66,9 @@ Result<MmapFile> MmapFile::Open(int fd) {
   f.addr_ = addr;
   f.size_ = size;
   return f;
-#endif
 }
 
 void MmapFile::WillNeed(uint64_t offset, uint64_t length) const {
-#if !defined(_WIN32)
   if (addr_ == nullptr || length == 0 || offset >= size_) return;
   length = std::min(length, size_ - offset);
   const uint64_t page = PageSize();
@@ -90,10 +76,6 @@ void MmapFile::WillNeed(uint64_t offset, uint64_t length) const {
   const uint64_t end = offset + length;
   (void)::madvise(static_cast<char*>(addr_) + begin,
                   static_cast<size_t>(end - begin), MADV_WILLNEED);
-#else
-  (void)offset;
-  (void)length;
-#endif
 }
 
 Result<MmapMatrix> MmapMatrix::Open(int fd, size_t rows, size_t dim,
@@ -125,7 +107,6 @@ Result<MmapMatrix> MmapMatrix::Open(int fd, size_t rows, size_t dim,
 }
 
 void MmapMatrix::PrefetchRows(const uint32_t* ids, size_t n) const {
-#if !defined(_WIN32)
   if (data_ == nullptr || n == 0) return;
   std::vector<uint32_t> sorted;
   sorted.reserve(n);
@@ -155,10 +136,6 @@ void MmapMatrix::PrefetchRows(const uint32_t* ids, size_t n) const {
     }
   }
   if (run_end != 0) file_.WillNeed(run_begin, run_end - run_begin);
-#else
-  (void)ids;
-  (void)n;
-#endif
 }
 
 }  // namespace cagra

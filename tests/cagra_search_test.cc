@@ -92,20 +92,53 @@ TEST_F(CagraSearchTest, ResultsSortedAscending) {
 }
 
 TEST_F(CagraSearchTest, NoDuplicateOrInvalidIds) {
-  SearchParams params;
-  params.k = 10;
-  params.itopk = 64;
-  for (SearchAlgo algo : {SearchAlgo::kSingleCta, SearchAlgo::kMultiCta}) {
-    params.algo = algo;
+  // The default tables never re-admit a node, so every row holds k ids.
+  // A 2^8-slot standard table overflows and re-admits nodes, so the
+  // top-M holds copies of them, which the emission must drop; where
+  // fewer than k distinct nodes are left, the row ends in pads
+  // (kInvalidEntry at +inf).
+  struct Input {
+    SearchAlgo algo;
+    HashMode hash_mode;
+    size_t hash_bits, itopk, k;
+  };
+  const Input inputs[] = {
+      {SearchAlgo::kSingleCta, HashMode::kAuto, 0, 64, 10},
+      {SearchAlgo::kMultiCta, HashMode::kAuto, 0, 64, 10},
+      {SearchAlgo::kSingleCta, HashMode::kStandard, 8, 128, 64},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE("algo " + std::to_string(static_cast<int>(in.algo)) +
+                 " hash_bits " + std::to_string(in.hash_bits));
+    SearchParams params;
+    params.k = in.k;
+    params.itopk = in.itopk;
+    params.algo = in.algo;
+    params.hash_mode = in.hash_mode;
+    params.hash_bits = in.hash_bits;
     auto r = Search(*index_, data_->queries, params);
     ASSERT_TRUE(r.ok());
     for (size_t q = 0; q < data_->queries.rows(); q++) {
+      const uint32_t* ids = r->neighbors.ids.data() + q * in.k;
+      const float* dists = r->neighbors.distances.data() + q * in.k;
+      const size_t n =
+          std::find(ids, ids + in.k, internal_search::kInvalidEntry) - ids;
+      if (in.hash_bits == 0) EXPECT_EQ(n, in.k) << q;
+      EXPECT_GT(n, 0u) << q;
       std::set<uint32_t> seen;
-      for (size_t i = 0; i < 10; i++) {
-        const uint32_t id = r->neighbors.ids[q * 10 + i];
+      for (size_t i = 0; i < n; i++) {
         // MSB must be stripped and the id in range.
-        EXPECT_LT(id, index_->size()) << q << " " << i;
-        EXPECT_TRUE(seen.insert(id).second) << "dup in query " << q;
+        EXPECT_LT(ids[i], index_->size()) << q << " " << i;
+        EXPECT_TRUE(seen.insert(ids[i]).second) << "dup in query " << q;
+        if (i > 0) {
+          EXPECT_TRUE(KeyValueLess({dists[i - 1], ids[i - 1]},
+                                   {dists[i], ids[i]}))
+              << q << " " << i;
+        }
+      }
+      for (size_t i = n; i < in.k; i++) {
+        EXPECT_EQ(ids[i], internal_search::kInvalidEntry) << q << " " << i;
+        EXPECT_EQ(dists[i], std::numeric_limits<float>::infinity());
       }
     }
   }
@@ -569,25 +602,33 @@ TEST(ResolveConfigTest, SharedMultiCtaTableCountsEveryCta) {
   // §IV-B3 sizes a standard table at twice the visits a search can make,
   // and never past twice the rows. Multi-CTA's CTAs share one table, so
   // a round visits cta_per_query x d nodes, not d. ResolveConfig reads
-  // the algo and CTA count that ResolveBatchShape resolved.
+  // the algo and CTA count that ResolveBatchShape resolved. Multi-CTA
+  // expands one parent per CTA per round and always shares a standard
+  // device-memory table, so search_width and hash_mode, which are
+  // single-CTA settings, change neither its budget nor its table.
   struct Case {
     const char* shape;
     SearchAlgo algo;  ///< kAuto: ResolveBatchShape picks
-    size_t rows, batch, cta_per_query, itopk;
+    size_t rows, batch, cta_per_query, itopk, search_width;
+    HashMode hash_mode;
     SearchAlgo resolved;
-    size_t ctas, bits;
+    size_t ctas, bits, max_iterations;
   };
   const Case cases[] = {
       // online_pq's shard, a lone request: 2 x 129 x 64 x 16 visits,
       // capped at 2 x 10k. One CTA's visits gave 2^13.
-      {"online_pq shard", SearchAlgo::kAuto, 10000, 1, 0, 0,
-       SearchAlgo::kMultiCta, 64, 15},
+      {"online_pq shard", SearchAlgo::kAuto, 10000, 1, 0, 0, 1,
+       HashMode::kAuto, SearchAlgo::kMultiCta, 64, 15, 128},
+      {"online_pq shard, width 4", SearchAlgo::kAuto, 10000, 1, 0, 0, 4,
+       HashMode::kAuto, SearchAlgo::kMultiCta, 64, 15, 128},
+      {"online_pq shard, forgettable", SearchAlgo::kAuto, 10000, 1, 0, 0, 1,
+       HashMode::kForgettable, SearchAlgo::kMultiCta, 64, 15, 128},
       // MultiCtaMergeAsPinned's shape: the 2 x rows cap binds.
-      {"1k rows, 4 CTAs", SearchAlgo::kMultiCta, 1000, 3, 4, 32,
-       SearchAlgo::kMultiCta, 4, 11},
+      {"1k rows, 4 CTAs", SearchAlgo::kMultiCta, 1000, 3, 4, 32, 1,
+       HashMode::kAuto, SearchAlgo::kMultiCta, 4, 11, 64},
       // batch_deep: single-CTA, a forgettable table for 2 x 65 x 16.
-      {"batch_deep", SearchAlgo::kAuto, 30000, 10000, 0, 32,
-       SearchAlgo::kSingleCta, 1, 12},
+      {"batch_deep", SearchAlgo::kAuto, 30000, 10000, 0, 32, 1,
+       HashMode::kAuto, SearchAlgo::kSingleCta, 1, 12, 64},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.shape);
@@ -596,22 +637,53 @@ TEST(ResolveConfigTest, SharedMultiCtaTableCountsEveryCta) {
     params.algo = c.algo;
     params.cta_per_query = c.cta_per_query;
     params.itopk = c.itopk;
+    params.search_width = c.search_width;
+    params.hash_mode = c.hash_mode;
     const SearchParams shaped = ResolveBatchShape(params, DeviceSpec{}, c.batch);
     ASSERT_EQ(shaped.algo, c.resolved);
     const internal_search::ResolvedConfig cfg =
         internal_search::ResolveConfig(shaped, 16, c.rows);
-    EXPECT_EQ(cfg.cta_per_query, c.ctas);
+    EXPECT_EQ(cfg.num_lists, c.ctas);
     EXPECT_EQ(cfg.hash_bits, c.bits);
     EXPECT_EQ(cfg.hash_in_shared, c.resolved == SearchAlgo::kSingleCta);
     EXPECT_EQ(cfg.hash_reset_interval, 0u);
+    EXPECT_EQ(cfg.max_iterations, c.max_iterations);
   }
+}
+
+/// Expects two searches to return the same rows, distance bits and
+/// counters.
+void ExpectSameSearch(const SearchResult& a, const SearchResult& b) {
+  EXPECT_EQ(a.neighbors.ids, b.neighbors.ids);
+  const std::vector<float>& da = a.neighbors.distances;
+  const std::vector<float>& db = b.neighbors.distances;
+  ASSERT_EQ(da.size(), db.size());
+  EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(float)), 0);
+  const KernelCounters& x = a.counters;
+  const KernelCounters& y = b.counters;
+  EXPECT_EQ(x.distance_computations, y.distance_computations);
+  EXPECT_EQ(x.distance_elements, y.distance_elements);
+  EXPECT_EQ(x.device_vector_bytes, y.device_vector_bytes);
+  EXPECT_EQ(x.device_graph_bytes, y.device_graph_bytes);
+  EXPECT_EQ(x.hash_probes_shared, y.hash_probes_shared);
+  EXPECT_EQ(x.hash_probes_device, y.hash_probes_device);
+  EXPECT_EQ(x.hash_table_device_bytes, y.hash_table_device_bytes);
+  EXPECT_EQ(x.hash_resets, y.hash_resets);
+  EXPECT_EQ(x.sort_exchanges, y.sort_exchanges);
+  EXPECT_EQ(x.radix_scatters, y.radix_scatters);
+  EXPECT_EQ(x.iterations, y.iterations);
+  EXPECT_EQ(x.max_iterations, y.max_iterations);
+  EXPECT_EQ(x.kernel_launches, y.kernel_launches);
+  EXPECT_EQ(x.queries, y.queries);
 }
 
 TEST(ResolveConfigTest, LoneMultiCtaSearchSharesATableForEveryCta) {
   // A lone query on a 10k-row index runs 64 CTAs over one device table,
   // sized automatically at 2^15 slots. At an explicit 2^13 the ~6k
   // inserts still fit, so the search returns the same rows and only the
-  // table's bytes differ.
+  // table's bytes differ. search_width and hash_mode are single-CTA
+  // settings: at width 4 or a forgettable mode the search is the
+  // automatic one.
   const auto data = GenerateDataset(*FindProfile("DEEP-1M"), 10000, 1, 31);
   BuildParams bp;
   bp.graph_degree = 16;
@@ -635,6 +707,23 @@ TEST(ResolveConfigTest, LoneMultiCtaSearchSharesATableForEveryCta) {
   const std::vector<float>& b = pinned->neighbors.distances;
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+
+  params.hash_bits = 0;
+  params.search_width = 4;
+  auto wide = Search(*index, data.queries, params);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  {
+    SCOPED_TRACE("search_width 4");
+    ExpectSameSearch(*automatic, *wide);
+  }
+  params.search_width = 1;
+  params.hash_mode = HashMode::kForgettable;
+  auto forgettable = Search(*index, data.queries, params);
+  ASSERT_TRUE(forgettable.ok()) << forgettable.status().ToString();
+  {
+    SCOPED_TRACE("kForgettable");
+    ExpectSameSearch(*automatic, *forgettable);
+  }
 }
 
 // ---------------------------------------------------------- validation

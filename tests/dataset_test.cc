@@ -5,11 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#if !defined(_WIN32)
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 #include "dataset/io.h"
 #include "dataset/matrix.h"
@@ -330,7 +328,6 @@ TEST(IoTest, FileByteSizeIs64BitOnSparseFiles) {
   // past 2^31 correctly (std::ftell returns long, which tops out at
   // 2 GiB on LLP64 — exactly the regime out-of-core files live in).
   // A sparse file provides the size without the disk bytes.
-#if !defined(_WIN32)
   const std::string path = TempPath("sparse3g.bin");
   const uint64_t size = 3ull << 30;  // 3 GiB
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -347,14 +344,12 @@ TEST(IoTest, FileByteSizeIs64BitOnSparseFiles) {
   EXPECT_EQ(::ftello(f), 0);
   std::fclose(f);
   std::remove(path.c_str());
-#endif
 }
 
 TEST(IoTest, MockedHeaderIsValidatedAgainst64BitFileSize) {
   // A dim whose row would be ~8 GiB must be rejected by the plausibility
   // check against the true 64-bit size — cleanly, with no allocation —
   // even when the file itself is past the old 2 GiB long limit.
-#if !defined(_WIN32)
   const std::string path = TempPath("mocked64.fvecs");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -370,10 +365,8 @@ TEST(IoTest, MockedHeaderIsValidatedAgainst64BitFileSize) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
   std::remove(path.c_str());
-#endif
 }
 
-#if !defined(_WIN32)
 TEST(IoTest, NonSeekableStreamReadsAndValidates) {
   // A FIFO has no byte size, so ReadFvecs runs with the plausibility
   // check disabled and every row validated as it streams. A complete
@@ -410,7 +403,6 @@ TEST(IoTest, NonSeekableStreamReadsAndValidates) {
     std::remove(path.c_str());
   }
 }
-#endif  // !defined(_WIN32)
 
 TEST(IoTest, BvecsWidensToFloat) {
   const std::string path = TempPath("bytes.bvecs");
